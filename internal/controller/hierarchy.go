@@ -29,6 +29,8 @@ type Global struct {
 	mu           sync.Mutex
 	sink         PostureSink
 	lastPostures map[string]string // device → posture key
+	// reconciled is the highest version lastPostures reflects.
+	reconciled uint64
 
 	// commitTimes retains the commit wall-clock of recent versions so
 	// the enforcement layer can measure event→enforcement latency
@@ -88,6 +90,17 @@ func (g *Global) reconcile(ctx context.Context, version uint64) {
 	postures := g.fsm.Lookup(state)
 
 	g.mu.Lock()
+	// Commits notify outside the view's lock, so reconciles run
+	// concurrently. One that read its state before a newer commit but
+	// got here after that commit's reconcile would record postures the
+	// view has already left, and the next real change back to them
+	// would look like no change. The newer reconcile saw everything
+	// this one did: skip.
+	if version < g.reconciled {
+		g.mu.Unlock()
+		return
+	}
+	g.reconciled = version
 	var changed []struct {
 		dev string
 		p   policy.Posture

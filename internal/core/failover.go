@@ -75,7 +75,7 @@ func (p *Platform) SuperviseControllers(opts SupervisionOptions) (*controller.Hi
 	}
 	p.mu.Unlock()
 
-	h := controller.NewHierarchyWithGlobal(p.Global, p.fsm, part, opts.EnvLocality, p.applyPosture)
+	h := controller.NewHierarchyWithGlobal(p.Global, p.fsm, part, opts.EnvLocality, p.applyPartitionPosture)
 	sup := h.Supervise(controller.SupervisorOptions{
 		Clock:           opts.Clock,
 		Heartbeat:       opts.Heartbeat,

@@ -14,6 +14,9 @@ var (
 	mPostureApplies = telemetry.NewCounter(
 		"iotsec_core_posture_applies_total",
 		"Postures applied to device µmboxes.")
+	mPostureStale = telemetry.NewCounter(
+		"iotsec_core_posture_stale_total",
+		"Posture applications dropped because the device already runs a newer view version.")
 	mDevicesAdded = telemetry.NewCounter(
 		"iotsec_core_devices_added_total",
 		"Devices brought under management.")

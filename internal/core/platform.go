@@ -11,9 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -68,12 +66,10 @@ type Platform struct {
 
 	mu      sync.Mutex
 	devices map[string]*Managed
-	// skuRules accumulates per-SKU signature rules (from the
-	// crowdsourced repository or local additions); skuRuleTexts
-	// remembers the normalized rule texts already installed so
-	// replayed/backfilled community signatures install idempotently.
-	skuRules     map[string][]*ids.Rule
-	skuRuleTexts map[string]map[string]bool
+	// signatures holds, per SKU, the signature rules (from the
+	// crowdsourced repository or local additions) and the one engine
+	// compiled from them that every device of the SKU shares.
+	signatures map[string]*skuSignatures
 	// profiles holds per-device anomaly profiles.
 	profiles map[string]*ids.Profile
 
@@ -125,6 +121,13 @@ type Managed struct {
 
 	// isolated mirrors whether quarantine flow rules are installed.
 	isolated bool
+
+	// applyMu serialises posture applications to this device, so the
+	// order the version check admits them in is the order their
+	// enforcement lands in. Taken before p.mu, never with it held.
+	applyMu sync.Mutex
+	// applied is the highest global-view version applied to the device.
+	applied uint64
 }
 
 // New assembles a platform.
@@ -157,8 +160,7 @@ func New(opts Options) (*Platform, error) {
 		disc:           opts.Discretizer,
 		fsm:            opts.Policy,
 		devices:        make(map[string]*Managed),
-		skuRules:       make(map[string][]*ids.Rule),
-		skuRuleTexts:   make(map[string]map[string]bool),
+		signatures:     make(map[string]*skuSignatures),
 		profiles:       make(map[string]*ids.Profile),
 		nextSwitchPort: 1,
 	}
@@ -245,9 +247,12 @@ func (p *Platform) AddDevice(d *device.Device) (*Managed, error) {
 	// Hot-plugged devices get their posture immediately; devices
 	// added before Start are postured there.
 	if started {
+		// Version before state: the posture is then at least as new as
+		// the version it is stamped with, never older.
+		version := p.Global.View.Version()
 		state := p.Global.View.State()
 		if posture, ok := p.fsm.Lookup(state)[d.Name]; ok {
-			p.applyPosture(context.Background(), d.Name, posture, p.Global.View.Version())
+			p.applyPosture(context.Background(), d.Name, posture, version)
 		}
 	}
 	return m, nil
@@ -292,72 +297,67 @@ func (p *Platform) Stop() {
 	p.Network.Stop()
 }
 
-// AddSignatureRule installs a detection rule for a SKU (what a
-// sigrepo subscription delivers) and re-applies postures of affected
-// devices so running IDS elements pick it up. Installing a rule that
-// is already present for the SKU is a no-op (idempotent), so cursor
-// replays and reconnect backfills from the repository never duplicate
-// IDS rules or trigger spurious reconfigurations.
-func (p *Platform) AddSignatureRule(sku, ruleText string) error {
-	r, err := ids.ParseRule(ruleText)
-	if err != nil {
-		return err
-	}
-	if r == nil {
-		return fmt.Errorf("core: empty rule for %s", sku)
-	}
-	norm := strings.TrimSpace(ruleText)
-	p.mu.Lock()
-	if p.skuRuleTexts[sku][norm] {
-		p.mu.Unlock()
-		mSigRulesDup.Inc()
-		return nil
-	}
-	if p.skuRuleTexts[sku] == nil {
-		p.skuRuleTexts[sku] = make(map[string]bool)
-	}
-	p.skuRuleTexts[sku][norm] = true
-	mSigRulesAdded.Inc()
-	p.skuRules[sku] = append(p.skuRules[sku], r)
-	affected := make([]*Managed, 0)
-	for _, m := range p.devices {
-		if m.Device.Profile.SKU == sku {
-			affected = append(affected, m)
-		}
-	}
-	p.mu.Unlock()
-	for _, m := range affected {
-		p.applyPosture(context.Background(), m.Device.Name, m.CurrentPosture, p.Global.View.Version())
-	}
-	return nil
-}
+// postureOrigin says where a posture application comes from, which
+// decides how its version is read.
+type postureOrigin int
 
-// SignatureRules reports the normalized rule texts installed for a
-// SKU, sorted (diagnostics and convergence tests).
-func (p *Platform) SignatureRules(sku string) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.skuRuleTexts[sku]))
-	for text := range p.skuRuleTexts[sku] {
-		out = append(out, text)
-	}
-	sort.Strings(out)
-	return out
-}
+const (
+	// fromGlobal: versioned by p.Global.View. Global.reconcile calls
+	// its sink outside its lock, so two reconciles can deliver one
+	// device's postures out of version order; the older one is dropped.
+	fromGlobal postureOrigin = iota
+	// fromPartition: versioned by a partition-local view, whose numbers
+	// restart on re-home and do not compare with the global view's;
+	// applied as delivered.
+	fromPartition
+	// reapply: the device's current posture once more, at the version it
+	// already has (a new signature generation to pick up).
+	reapply
+)
 
-// applyPosture is the PostureSink: translate the posture into an
-// element chain and live-reconfigure the device's µmbox. It closes
-// Figure 2's loop, so it also emits the event→enforcement latency
-// (measured from the view commit that triggered it) and a span — a
-// child of whatever event chain provoked the posture, so the journal
-// timeline for the trace reads anomaly → posture → FLOW_MOD →
-// mbox-reconfig in sequence order.
+// applyPosture is the global controller's PostureSink.
 func (p *Platform) applyPosture(ctx context.Context, deviceName string, posture policy.Posture, version uint64) {
+	p.enforce(ctx, deviceName, fromGlobal, posture, version)
+}
+
+// applyPartitionPosture is the partition tier's PostureSink.
+func (p *Platform) applyPartitionPosture(ctx context.Context, deviceName string, posture policy.Posture, version uint64) {
+	p.enforce(ctx, deviceName, fromPartition, posture, version)
+}
+
+// enforce translates a posture into an element chain and
+// live-reconfigures the device's µmbox. It closes Figure 2's loop, so
+// it also emits the event→enforcement latency (measured from the view
+// commit that triggered it) and a span — a child of whatever event
+// chain provoked the posture, so the journal timeline for the trace
+// reads anomaly → posture → FLOW_MOD → mbox-reconfig in sequence order.
+//
+// A stale posture must never lift a newer quarantine: a global-view
+// application older than what the device already runs is dropped and
+// counted. Version 0 (Start, before any commit) always applies.
+func (p *Platform) enforce(ctx context.Context, deviceName string, origin postureOrigin, posture policy.Posture, version uint64) {
 	p.mu.Lock()
 	m, ok := p.devices[deviceName]
+	p.mu.Unlock()
 	if !ok {
-		p.mu.Unlock()
 		return // policy mentions a device not (yet) deployed
+	}
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
+
+	p.mu.Lock()
+	switch origin {
+	case reapply:
+		posture, version = m.CurrentPosture, m.applied
+	case fromGlobal:
+		if version > 0 && version < m.applied {
+			p.mu.Unlock()
+			mPostureStale.Inc()
+			return
+		}
+		if version > m.applied {
+			m.applied = version
+		}
 	}
 	m.CurrentPosture = posture
 	wasIsolated := m.isolated
@@ -396,7 +396,7 @@ func (p *Platform) applyPosture(ctx context.Context, deviceName string, posture 
 	_ = p.Manager.Reconfigure(ctx, "mb-"+deviceName, elements...)
 	span.End()
 	mPostureApplies.Inc()
-	if version > 0 {
+	if version > 0 && origin != reapply {
 		if committed, ok := p.Global.CommitTime(version); ok {
 			mEnforceSeconds.Observe(time.Since(committed).Seconds())
 		}
@@ -543,12 +543,9 @@ func (p *Platform) buildElement(dev *device.Device, spec policy.ModuleSpec) mbox
 		pass := spec.Config["pass"]
 		return mbox.NewPasswordProxy(user, pass, factoryUser, factoryPass)
 	case "ids":
-		p.mu.Lock()
-		rules := append([]*ids.Rule(nil), p.skuRules[dev.Profile.SKU]...)
-		p.mu.Unlock()
 		name := dev.Name
 		return &mbox.IDSElement{
-			Engine:  ids.NewEngine(rules),
+			Engine:  p.engineFor(dev.Profile.SKU),
 			OnAlert: func(a ids.Alert) { p.ReportAlert(name, a) },
 		}
 	case "anomaly":

@@ -3,7 +3,6 @@ package ids
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iotsec/internal/packet"
@@ -21,7 +20,11 @@ type Alert struct {
 }
 
 // Engine evaluates a ruleset against decoded packets. Immutable after
-// NewEngine, so one engine may serve many goroutines.
+// NewEngine, so one engine may serve many goroutines and many µmboxes:
+// the platform compiles one per SKU rule-set generation and every
+// device of the SKU points at it. Match writes nothing to the engine
+// but the pooled scratch; scan and match counts live in the
+// iotsec_ids_* metrics, not here.
 //
 // Matching is staged: content rules go through the Aho-Corasick
 // prefilter (one pass over the payload regardless of ruleset size), and
@@ -44,9 +47,6 @@ type Engine struct {
 	noCase bool
 
 	scratchPool sync.Pool
-
-	scanned atomic.Uint64
-	matched atomic.Uint64
 }
 
 type patRef struct {
@@ -110,6 +110,7 @@ func (s *matchScratch) reset() {
 // matches somewhere, so "hit anywhere" is a sound prefilter); negated
 // contents and region/dsize constraints are verified per candidate.
 func NewEngine(rules []*Rule) *Engine {
+	mEngineBuilds.Inc()
 	e := &Engine{
 		rules:         rules,
 		rulePositives: make([]int32, len(rules)),
@@ -160,9 +161,9 @@ func (e *Engine) addRule(ri int32, r *Rule, patterns [][]byte) [][]byte {
 	return patterns
 }
 
-// contentMatches verifies one content predicate precisely against the
-// payload (region, case and negation).
-func contentMatches(c Content, payload []byte) bool {
+// region is the part of the payload the content's offset/depth select,
+// lowercased for a nocase content (whose pattern is stored lowercased).
+func (c Content) region(payload []byte) []byte {
 	region := payload
 	if c.Offset > 0 {
 		if c.Offset >= len(region) {
@@ -174,13 +175,16 @@ func contentMatches(c Content, payload []byte) bool {
 	if c.Depth > 0 && c.Depth < len(region) {
 		region = region[:c.Depth]
 	}
-	var found bool
 	if c.NoCase {
-		found = containsNaive(bytes.ToLower(region), c.Pattern)
-	} else {
-		found = containsNaive(region, c.Pattern)
+		region = bytes.ToLower(region)
 	}
-	return found != c.Negated
+	return region
+}
+
+// contentMatches verifies one content predicate precisely against the
+// payload (region, case and negation).
+func contentMatches(c Content, payload []byte) bool {
+	return bytes.Contains(c.region(payload), c.Pattern) != c.Negated
 }
 
 // ruleContentsMatch verifies every content predicate of a rule.
@@ -196,11 +200,6 @@ func ruleContentsMatch(r *Rule, payload []byte) bool {
 // RuleCount reports the compiled ruleset size.
 func (e *Engine) RuleCount() int { return len(e.rules) }
 
-// Stats reports packets scanned and alerts raised.
-func (e *Engine) Stats() (scanned, matched uint64) {
-	return e.scanned.Load(), e.matched.Load()
-}
-
 // pktView carries the packet header fields Match extracts once, so
 // per-candidate verification does not re-walk the layer list.
 type pktView struct {
@@ -213,7 +212,6 @@ type pktView struct {
 // Match evaluates the packet, returning all alerts (block rules first
 // is NOT guaranteed; callers wanting a verdict use Verdict).
 func (e *Engine) Match(p *packet.Packet) []Alert {
-	e.scanned.Add(1)
 	mPacketsScanned.Inc()
 	ip := p.IPv4()
 	if ip == nil {
@@ -290,7 +288,6 @@ func (e *Engine) consider(r *Rule, v *pktView, alerts []Alert) []Alert {
 	if !headerMatch(r, v) {
 		return alerts
 	}
-	e.matched.Add(1)
 	mRuleMatches.Inc()
 	return append(alerts, Alert{
 		Rule: r, Msg: r.Msg, SID: r.SID, Action: r.Action,

@@ -95,6 +95,36 @@ func TestQuotedSemicolonInContent(t *testing.T) {
 	}
 }
 
+// scan is the map-based oracle for the automaton: the set of pattern
+// indices found in data, with none of scanInto's scratch bookkeeping.
+func (ac *ahoCorasick) scan(data []byte, hits map[int]bool) {
+	state := int32(0)
+	for _, b := range data {
+		state = ac.next[state][b]
+		for _, idx := range ac.output[state] {
+			hits[idx] = true
+		}
+	}
+}
+
+// containsNaive is the reference substring matcher the property tests
+// compare the automaton (and, via naiveMatch, the engine) against.
+func containsNaive(haystack, needle []byte) bool {
+	if len(needle) == 0 {
+		return true
+	}
+outer:
+	for i := 0; i+len(needle) <= len(haystack); i++ {
+		for j := range needle {
+			if haystack[i+j] != needle[j] {
+				continue outer
+			}
+		}
+		return true
+	}
+	return false
+}
+
 func TestAhoCorasickAgainstNaiveProperty(t *testing.T) {
 	patterns := [][]byte{
 		[]byte("admin"), []byte("dmin"), []byte("backdoor"),
@@ -119,6 +149,11 @@ func TestAhoCorasickAgainstNaiveProperty(t *testing.T) {
 func TestAhoCorasickOverlappingPatterns(t *testing.T) {
 	patterns := [][]byte{[]byte("he"), []byte("she"), []byte("his"), []byte("hers")}
 	ac := newAhoCorasick(patterns)
+	// he, she, his, hers share "h" and "s"/"sh" prefixes: root + 9
+	// states, reserved exactly (no regrowth, no dense row left unused).
+	if len(ac.next) != 10 || cap(ac.next) != 10 {
+		t.Errorf("automaton has %d states in %d reserved rows, want 10 in 10", len(ac.next), cap(ac.next))
+	}
 	hits := make(map[int]bool)
 	ac.scan([]byte("ushers"), hits)
 	// "ushers" contains "she", "he", "hers".
@@ -270,13 +305,15 @@ func TestEngineBidirectionalRule(t *testing.T) {
 	}
 }
 
+// TestEngineStatsAccumulate: a shared engine keeps no counters of its
+// own; scans and matches accumulate in the iotsec_ids_* metrics.
 func TestEngineStatsAccumulate(t *testing.T) {
 	e := NewEngine(nil)
 	p := buildPacket(t, packet.IPProtocolTCP, "10.0.0.1", "10.0.0.2", 1, 2, "x")
+	scanned0, matched0 := mPacketsScanned.Value(), mRuleMatches.Value()
 	e.Match(p)
 	e.Match(p)
-	scanned, matched := e.Stats()
-	if scanned != 2 || matched != 0 {
+	if scanned, matched := mPacketsScanned.Value()-scanned0, mRuleMatches.Value()-matched0; scanned != 2 || matched != 0 {
 		t.Errorf("stats = %d %d", scanned, matched)
 	}
 }

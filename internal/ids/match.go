@@ -1,5 +1,10 @@
 package ids
 
+import (
+	"bytes"
+	"slices"
+)
+
 // ahoCorasick is a multi-pattern string matcher: all patterns are
 // compiled into one automaton and every payload byte is examined once
 // regardless of ruleset size — the property that keeps per-µmbox IDS
@@ -13,12 +18,36 @@ type ahoCorasick struct {
 	output [][]int
 }
 
+// trieStates counts the states the patterns' trie will have: the root
+// plus one per distinct non-empty prefix. In sorted order each pattern
+// adds exactly the bytes beyond what it shares with its predecessor.
+// The summed pattern length would be a bound too, but signatures for
+// one SKU share prefixes, and a dense row reserved is a row resident.
+func trieStates(patterns [][]byte) int {
+	sorted := slices.Clone(patterns)
+	slices.SortFunc(sorted, bytes.Compare)
+	states := 1
+	var prev []byte
+	for _, pat := range sorted {
+		shared := 0
+		for shared < len(pat) && shared < len(prev) && pat[shared] == prev[shared] {
+			shared++
+		}
+		states += len(pat) - shared
+		prev = pat
+	}
+	return states
+}
+
 // newAhoCorasick compiles the automaton from the given patterns.
 func newAhoCorasick(patterns [][]byte) *ahoCorasick {
+	// Sized up front, so the 1 KB rows are not copied on every
+	// append-doubling while the trie grows.
+	states := trieStates(patterns)
 	ac := &ahoCorasick{
-		next:   make([][256]int32, 1),
-		fail:   make([]int32, 1),
-		output: make([][]int, 1),
+		next:   make([][256]int32, 1, states),
+		fail:   make([]int32, 1, states),
+		output: make([][]int, 1, states),
 	}
 	for i := range ac.next[0] {
 		ac.next[0][i] = -1
@@ -68,20 +97,8 @@ func newAhoCorasick(patterns [][]byte) *ahoCorasick {
 	return ac
 }
 
-// scan reports the set of pattern indices found in data.
-func (ac *ahoCorasick) scan(data []byte, hits map[int]bool) {
-	state := int32(0)
-	for _, b := range data {
-		state = ac.next[state][b]
-		for _, idx := range ac.output[state] {
-			hits[idx] = true
-		}
-	}
-}
-
 // scanInto runs the automaton over data, recording first-seen patterns
-// and per-rule hit counts in the pooled scratch (the allocation-free
-// fast path of scan).
+// and per-rule hit counts in the pooled scratch, allocation-free.
 func (e *Engine) scanInto(data []byte, s *matchScratch) {
 	ac := e.ac
 	state := int32(0)
@@ -100,21 +117,4 @@ func (e *Engine) scanInto(data []byte, s *matchScratch) {
 			s.ruleHits[ri]++
 		}
 	}
-}
-
-// containsNaive is the reference matcher used by property tests.
-func containsNaive(haystack, needle []byte) bool {
-	if len(needle) == 0 {
-		return true
-	}
-outer:
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j := range needle {
-			if haystack[i+j] != needle[j] {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }

@@ -17,6 +17,9 @@ var (
 	mBlocks = telemetry.NewCounter(
 		"iotsec_ids_blocks_total",
 		"Packets blocked by block-action rules.")
+	mEngineBuilds = telemetry.NewCounter(
+		"iotsec_ids_engine_builds_total",
+		"Signature engines compiled (one per SKU rule-set generation in a running platform).")
 	mAnomalies = telemetry.NewCounterVec(
 		"iotsec_ids_anomalies_total",
 		"Behavioral anomalies detected, by kind.", "kind")

@@ -27,7 +27,7 @@ func naiveMatch(rules []*Rule, p *packet.Packet) []int {
 		if !r.Dsize.Matches(len(v.payload)) {
 			continue
 		}
-		if !ruleContentsMatch(r, v.payload) {
+		if !naiveContentsMatch(r, v.payload) {
 			continue
 		}
 		if !headerMatch(r, &v) {
@@ -36,6 +36,17 @@ func naiveMatch(rules []*Rule, p *packet.Packet) []int {
 		sids = append(sids, r.SID)
 	}
 	return sids
+}
+
+// naiveContentsMatch is ruleContentsMatch over the reference substring
+// matcher, so the oracle shares no search code with the engine.
+func naiveContentsMatch(r *Rule, payload []byte) bool {
+	for _, c := range r.Contents {
+		if containsNaive(c.region(payload), c.Pattern) == c.Negated {
+			return false
+		}
+	}
+	return true
 }
 
 var stagedPatterns = [][]byte{

@@ -194,7 +194,9 @@ func (r *RateLimiter) Process(ctx *Context) Verdict {
 // --- IDS element ---
 
 // IDSElement runs a signature engine inline; block rules drop, alerts
-// stream to the callback.
+// stream to the callback. The element is per device, the engine is
+// not: it is immutable, and the platform hands every device of a SKU
+// the same one. Per-device counts are the pipeline's element stats.
 type IDSElement struct {
 	Engine *ids.Engine
 	// OnAlert receives every alert; may be nil.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -289,6 +290,53 @@ func TestSwitchSetEthDstRewrite(t *testing.T) {
 	p := packet.Decode(got, packet.LayerTypeEthernet)
 	if eth := p.Ethernet(); eth == nil || eth.DstMAC != newMAC {
 		t.Errorf("dst mac not rewritten: %v", p)
+	}
+}
+
+// TestSwitchRewriteLeavesSharedFrameAlone: links hand frames over
+// without copying, so a set-field action must not write into a buffer
+// anyone else holds — not the copy already sent to an earlier port of
+// the same action list, not the sender's.
+func TestSwitchRewriteLeavesSharedFrameAlone(t *testing.T) {
+	n := NewNetwork()
+	sw := NewSwitch("sw", 1)
+	sp1, sp2, sp3, sp4 := sw.AttachPort(n, 1), sw.AttachPort(n, 2), sw.AttachPort(n, 3), sw.AttachPort(n, 4)
+	h1, h2, h3, h4 := newSink("h1"), newSink("h2"), newSink("h3"), newSink("h4")
+	n.Connect(n.NewPort(h1, 1), sp1, LinkOptions{})
+	n.Connect(n.NewPort(h2, 1), sp2, LinkOptions{})
+	n.Connect(n.NewPort(h3, 1), sp3, LinkOptions{})
+	n.Connect(n.NewPort(h4, 1), sp4, LinkOptions{})
+	n.Start()
+	defer n.Stop()
+
+	dstA := packet.MACAddress{2, 0, 0, 0, 0, 0x91}
+	srcB := packet.MACAddress{2, 0, 0, 0, 0, 0x92}
+	sw.Table().Insert(openflow.FlowEntry{
+		Match:    openflow.MatchAll(),
+		Priority: 1,
+		Actions: []openflow.Action{
+			openflow.Output(2), openflow.SetEthDst(dstA), openflow.Output(3),
+			openflow.SetEthSrc(srcB), openflow.Output(4),
+		},
+	})
+	sent := buildFrame(t, mac1, mac2, ip1, ip2, 80)
+	orig := append([]byte(nil), sent...)
+	sendViaPeer(sp1, sent)
+	macs := func(f Frame) (dst, src packet.MACAddress) {
+		eth := packet.Decode(f, packet.LayerTypeEthernet).Ethernet()
+		return eth.DstMAC, eth.SrcMAC
+	}
+	if dst, src := macs(h2.waitFrame(t)); dst != mac2 || src != mac1 {
+		t.Errorf("port 2 (before any rewrite) got dst %v src %v", dst, src)
+	}
+	if dst, src := macs(h3.waitFrame(t)); dst != dstA || src != mac1 {
+		t.Errorf("port 3 (after set-dst) got dst %v src %v", dst, src)
+	}
+	if dst, src := macs(h4.waitFrame(t)); dst != dstA || src != srcB {
+		t.Errorf("port 4 (after set-dst, set-src) got dst %v src %v", dst, src)
+	}
+	if !bytes.Equal(sent, orig) {
+		t.Error("the switch wrote into the frame it received")
 	}
 }
 

@@ -21,7 +21,10 @@ type Node interface {
 	// NodeName returns a unique, human-readable identifier.
 	NodeName() string
 	// HandleFrame processes a frame arriving on one of the node's
-	// ports. It runs on the port's delivery goroutine.
+	// ports. It runs on the port's delivery goroutine. The frame is
+	// read-only: links hand buffers over without copying, so the same
+	// bytes may be in front of every other port a switch flooded them
+	// to. A node that rewrites a frame builds a new one.
 	HandleFrame(ingress *Port, frame Frame)
 }
 

@@ -130,12 +130,16 @@ func (s *Switch) ApplyActions(actions []openflow.Action, inPort uint16, frame Fr
 			s.flood(inPort, frame)
 		case openflow.ActionTypeController:
 			s.punt(inPort, 1, frame)
+		// A set-field writes to a copy: the frame in hand is read-only,
+		// other ports (or an earlier output of this list) may hold it.
 		case openflow.ActionTypeSetEthDst:
 			if len(frame) >= 6 {
+				frame = append(Frame(nil), frame...)
 				copy(frame[0:6], a.MAC[:])
 			}
 		case openflow.ActionTypeSetEthSrc:
 			if len(frame) >= 12 {
+				frame = append(Frame(nil), frame...)
 				copy(frame[6:12], a.MAC[:])
 			}
 		}

@@ -71,7 +71,11 @@ type Options struct {
 
 // chain is one in-flight detect→enforce correlation.
 type chain struct {
-	device   string
+	device string
+	// benign marks a chain opened by a plain device event (one per
+	// authenticated management command) that no anomaly or alert has
+	// joined: the FSM is not expected to answer those with a posture.
+	benign   bool
 	start    time.Duration            // journal Mono of the detection
 	stages   map[string]time.Duration // first-occurrence Mono per stage
 	deadline time.Time                // tracker-clock expiry
@@ -83,6 +87,7 @@ type chain struct {
 //	iotsec_mttr_stage_seconds{stage=...}  per-stage latency
 //	iotsec_mttr_e2e_seconds               detection → last enforcement
 //	iotsec_mttr_incomplete_total{missing_stage=...}
+//	iotsec_mttr_unescalated_total         device events that needed no posture
 //
 // plus scrape-time gauges for in-flight chains and tap drops. One
 // consumer goroutine owns all chain state; the hot journal path only
@@ -97,10 +102,11 @@ type Tracker struct {
 	sweepEvery   time.Duration
 	healthHold   time.Duration
 
-	mStage      *telemetry.HistogramVec
-	mE2E        *telemetry.Histogram
-	mIncomplete *telemetry.CounterVec
-	mCompleted  *telemetry.Counter
+	mStage       *telemetry.HistogramVec
+	mE2E         *telemetry.Histogram
+	mIncomplete  *telemetry.CounterVec
+	mUnescalated *telemetry.Counter
+	mCompleted   *telemetry.Counter
 
 	mu              sync.Mutex
 	chains          map[uint64]*chain
@@ -173,6 +179,8 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 		telemetry.LatencyBuckets)
 	t.mIncomplete = reg.NewCounterVec("iotsec_mttr_incomplete_total",
 		"Chains that timed out before completing, by first missing canonical stage.", "missing_stage")
+	t.mUnescalated = reg.NewCounter("iotsec_mttr_unescalated_total",
+		"Device-event chains that expired without a posture: benign traffic the policy did not escalate, not an enforcement miss.")
 	t.mCompleted = reg.NewCounter("iotsec_mttr_complete_total",
 		"Chains that closed the detect→enforce loop.")
 	reg.RegisterCollector("slo-tracker", t.collect)
@@ -212,11 +220,16 @@ func (t *Tracker) handle(e journal.Event) {
 	defer t.mu.Unlock()
 	switch e.Type {
 	case journal.TypeAnomaly, journal.TypeAlert, journal.TypeDeviceEvent:
-		if _, ok := t.chains[e.TraceID]; ok {
-			return // keep the first detection of the chain
+		detection := e.Type != journal.TypeDeviceEvent
+		if c, ok := t.chains[e.TraceID]; ok {
+			// Keep the first detection of the chain; a detection joining
+			// a device event's chain makes it one that owes a posture.
+			c.benign = c.benign && !detection
+			return
 		}
 		t.chains[e.TraceID] = &chain{
 			device:   e.Device,
+			benign:   !detection,
 			start:    e.Mono,
 			stages:   make(map[string]time.Duration, 4),
 			deadline: t.clock.Now().Add(t.chainTimeout),
@@ -292,7 +305,8 @@ func (t *Tracker) maybeCompleteLocked(traceID uint64) {
 }
 
 // sweep expires chains past their deadline, counting each under its
-// first missing canonical stage.
+// first missing canonical stage — except device-event chains that never
+// drew a posture, which are unescalated traffic.
 func (t *Tracker) sweep() {
 	now := t.clock.Now()
 	t.mu.Lock()
@@ -308,6 +322,13 @@ func (t *Tracker) sweep() {
 			continue
 		}
 		missing := missingStage(c)
+		if c.benign && missing == StagePosture {
+			// Not a miss: it stays out of the incomplete count, which
+			// the watchdog judges as +Inf latency samples.
+			t.mUnescalated.Inc()
+			delete(t.chains, id)
+			continue
+		}
 		t.mIncomplete.With(missing).Inc()
 		t.incompleteCount++
 		mark := incompleteMark{at: now, stage: missing, device: c.device, traceID: id}

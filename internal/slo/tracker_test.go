@@ -345,3 +345,64 @@ func TestWatchdogTickerEmitsWithinOneWindow(t *testing.T) {
 		t.Fatal("watchdog not burning after the violating window")
 	}
 }
+
+// TestBenignDeviceEventsDoNotBurn: traced device events (one per
+// authenticated management command) open chains that never reach a
+// posture. They expire as unescalated — not incomplete, not +Inf
+// samples for the watchdog, not a health problem — however many there
+// are, while the one real detection among them keeps today's
+// semantics.
+func TestBenignDeviceEventsDoNotBurn(t *testing.T) {
+	clk := resilience.NewFakeClock(time.Unix(1000, 0))
+	j := journal.New(256)
+	reg := telemetry.NewRegistry()
+	tr := slo.NewTracker(j, slo.Options{Registry: reg, ChainTimeout: time.Second, Clock: clk})
+	defer tr.Close()
+	w := slo.NewWatchdog(tr, slo.Objectives{
+		Target: 100 * time.Millisecond, Quantile: 0.5, Window: time.Minute, MinSamples: 1,
+	}, slo.WatchdogOptions{Journal: j, Registry: reg, Clock: clk})
+	defer w.Stop()
+
+	const benign = 50
+	for i := 0; i < benign; i++ {
+		j.RecordTrace(uint64(100+i), journal.TypeDeviceEvent, journal.Debug, "cam", "command: STATUS")
+	}
+	waitInflight(t, tr, benign)
+	clk.Advance(2 * time.Second)
+	if ev := w.Evaluate(); ev.Burning || ev.Incomplete != 0 {
+		t.Fatalf("evaluation over benign traffic = %+v, want no incompletes and no burn", ev)
+	}
+	if got := tr.Incomplete(); got != 0 {
+		t.Fatalf("Incomplete = %d after %d benign device events, want 0", got, benign)
+	}
+	if v, ok := sample(reg, "iotsec_mttr_unescalated_total", "", nil); !ok || v != benign {
+		t.Fatalf("unescalated_total = %v (ok=%v), want %d", v, ok, benign)
+	}
+	if v, _ := sample(reg, "iotsec_mttr_incomplete_total", "", map[string]string{"missing_stage": "posture"}); v != 0 {
+		t.Fatalf(`incomplete_total{missing_stage="posture"} = %v, want 0`, v)
+	}
+	if state, reason := tr.Health(); state != telemetry.HealthHealthy {
+		t.Fatalf("Health = %v (%s), want healthy", state, reason)
+	}
+
+	// The other side: a device event an alert joins on the same trace
+	// owes a posture, and one that drew a posture owes its enforcement.
+	j.RecordTrace(201, journal.TypeDeviceEvent, journal.Debug, "cam", "command: STATUS")
+	j.RecordTrace(201, journal.TypeAlert, journal.Warn, "cam", "sid 1: factory credentials")
+	j.RecordTrace(202, journal.TypeDeviceEvent, journal.Debug, "cam", "smoke: detected")
+	j.RecordTrace(202, journal.TypePosture, journal.Warn, "cam", "v7 isolate")
+	waitInflight(t, tr, 2)
+	clk.Advance(2 * time.Second)
+	if ev := w.Evaluate(); !ev.Burning || ev.Incomplete != 2 {
+		t.Fatalf("evaluation = %+v, want burning with 2 incomplete", ev)
+	}
+	if v, _ := sample(reg, "iotsec_mttr_incomplete_total", "", map[string]string{"missing_stage": "posture"}); v != 1 {
+		t.Fatalf(`incomplete_total{missing_stage="posture"} = %v, want 1`, v)
+	}
+	if v, _ := sample(reg, "iotsec_mttr_incomplete_total", "", map[string]string{"missing_stage": "mbox-reconfig"}); v != 1 {
+		t.Fatalf(`incomplete_total{missing_stage="mbox-reconfig"} = %v, want 1`, v)
+	}
+	if v, _ := sample(reg, "iotsec_mttr_unescalated_total", "", nil); v != benign {
+		t.Fatalf("unescalated_total moved to %v, want %d", v, benign)
+	}
+}

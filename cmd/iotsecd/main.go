@@ -176,7 +176,7 @@ func main() {
 		link, err := p.ConnectSigrepoOpts(*sigrepoAddr, *sigrepoIdentity, sigrepo.ManagedOptions{
 			Backoff:    resilience.BackoffOptions{Cap: *sigrepoReconnectMax},
 			OutboxPath: *sigrepoOutbox,
-			OnStateChange: func(s sigrepo.LinkState) {
+			OnStateChange: func(s resilience.State) {
 				fmt.Printf("iotsecd: sigrepo link %s\n", s)
 			},
 		})

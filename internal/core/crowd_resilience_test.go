@@ -95,7 +95,7 @@ func TestCrowdLinkResubscribeCoversNewSKUs(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for link.Managed().State() != sigrepo.LinkDegraded {
+	for link.Managed().State() != resilience.Degraded {
 		if time.Now().After(deadline) {
 			t.Fatal("link never degraded")
 		}
@@ -144,7 +144,7 @@ func TestCrowdLinkCloseDuringBackfillNoLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		link.Close() // mid-backfill: 200 replays are still streaming
-		if st := link.Managed().State(); st != sigrepo.LinkDown {
+		if st := link.Managed().State(); st != resilience.Down {
 			t.Fatalf("state after Close = %v", st)
 		}
 	}

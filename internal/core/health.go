@@ -45,31 +45,15 @@ func (p *Platform) RegisterHealth(h *telemetry.HealthRegistry) {
 
 // RegisterHealth registers the southbound channel's two halves:
 //
-//   - "southbound" (critical): the supervised switch agent. Down when
-//     the supervisor has given up (reconnect budget exhausted) — the
-//     link will not heal on its own; Degraded while reconnecting under
-//     backoff (the switch serves its installed table per fail mode).
+//   - "southbound" (critical): the switch agent's supervised session.
+//     Degraded while redialing (the switch serves its installed table
+//     per fail mode); Down when the supervisor has given up (reconnect
+//     budget exhausted) — the link will not heal on its own.
 //   - "controller-steering" (critical): the controller side. Down when
 //     zero switch sessions are connected — a quarantine FLOW_MOD
 //     issued now would reach no switch.
 func (s *Southbound) RegisterHealth(h *telemetry.HealthRegistry) {
-	agent := s.Agent
-	h.Register("southbound", true, func() (telemetry.HealthState, string) {
-		if agent == nil {
-			return telemetry.HealthDown, "no switch agent attached"
-		}
-		if agent.Stopped() {
-			return telemetry.HealthDown, fmt.Sprintf(
-				"agent supervisor stopped (reconnect budget exhausted; fail-%s, %d events buffered)",
-				agent.FailMode(), agent.BufferedEvents())
-		}
-		if !agent.Connected() {
-			return telemetry.HealthDegraded, fmt.Sprintf(
-				"session down, reconnecting (fail-%s, %d events buffered, %d reconnects so far)",
-				agent.FailMode(), agent.BufferedEvents(), agent.Reconnects())
-		}
-		return telemetry.HealthHealthy, ""
-	})
+	h.Register("southbound", true, s.Agent.Health)
 	steering := s.Steering
 	h.Register("controller-steering", true, func() (telemetry.HealthState, string) {
 		if steering == nil {

@@ -194,7 +194,7 @@ func TestProfilePublishSurvivesLinkLoss(t *testing.T) {
 	if _, err := repo.Publish(context.Background(), "seed-pub", sku, clearedRule(77), "d"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "link degraded", func() bool { return link.Managed().State() == sigrepo.LinkDegraded })
+	waitFor(t, "link degraded", func() bool { return link.Managed().State() == resilience.Degraded })
 
 	// The window closes while the repository is unreachable: the
 	// publish must land in the durable outbox, not on the floor.

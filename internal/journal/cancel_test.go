@@ -26,38 +26,41 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d alive, want <= %d", runtime.NumGoroutine(), base)
 }
 
-// TestTailCancelReleasesSubscription: cancel closes the channel,
-// detaches the subscriber (no more deliveries, no drop accounting
-// against a dead consumer), and is idempotent.
-func TestTailCancelReleasesSubscription(t *testing.T) {
+// TestSubscribeCloseReleasesTap: Close ends the stream, detaches the
+// tap (no more deliveries, no drop accounting against a dead
+// consumer), and is idempotent.
+func TestSubscribeCloseReleasesTap(t *testing.T) {
 	j := New(64)
-	ch, cancel := j.Tail(2)
+	sub := j.Subscribe(2)
 	j.RecordTrace(1, TypeAnomaly, Info, "d", "before")
-	cancel()
-	cancel() // idempotent
+	sub.Close()
+	sub.Close() // idempotent
 
-	if _, ok := <-ch; !ok {
-		// Buffered pre-cancel event may or may not have been consumed
-		// before close; either way the channel must END closed.
-		t.Log("channel closed with no buffered event")
+	select {
+	case <-sub.Done():
+	default:
+		t.Fatal("Done not closed after Close")
 	}
-	for range ch {
-	} // drains to close without deadlock
 
 	// A detached subscriber must not accrue drops however hard the
 	// journal is hammered.
 	_, drops0 := j.Stats()
 	for i := 0; i < 100; i++ {
-		j.RecordTrace(uint64(i+2), TypeDeviceEvent, Debug, "d", "after cancel")
+		j.RecordTrace(uint64(i+2), TypeDeviceEvent, Debug, "d", "after close")
 	}
 	if _, drops := j.Stats(); drops != drops0 {
-		t.Fatalf("drops grew %d→%d after cancel — subscription not released", drops0, drops)
+		t.Fatalf("drops grew %d→%d after Close — tap not released", drops0, drops)
+	}
+	// The hammering wrapped the 64-slot ring over the pre-close backlog:
+	// it is gone, and must not come back as whatever overwrote it.
+	if got := sub.Drain(); len(got) != 0 {
+		t.Fatalf("drained %+v from a closed tap whose backlog was overwritten, want nothing", got)
 	}
 }
 
 // TestServeFollowClientDisconnectReleases: a follow stream whose
-// client goes away must release its Tail subscription (observable as
-// zero new drop accounting under load) and leak no goroutines.
+// client goes away must release its tap (observable as zero new drop
+// accounting under load) and leak no goroutines.
 func TestServeFollowClientDisconnectReleases(t *testing.T) {
 	j := New(1024)
 	srv := httptest.NewServer(j.Handler())
@@ -80,8 +83,8 @@ func TestServeFollowClientDisconnectReleases(t *testing.T) {
 	resp.Body.Close()
 	waitGoroutines(t, base)
 
-	// The handler exited; its Tail subscription must be gone. A leaked
-	// full channel would show up as tail drops under this hammering.
+	// The handler exited; its tap must be gone. A leaked, undrained
+	// tap would show up as drops under this hammering.
 	_, drops0 := j.Stats()
 	for i := 0; i < 1000; i++ { // > the follow buffer of 512
 		j.RecordTrace(uint64(i+10), TypeDeviceEvent, Debug, "d", "post-disconnect")

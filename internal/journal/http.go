@@ -82,7 +82,7 @@ func (e errBadParam) Error() string { return "bad " + e.name + " parameter: " + 
 
 // Handler serves the journal (mount at /debug/journal). Plain GETs
 // return a JSON snapshot filtered by the query parameters; follow=1
-// switches to a streaming tail: the filtered backlog followed by live
+// switches to a streaming follow: the filtered backlog followed by live
 // matching events, one JSON object per line, until the client goes
 // away.
 func (j *Journal) Handler() http.Handler {
@@ -117,8 +117,8 @@ func (j *Journal) serveFollow(w http.ResponseWriter, req *http.Request, f Filter
 
 	// Subscribe before snapshotting so no event falls in the gap;
 	// duplicates across the boundary are suppressed by sequence.
-	events, cancel := j.Tail(512)
-	defer cancel()
+	sub := j.Subscribe(512)
+	defer sub.Close()
 	var lastSeq uint64
 	for _, e := range j.Snapshot(f) {
 		if enc.Encode(e) != nil {
@@ -129,24 +129,24 @@ func (j *Journal) serveFollow(w http.ResponseWriter, req *http.Request, f Filter
 	if flusher != nil {
 		flusher.Flush()
 	}
-	done := req.Context().Done()
 	for {
 		select {
-		case <-done:
+		case <-req.Context().Done():
 			return
-		case e, ok := <-events:
-			if !ok {
-				return
-			}
+		case <-sub.Wait():
+		}
+		wrote := false
+		for _, e := range sub.Drain() {
 			if e.Seq <= lastSeq || !f.matches(e) {
 				continue
 			}
 			if enc.Encode(e) != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			wrote = true
+		}
+		if wrote && flusher != nil {
+			flusher.Flush()
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // anomaly can be reconstructed into the exact enforcement it caused.
 //
 // The write path is one short mutex-guarded slot store (no
-// allocation, no fan-out unless a tail subscriber is attached); the
+// allocation, and one cursor comparison per attached tap); the
 // BenchmarkJournalAppend budget is < 100ns/op so hot paths can
 // journal unconditionally.
 package journal
@@ -206,13 +206,13 @@ type Journal struct {
 	pos  int
 	full bool
 	seq  uint64
-	subs []*tailSub
 	taps []*Subscription
+	// dropped counts events evicted from taps whose consumers lagged.
+	dropped uint64
 
-	// nsubs mirrors len(subs)+len(taps) so the append fast path can
-	// skip subscriber fan-out with one atomic load.
-	nsubs   atomic.Int32
-	dropped atomic.Uint64 // tail-subscriber drops
+	// ntaps mirrors len(taps) so the append fast path can skip the
+	// wake-up scan with one atomic load.
+	ntaps atomic.Int32
 }
 
 // New builds a journal retaining up to capacity events (values < 1
@@ -238,7 +238,7 @@ func init() {
 		emit("iotsec_journal_events_total", telemetry.KindCounter,
 			"Events appended to the forensic journal.", nil, float64(appended))
 		emit("iotsec_journal_tail_drops_total", telemetry.KindCounter,
-			"Events dropped on full tail-subscriber buffers.", nil, float64(drops))
+			"Events evicted from lagging journal taps.", nil, float64(drops))
 	})
 }
 
@@ -296,14 +296,7 @@ func (j *Journal) append(e Event) {
 		j.pos = 0
 		j.full = true
 	}
-	if j.nsubs.Load() > 0 {
-		for _, s := range j.subs {
-			select {
-			case s.ch <- e:
-			default:
-				j.dropped.Add(1)
-			}
-		}
+	if j.ntaps.Load() > 0 {
 		for _, t := range j.taps {
 			t.notify()
 		}
@@ -379,60 +372,28 @@ func (j *Journal) Snapshot(f Filter) []Event {
 	return out
 }
 
-// Stats reports events appended since creation and tail drops. The
+// Stats reports events appended since creation and events evicted
+// from lagging taps (attached taps are brought up to date first, so
+// the count does not wait for a slow consumer's next Drain). The
 // sequence counter doubles as the append total.
 func (j *Journal) Stats() (appended, tailDrops uint64) {
 	j.mu.Lock()
-	appended = j.seq
-	j.mu.Unlock()
-	return appended, j.dropped.Load()
-}
-
-// tailSub is one streaming subscriber.
-type tailSub struct {
-	ch chan Event
-}
-
-// Tail subscribes to the live event stream: every subsequent append
-// is offered to the returned channel. Slow consumers lose events
-// (non-blocking send; drops are counted) rather than stalling
-// writers. cancel unsubscribes and closes the channel.
-func (j *Journal) Tail(buffer int) (events <-chan Event, cancel func()) {
-	if buffer < 1 {
-		buffer = 256
+	defer j.mu.Unlock()
+	for _, t := range j.taps {
+		t.reconcileLocked()
 	}
-	s := &tailSub{ch: make(chan Event, buffer)}
-	j.mu.Lock()
-	j.subs = append(j.subs, s)
-	j.nsubs.Store(int32(len(j.subs) + len(j.taps)))
-	j.mu.Unlock()
-	var once sync.Once
-	return s.ch, func() {
-		once.Do(func() {
-			j.mu.Lock()
-			for i, sub := range j.subs {
-				if sub == s {
-					j.subs = append(j.subs[:i], j.subs[i+1:]...)
-					break
-				}
-			}
-			j.nsubs.Store(int32(len(j.subs) + len(j.taps)))
-			j.mu.Unlock()
-			close(s.ch)
-		})
-	}
+	return j.seq, j.dropped
 }
 
 // Subscription is a bounded drop-oldest fan-out of the live event
-// stream — the journal tap behind the online SLO plane. Unlike Tail
-// (whose non-blocking channel sends lose the NEWEST events when the
-// consumer lags), a Subscription keeps the newest events and evicts
-// the OLDEST, like the southbound degradation ring and the sigrepo
-// notify rings: for SLO accounting the recent past is what matters,
-// and anything old enough to be evicted belongs to a chain that has
-// already aged past the correlator's incomplete-chain timeout (the
-// eviction is counted, so accounting loss is observable, never
-// silent).
+// stream — the journal's one live tap, behind the online SLO plane,
+// the forensics capturer and /debug/journal?follow=1. When the
+// consumer lags it keeps the newest events and evicts the OLDEST,
+// like the southbound degradation ring and the sigrepo notify rings:
+// for SLO accounting the recent past is what matters, and anything old
+// enough to be evicted belongs to a chain that has already aged past
+// the correlator's incomplete-chain timeout (the eviction is counted,
+// so accounting loss is observable, never silent).
 //
 // A Subscription does not buffer its own copy of the stream: the
 // journal's ring already holds every event, so the tap is just a
@@ -479,7 +440,7 @@ func (j *Journal) Subscribe(buffer int) *Subscription {
 		closed: make(chan struct{}),
 	}
 	j.taps = append(j.taps, s)
-	j.nsubs.Store(int32(len(j.subs) + len(j.taps)))
+	j.ntaps.Store(int32(len(j.taps)))
 	j.mu.Unlock()
 	return s
 }
@@ -498,19 +459,26 @@ func (s *Subscription) notify() {
 	}
 }
 
-// reconcileLocked advances the cursor past events the journal ring has
-// outgrown (or that exceed the subscription's own backlog cap),
-// counting them as evicted. Called with j.mu held.
-func (s *Subscription) reconcileLocked() {
-	end := s.j.seq
-	if end > s.limit {
-		end = s.limit
+// reconcileLocked advances the cursor past events that exceed the
+// subscription's backlog cap or that the journal ring has overwritten
+// (a closed tap's fenced window can fall that far behind), counting
+// them as evicted, and returns the end of the deliverable window.
+// Called with j.mu held.
+func (s *Subscription) reconcileLocked() (end uint64) {
+	end = min(s.j.seq, s.limit)
+	var floor uint64
+	if end > s.cap {
+		floor = end - s.cap
 	}
-	if unread := end - s.cursor; unread > s.cap {
-		excess := unread - s.cap
-		s.evicted += excess
-		s.cursor += excess
+	if ring := uint64(len(s.j.ring)); s.j.seq > ring {
+		floor = min(max(floor, s.j.seq-ring), end)
 	}
+	if s.cursor < floor {
+		s.evicted += floor - s.cursor
+		s.j.dropped += floor - s.cursor
+		s.cursor = floor
+	}
+	return end
 }
 
 // Drain removes and returns all pending events, oldest first (nil
@@ -520,11 +488,7 @@ func (s *Subscription) reconcileLocked() {
 func (s *Subscription) Drain() []Event {
 	s.j.mu.Lock()
 	defer s.j.mu.Unlock()
-	s.reconcileLocked()
-	end := s.j.seq
-	if end > s.limit {
-		end = s.limit
-	}
+	end := s.reconcileLocked()
 	if end == s.cursor {
 		return nil
 	}
@@ -541,12 +505,7 @@ func (s *Subscription) Drain() []Event {
 func (s *Subscription) Pending() int {
 	s.j.mu.Lock()
 	defer s.j.mu.Unlock()
-	s.reconcileLocked()
-	end := s.j.seq
-	if end > s.limit {
-		end = s.limit
-	}
-	return int(end - s.cursor)
+	return int(s.reconcileLocked() - s.cursor)
 }
 
 // Evicted reports events dropped (oldest-first) to make room for
@@ -576,11 +535,12 @@ func (s *Subscription) Close() {
 				break
 			}
 		}
-		s.j.nsubs.Store(int32(len(s.j.subs) + len(s.j.taps)))
+		s.j.ntaps.Store(int32(len(s.j.taps)))
 		// Fence the cursor window: events appended after Close are
-		// never delivered, but the backlog accumulated before it
-		// remains drainable.
+		// never delivered or counted as dropped, but the backlog
+		// accumulated before it remains drainable.
 		s.limit = s.j.seq
+		s.reconcileLocked()
 		s.j.mu.Unlock()
 		close(s.closed)
 	})

@@ -123,27 +123,30 @@ func TestFilters(t *testing.T) {
 	}
 }
 
-func TestTailDeliversAndDropsWhenFull(t *testing.T) {
+// TestSubscribeDeliversAndCountsDropsWhenFull: a tap past its buffer
+// loses events, the journal's drop total says how many, and Close is
+// idempotent.
+func TestSubscribeDeliversAndCountsDropsWhenFull(t *testing.T) {
 	j := New(64)
-	events, cancel := j.Tail(2)
+	sub := j.Subscribe(2)
 	j.RecordTrace(1, TypeAnomaly, Info, "d", "1")
 	j.RecordTrace(1, TypeAnomaly, Info, "d", "2")
-	j.RecordTrace(1, TypeAnomaly, Info, "d", "3") // buffer full → dropped
-	if e := <-events; e.Detail != "1" {
-		t.Fatalf("first tailed event = %q", e.Detail)
-	}
-	if e := <-events; e.Detail != "2" {
-		t.Fatalf("second tailed event = %q", e.Detail)
-	}
+	j.RecordTrace(1, TypeAnomaly, Info, "d", "3") // buffer full → the oldest is evicted
 	_, drops := j.Stats()
 	if drops != 1 {
 		t.Fatalf("drops = %d, want 1", drops)
 	}
-	cancel()
-	if _, ok := <-events; ok {
-		t.Fatal("channel should be closed after cancel")
+	got := sub.Drain()
+	if len(got) != 2 || got[0].Detail != "2" || got[1].Detail != "3" {
+		t.Fatalf("drained %+v, want events 2 and 3", got)
 	}
-	cancel() // idempotent
+	sub.Close()
+	select {
+	case <-sub.Done():
+	default:
+		t.Fatal("Done should be closed after Close")
+	}
+	sub.Close() // idempotent
 }
 
 func TestSeverityJSONAndParse(t *testing.T) {

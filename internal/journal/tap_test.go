@@ -40,8 +40,7 @@ func TestSubscribeDeliversInOrder(t *testing.T) {
 }
 
 // TestSubscribeDropOldest: when the consumer lags past the buffer, the
-// OLDEST events are evicted (and counted), the newest retained — the
-// opposite of Tail's drop-newest channel sends.
+// OLDEST events are evicted (and counted), the newest retained.
 func TestSubscribeDropOldest(t *testing.T) {
 	j := New(64)
 	sub := j.Subscribe(4)
@@ -86,29 +85,29 @@ func TestSubscribeCloseDetaches(t *testing.T) {
 	}
 }
 
-// TestSubscribeIndependentOfTail: taps and tail subscribers coexist;
-// detaching one leaves the other delivering.
-func TestSubscribeIndependentOfTail(t *testing.T) {
+// TestSubscribersIndependent: taps coexist; detaching one leaves the
+// other delivering.
+func TestSubscribersIndependent(t *testing.T) {
 	j := New(64)
-	ch, cancel := j.Tail(8)
+	other := j.Subscribe(8)
 	sub := j.Subscribe(8)
 	defer sub.Close()
 
 	j.Record(context.Background(), TypeAnomaly, Info, "d", "both")
 	select {
-	case <-ch:
+	case <-other.Wait():
 	case <-time.After(time.Second):
-		t.Fatal("tail subscriber missed the event")
+		t.Fatal("first tap missed the event")
 	}
 	if sub.Pending() != 1 {
 		t.Fatalf("tap Pending = %d, want 1", sub.Pending())
 	}
 	sub.Drain()
 
-	cancel()
+	other.Close()
 	j.Record(context.Background(), TypeAnomaly, Info, "d", "tap only")
 	if sub.Pending() != 1 {
-		t.Fatalf("tap Pending = %d after tail cancel, want 1", sub.Pending())
+		t.Fatalf("tap Pending = %d after the other tap closed, want 1", sub.Pending())
 	}
 }
 

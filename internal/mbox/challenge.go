@@ -67,8 +67,5 @@ func (c *Challenge) Process(ctx *Context) Verdict {
 	c.mu.Lock()
 	c.rejected++
 	c.mu.Unlock()
-	if rst, err := forgeRST(ctx.Packet); err == nil && ctx.Inject != nil {
-		ctx.Inject(rst)
-	}
-	return Drop
+	return refuse(ctx)
 }

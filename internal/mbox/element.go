@@ -59,6 +59,10 @@ type Context struct {
 	// (e.g., a forged rejection toward the client). May be nil in
 	// unit tests.
 	Inject func(frame []byte)
+	// Onward sends an extra frame out of the egress side, past the
+	// remaining elements (e.g., a reset toward the device a refused
+	// request was headed for). May be nil in unit tests.
+	Onward func(frame []byte)
 }
 
 // Element is one packet-processing stage.

@@ -17,6 +17,9 @@ type Mbox struct {
 
 	south *netsim.Port
 	north *netsim.Port
+	// toSouth and toNorth send on the ports; built once so a frame's
+	// Context costs no closure.
+	toSouth, toNorth func(frame []byte)
 
 	// protected, when set, scopes the pipeline to traffic involving
 	// this address: on shared/flooded segments, foreign frames pass
@@ -52,19 +55,16 @@ func (m *Mbox) SetProtectedIP(ip packet.IPv4Address) {
 func (m *Mbox) AttachInline(n *netsim.Network) (south, north *netsim.Port) {
 	m.south = n.NewPort(m, 1)
 	m.north = n.NewPort(m, 2)
+	m.toSouth = func(f []byte) { m.south.Send(f) }
+	m.toNorth = func(f []byte) { m.north.Send(f) }
 	return m.south, m.north
 }
 
 // HandleFrame implements netsim.Node.
 func (m *Mbox) HandleFrame(ingress *netsim.Port, frame netsim.Frame) {
-	var dir Direction
-	var egress, back *netsim.Port
+	dir, onward, back := ToDevice, m.toSouth, m.toNorth
 	if ingress == m.south {
-		dir = FromDevice
-		egress, back = m.north, m.south
-	} else {
-		dir = ToDevice
-		egress, back = m.south, m.north
+		dir, onward, back = FromDevice, m.toNorth, m.toSouth
 	}
 	// Both ports deliver concurrently; the pooled decoder's packet view
 	// must not outlive this frame (pipeline elements do not retain it,
@@ -80,7 +80,7 @@ func (m *Mbox) HandleFrame(ingress *netsim.Port, frame netsim.Frame) {
 		if ip := decoded.IPv4(); ip != nil && ip.SrcIP != m.protected && ip.DstIP != m.protected {
 			m.forwarded.Add(1)
 			mForwarded.Inc()
-			egress.Send(frame)
+			onward(frame)
 			return
 		}
 	}
@@ -88,13 +88,14 @@ func (m *Mbox) HandleFrame(ingress *netsim.Port, frame netsim.Frame) {
 		Frame:  frame,
 		Packet: decoded,
 		Dir:    dir,
-		Inject: func(f []byte) { back.Send(f) },
+		Inject: back,
+		Onward: onward,
 	}
 	switch m.pipeline.Process(ctx) {
 	case Forward:
 		m.forwarded.Add(1)
 		mForwarded.Inc()
-		egress.Send(ctx.Frame)
+		onward(ctx.Frame)
 	case Drop:
 		m.dropped.Add(1)
 		mDropped.Inc()

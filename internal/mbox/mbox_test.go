@@ -3,6 +3,7 @@ package mbox
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -346,6 +347,56 @@ func TestContextGateEndToEnd(t *testing.T) {
 	}
 	if plug.Get("power") != "on" {
 		t.Error("plug not on")
+	}
+}
+
+// TestRefusalLeavesNoDeviceStream: the device accepts a stream before
+// the µmbox can judge the request on it, so a refusal has to reset the
+// device's end too — otherwise every refused attempt leaves it one
+// established stream and one dispatch goroutine, forever.
+func TestRefusalLeavesNoDeviceStream(t *testing.T) {
+	refused := device.Request{Cmd: "SNAPSHOT", User: "admin", Pass: "admin"}
+	cases := []struct {
+		name string
+		elem Element
+	}{
+		{"password proxy", NewPasswordProxy("homeadmin", "str0ng!", "admin", "admin")},
+		{"context gate", NewContextGate(func(string) bool { return false }, "SNAPSHOT")},
+		{"challenge", NewChallenge("rose")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cam := device.NewCamera("cam", packet.MustParseIPv4("10.0.0.10"))
+			client := wire(t, NewMbox("mb-cam", NewPipeline(tc.elem)), cam.Device)
+			attempt := func() {
+				if _, err := client.Call(cam.IP(), refused); err == nil {
+					t.Fatal("request was not refused")
+				}
+			}
+			attempt() // ARP and first-use set-up happen here, before the baseline
+			// The baseline is the count once it has stopped falling.
+			baseline := runtime.NumGoroutine()
+			for i := 0; i < 200; i++ {
+				time.Sleep(5 * time.Millisecond)
+				n := runtime.NumGoroutine()
+				if n >= baseline {
+					break
+				}
+				baseline = n
+			}
+			const attempts = 20
+			for i := 0; i < attempts; i++ {
+				attempt()
+			}
+			deadline := time.Now().Add(3 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after %d refused requests, baseline %d: the device kept their streams",
+						runtime.NumGoroutine(), attempts, baseline)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -75,12 +75,7 @@ func (p *PasswordProxy) Process(ctx *Context) Verdict {
 		p.mu.Lock()
 		p.rejected++
 		p.mu.Unlock()
-		// Kill the session so the client sees an immediate refusal
-		// rather than a timeout.
-		if rst, err := forgeRST(ctx.Packet); err == nil && ctx.Inject != nil {
-			ctx.Inject(rst)
-		}
-		return Drop
+		return refuse(ctx)
 	}
 
 	// Authorized: translate to the factory credentials the device
@@ -169,8 +164,5 @@ func (g *ContextGate) Process(ctx *Context) Verdict {
 	if onBlock != nil {
 		onBlock(req.Cmd)
 	}
-	if rst, err := forgeRST(ctx.Packet); err == nil && ctx.Inject != nil {
-		ctx.Inject(rst)
-	}
-	return Drop
+	return refuse(ctx)
 }

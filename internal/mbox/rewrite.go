@@ -14,6 +14,16 @@ var errNotTCPData = errors.New("mbox: frame has no TCP payload")
 // recomputing lengths and checksums. Our message-oriented transport
 // acknowledges whole messages, so payload length changes are safe.
 func rewriteTCPPayload(p *packet.Packet, newPayload []byte) ([]byte, error) {
+	tcp := p.TCP()
+	if tcp == nil {
+		return nil, errNotTCPData
+	}
+	return rewriteTCP(p, tcp.Flags, newPayload)
+}
+
+// rewriteTCP is rewriteTCPPayload with the segment's flags replaced
+// as well.
+func rewriteTCP(p *packet.Packet, flags packet.TCPFlags, newPayload []byte) ([]byte, error) {
 	eth, ip, tcp := p.Ethernet(), p.IPv4(), p.TCP()
 	if eth == nil || ip == nil || tcp == nil {
 		return nil, errNotTCPData
@@ -21,7 +31,7 @@ func rewriteTCPPayload(p *packet.Packet, newPayload []byte) ([]byte, error) {
 	out := &packet.TCP{
 		SrcPort: tcp.SrcPort, DstPort: tcp.DstPort,
 		Seq: tcp.Seq, Ack: tcp.Ack,
-		Flags: tcp.Flags, Window: tcp.Window,
+		Flags: flags, Window: tcp.Window,
 	}
 	out.SetNetworkForChecksum(ip.SrcIP, ip.DstIP)
 	b := packet.NewSerializeBuffer()
@@ -66,4 +76,20 @@ func forgeRST(p *packet.Packet) ([]byte, error) {
 	frame := make([]byte, b.Len())
 	copy(frame, b.Bytes())
 	return frame, nil
+}
+
+// refuse kills the connection a refused request rode on, at both
+// ends, and returns the request's verdict. The client gets a forged
+// RST, so it sees an immediate refusal rather than a timeout. The
+// device accepted the stream before the request could be judged and
+// would keep it, and the goroutine serving it, forever: it gets the
+// refused segment as a bare RST in place of the request.
+func refuse(ctx *Context) Verdict {
+	if rst, err := forgeRST(ctx.Packet); err == nil && ctx.Inject != nil {
+		ctx.Inject(rst)
+	}
+	if rst, err := rewriteTCP(ctx.Packet, packet.TCPRst, nil); err == nil && ctx.Onward != nil {
+		ctx.Onward(rst)
+	}
+	return Drop
 }

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"iotsec/internal/journal"
 	"iotsec/internal/openflow"
 	"iotsec/internal/resilience"
+	"iotsec/internal/telemetry"
 )
 
 // FailMode selects how a SwitchAgent degrades while its southbound
@@ -70,10 +70,6 @@ type AgentOptions struct {
 	// Dial overrides the transport dial (fault-injection hook);
 	// nil uses net.DialTimeout("tcp", addr, 2s).
 	Dial func(addr string) (net.Conn, error)
-	// DisableReconnect reproduces the legacy one-shot behaviour: the
-	// agent dies when the first session drops (used by a few
-	// experiments that measure a single session).
-	DisableReconnect bool
 }
 
 // SwitchAgent connects a Switch to a controller over the southbound
@@ -81,32 +77,22 @@ type AgentOptions struct {
 // and PACKET_OUT, answers FEATURES/ECHO/BARRIER/STATS, and reports
 // expired entries as FLOW_REMOVED.
 //
-// The connection is supervised: when the session drops, a supervisor
-// goroutine redials with jittered exponential backoff, re-runs the
-// (controller-driven) handshake, and replays events buffered while
-// disconnected. Degradation while down follows AgentOptions.FailMode.
+// The connection is a resilience.Session: it redials when the session
+// drops, the (controller-driven) handshake re-runs, and events buffered
+// while disconnected are replayed. Degradation while down follows
+// AgentOptions.FailMode.
 type SwitchAgent struct {
 	sw   *Switch
-	addr string
 	opts AgentOptions
-
-	mu   sync.Mutex
-	conn *openflow.Conn // nil while disconnected
+	sess *resilience.Session[*openflow.Conn]
 
 	// buffer holds events that could not be sent; replayed on
 	// re-handshake (fail-static) or drained-and-dropped (fail-closed
 	// punts are never buffered in the first place).
 	buffer *resilience.Ring[openflow.Message]
 
-	connected  atomic.Bool
-	reconnects atomic.Uint64
-	replayed   atomic.Uint64
-	puntsDrop  atomic.Uint64
-	outageWarn atomic.Bool // Warn journaled once per outage
-
-	stopOnce sync.Once
-	stopped  chan struct{}
-	wg       sync.WaitGroup
+	replayed  atomic.Uint64
+	puntsDrop atomic.Uint64
 }
 
 // ConnectAgent dials the controller at addr, runs the handshake
@@ -118,11 +104,10 @@ type SwitchAgent struct {
 // asynchronous start.
 func ConnectAgent(sw *Switch, addr string) (*SwitchAgent, error) {
 	a := newAgent(sw, addr, AgentOptions{})
-	raw, err := a.dial()
-	if err != nil {
+	if err := a.sess.Connect(); err != nil {
 		return nil, fmt.Errorf("netsim: agent dial controller: %w", err)
 	}
-	a.start(openflow.NewConn(raw))
+	a.start()
 	return a, nil
 }
 
@@ -132,167 +117,73 @@ func ConnectAgent(sw *Switch, addr string) (*SwitchAgent, error) {
 // inspect Connected to observe session state.
 func SuperviseAgent(sw *Switch, addr string, opts AgentOptions) *SwitchAgent {
 	a := newAgent(sw, addr, opts)
-	a.start(nil)
+	a.sess.Start()
+	a.start()
 	return a
+}
+
+// start wires the switch's punt path to the agent and launches the
+// expiry loop on the session's lifetime.
+func (a *SwitchAgent) start() {
+	a.sw.SetPacketInHandler(a.onPacketIn)
+	a.sess.Go(a.expiryLoop)
 }
 
 func newAgent(sw *Switch, addr string, opts AgentOptions) *SwitchAgent {
 	if opts.BufferCap < 1 {
 		opts.BufferCap = 1024
 	}
-	return &SwitchAgent{
-		sw:      sw,
-		addr:    addr,
-		opts:    opts,
-		buffer:  resilience.NewRing[openflow.Message](opts.BufferCap),
-		stopped: make(chan struct{}),
+	if opts.Dial == nil {
+		opts.Dial = func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, 2*time.Second)
+		}
 	}
-}
-
-// start wires the switch and launches the supervisor + expiry loops.
-func (a *SwitchAgent) start(initial *openflow.Conn) {
-	a.sw.SetPacketInHandler(a.onPacketIn)
-	a.wg.Add(2)
-	go a.supervise(initial)
-	go a.expiryLoop()
-}
-
-// dial opens the raw transport.
-func (a *SwitchAgent) dial() (net.Conn, error) {
-	if a.opts.Dial != nil {
-		return a.opts.Dial(a.addr)
+	a := &SwitchAgent{
+		sw:     sw,
+		opts:   opts,
+		buffer: resilience.NewRing[openflow.Message](opts.BufferCap),
 	}
-	return net.DialTimeout("tcp", a.addr, 2*time.Second)
-}
-
-// supervise owns the connection lifecycle: (re)dial with backoff,
-// serve the session until it drops, degrade, repeat.
-func (a *SwitchAgent) supervise(conn *openflow.Conn) {
-	defer a.wg.Done()
-	bo := resilience.NewBackoff(a.opts.Backoff)
-	first := true
-	for {
-		if conn == nil {
-			conn = a.redial(bo)
-			if conn == nil {
-				return // stopped or reconnect budget exhausted
+	a.sess = resilience.NewSession(resilience.SessionOptions[*openflow.Conn]{
+		Name:    fmt.Sprintf("dpid %d", sw.DatapathID()),
+		Backoff: opts.Backoff,
+		Dial: func() (*openflow.Conn, error) {
+			raw, err := opts.Dial(addr)
+			if err != nil {
+				return nil, err
 			}
-		}
-		bo.Reset() // reset-on-success: the next outage starts from Base
-		a.sessionUp(conn, first)
-		first = false
-		a.serve(conn)
-		a.sessionDown()
-		conn = nil
-		select {
-		case <-a.stopped:
-			return
-		default:
-		}
-		if a.opts.DisableReconnect {
-			a.Stop()
-			return
-		}
-	}
-}
-
-// redial retries the dial on the backoff schedule until success, stop
-// or budget exhaustion.
-func (a *SwitchAgent) redial(bo *resilience.Backoff) *openflow.Conn {
-	for {
-		select {
-		case <-a.stopped:
-			return nil
-		default:
-		}
-		raw, err := a.dial()
-		if err == nil {
-			return openflow.NewConn(raw)
-		}
-		delay, ok := bo.Next()
-		if !ok {
-			journal.RecordTrace(0, journal.TypeSouthDown, journal.Critical, "",
-				fmt.Sprintf("dpid %d: reconnect budget exhausted after %d attempts; agent giving up",
-					a.sw.DatapathID(), bo.Attempt()))
-			a.Stop()
-			return nil
-		}
-		t := time.NewTimer(delay)
-		select {
-		case <-a.stopped:
-			t.Stop()
-			return nil
-		case <-t.C:
-		}
-	}
-}
-
-// sessionUp installs the live conn and journals the transition.
-func (a *SwitchAgent) sessionUp(conn *openflow.Conn, first bool) {
-	a.mu.Lock()
-	a.conn = conn
-	a.mu.Unlock()
-	a.connected.Store(true)
-	a.outageWarn.Store(false)
-	if !first {
-		a.reconnects.Add(1)
-		mAgentReconnects.Inc()
-		journal.RecordTrace(0, journal.TypeSouthUp, journal.Info, "",
-			fmt.Sprintf("dpid %d: southbound session re-established (reconnect #%d, %d events buffered)",
-				a.sw.DatapathID(), a.reconnects.Load(), a.buffer.Len()))
-	}
-}
-
-// sessionDown clears the conn and engages the degradation policy.
-func (a *SwitchAgent) sessionDown() {
-	a.mu.Lock()
-	conn := a.conn
-	a.conn = nil
-	a.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
-	}
-	a.connected.Store(false)
-	select {
-	case <-a.stopped:
-		return // deliberate teardown, not an outage
-	default:
-	}
-	if a.outageWarn.CompareAndSwap(false, true) {
-		journal.RecordTrace(0, journal.TypeSouthDown, journal.Warn, "",
-			fmt.Sprintf("dpid %d: southbound session lost; degrading fail-%s (table served locally, quarantine rules intact)",
-				a.sw.DatapathID(), a.opts.FailMode))
-	}
-}
-
-// current returns the live conn, or nil while disconnected.
-func (a *SwitchAgent) current() *openflow.Conn {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.conn
+			return openflow.NewConn(raw), nil
+		},
+		Run:       a.serve,
+		UpEvent:   journal.TypeSouthUp,
+		DownEvent: journal.TypeSouthDown,
+		Detail: func() string {
+			return fmt.Sprintf("fail-%s, %d events buffered", opts.FailMode, a.buffer.Len())
+		},
+		OnStateChange: func(st resilience.State) {
+			if st == resilience.Up && a.sess.Sessions() > 1 {
+				mAgentReconnects.Inc()
+			}
+		},
+	})
+	return a
 }
 
 // Connected reports whether a southbound session is currently live.
-func (a *SwitchAgent) Connected() bool { return a.connected.Load() }
+func (a *SwitchAgent) Connected() bool { return a.sess.State() == resilience.Up }
 
-// Stopped reports whether the supervisor has terminated for good
-// (Close was called or the reconnect budget is exhausted) — the
-// health plane's "this link will not come back by itself" signal.
-func (a *SwitchAgent) Stopped() bool {
-	select {
-	case <-a.stopped:
-		return true
-	default:
-		return false
-	}
-}
+// Health reports the session for /readyz: degraded while redialing
+// (the switch serves its installed table per fail mode), down once the
+// supervisor has given up.
+func (a *SwitchAgent) Health() (telemetry.HealthState, string) { return a.sess.Health() }
 
 // Reconnects reports how many times the supervisor re-established the
 // session.
-func (a *SwitchAgent) Reconnects() uint64 { return a.reconnects.Load() }
-
-// FailMode reports the configured degradation stance.
-func (a *SwitchAgent) FailMode() FailMode { return a.opts.FailMode }
+func (a *SwitchAgent) Reconnects() uint64 {
+	if n := a.sess.Sessions(); n > 1 {
+		return n - 1
+	}
+	return 0
+}
 
 // BufferedEvents reports the degradation ring depth.
 func (a *SwitchAgent) BufferedEvents() int { return a.buffer.Len() }
@@ -322,7 +213,7 @@ func (a *SwitchAgent) onPacketIn(inPort uint16, reason uint8, frame Frame) {
 // FLOW_REMOVED (always buffered: the controller must eventually learn
 // about expired state).
 func (a *SwitchAgent) deliver(m openflow.Message, isPunt bool) {
-	if conn := a.current(); conn != nil {
+	if conn, ok := a.sess.Current(); ok {
 		if _, err := conn.Send(m); err == nil {
 			return
 		}
@@ -387,11 +278,11 @@ func (a *SwitchAgent) replay(conn *openflow.Conn) {
 }
 
 // serve answers controller requests on one session until it drops.
-func (a *SwitchAgent) serve(conn *openflow.Conn) {
+func (a *SwitchAgent) serve(conn *openflow.Conn) error {
 	for {
 		m, xid, err := conn.Receive()
 		if err != nil {
-			return
+			return err
 		}
 		switch msg := m.(type) {
 		case *openflow.Hello:
@@ -477,12 +368,11 @@ func (a *SwitchAgent) applyFlowMod(conn *openflow.Conn, fm *openflow.FlowMod, xi
 // FLOW_REMOVED notifications raised while disconnected enter the
 // degradation buffer and are replayed on reconnect.
 func (a *SwitchAgent) expiryLoop() {
-	defer a.wg.Done()
 	ticker := time.NewTicker(50 * time.Millisecond)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-a.stopped:
+		case <-a.sess.Done():
 			return
 		case now := <-ticker.C:
 			for _, e := range a.sw.ExpireFlows(now) {
@@ -502,14 +392,7 @@ func (a *SwitchAgent) expiryLoop() {
 
 // Stop tears the agent down: the supervisor quits, the session (if
 // any) closes, and the loops exit.
-func (a *SwitchAgent) Stop() {
-	a.stopOnce.Do(func() {
-		close(a.stopped)
-		if conn := a.current(); conn != nil {
-			_ = conn.Close()
-		}
-	})
-}
+func (a *SwitchAgent) Stop() { a.sess.Stop() }
 
 // Wait blocks until the agent's goroutines have exited.
-func (a *SwitchAgent) Wait() { a.wg.Wait() }
+func (a *SwitchAgent) Wait() { a.sess.Wait() }

@@ -518,28 +518,6 @@ func (t *FlowTable) Lookup(p *packet.Packet, inPort uint16, size int) (FlowEntry
 	return e, true
 }
 
-// lookupLinear is the pre-index reference: scan every entry, keep the
-// (priority desc, install-order asc) winner. Retained as the oracle for
-// the indexed-vs-linear equivalence tests; not used on the data path.
-func (t *FlowTable) lookupLinear(p *packet.Packet, inPort uint16) (FlowEntry, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var best *flowNode
-	for _, n := range t.nodes {
-		if !n.Match.Matches(p, inPort) {
-			continue
-		}
-		if best == nil || n.Priority > best.Priority ||
-			(n.Priority == best.Priority && n.seq < best.seq) {
-			best = n
-		}
-	}
-	if best == nil {
-		return FlowEntry{}, false
-	}
-	return best.snapshot(), true
-}
-
 // Expire removes entries whose idle or hard timeout has passed as of
 // now, returning the expired entries (copies) so the switch can emit
 // FLOW_REMOVED notifications.

@@ -320,3 +320,25 @@ func BenchmarkFlowTableLookupParallel(b *testing.B) {
 }
 
 var _ = fmt.Sprintf // keep fmt linked for debug helpers
+
+// lookupLinear is the pre-index reference: scan every entry, keep the
+// (priority desc, install-order asc) winner. The oracle for the
+// indexed-vs-linear equivalence tests.
+func (t *FlowTable) lookupLinear(p *packet.Packet, inPort uint16) (FlowEntry, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var best *flowNode
+	for _, n := range t.nodes {
+		if !n.Match.Matches(p, inPort) {
+			continue
+		}
+		if best == nil || n.Priority > best.Priority ||
+			(n.Priority == best.Priority && n.seq < best.seq) {
+			best = n
+		}
+	}
+	if best == nil {
+		return FlowEntry{}, false
+	}
+	return best.snapshot(), true
+}

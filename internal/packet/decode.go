@@ -32,33 +32,6 @@ func Decode(data []byte, first LayerType) *Packet {
 	return p
 }
 
-// decodeReference is the original allocate-per-layer implementation,
-// kept verbatim as the oracle for the Decoder equivalence tests.
-func decodeReference(data []byte, first LayerType) *Packet {
-	p := &Packet{data: data}
-	rest := data
-	next := first
-	for len(rest) > 0 && next != LayerTypeInvalid {
-		layer := newLayer(next)
-		if layer == nil {
-			pl := &Payload{}
-			_ = pl.DecodeFromBytes(rest)
-			p.layers = append(p.layers, pl)
-			return p
-		}
-		if err := layer.DecodeFromBytes(rest); err != nil {
-			fail := &DecodeFailure{Err: fmt.Errorf("decoding %s: %w", next, err)}
-			fail.contents = rest
-			p.layers = append(p.layers, fail)
-			return p
-		}
-		p.layers = append(p.layers, layer)
-		rest = layer.LayerPayload()
-		next = layer.NextLayerType()
-	}
-	return p
-}
-
 // newLayer allocates a fresh decoder for the given type, or nil for
 // types without a decoder.
 func newLayer(t LayerType) DecodingLayer {

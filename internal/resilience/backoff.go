@@ -1,17 +1,19 @@
 // Package resilience holds the failure-handling primitives the
-// southbound control plane is built on: exponential backoff with full
-// jitter for supervised reconnect loops, a bounded event ring for
-// fail-static degradation buffers, a pluggable clock so liveness
-// timers can be frozen in tests, and a fault-injection net.Conn
-// wrapper (probabilistic connection kills, latency, one-way
-// partitions) for chaos testing the detect → policy → controller →
-// µmbox chain under controller restarts, link flaps and partitions —
-// the fail-safe behaviour §5.1 of the paper demands of a security
-// control plane.
+// control plane is built on: the supervised reconnecting Session both
+// wires (switch agent → controller, gateway → signature repository)
+// ride, exponential backoff with full jitter for its redial schedule,
+// a bounded event ring for fail-static degradation buffers, a
+// pluggable clock so liveness timers can be frozen in tests, and a
+// fault-injection net.Conn wrapper (probabilistic connection kills,
+// latency, one-way partitions) for chaos testing the detect → policy →
+// controller → µmbox chain under controller restarts, link flaps and
+// partitions — the fail-safe behaviour §5.1 of the paper demands of a
+// security control plane.
 //
-// The package depends only on the standard library so every layer
-// (netsim agents, the openflow endpoint, cmd binaries, tests) can use
-// it without import cycles.
+// Beyond the standard library the package imports only journal and
+// telemetry (which import nothing above them), so every layer (netsim
+// agents, the openflow endpoint, cmd binaries, tests) can use it
+// without import cycles.
 package resilience
 
 import (

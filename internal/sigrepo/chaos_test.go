@@ -143,7 +143,7 @@ func TestChaosSigrepoRestartConvergence(t *testing.T) {
 	// killRate 1 no replacement session can complete its handshake).
 	plan.SetKillRate(1)
 	expected[publishCleared(t, repo, "publisher", "sku-a", 6).ID] = true
-	waitFor(t, "link degraded", func() bool { return gw.State() == LinkDegraded })
+	waitFor(t, "link degraded", func() bool { return gw.State() == resilience.Degraded })
 
 	// A signature clears while the gateway is down: it MUST come back
 	// later via cursor replay, not be lost.
@@ -263,7 +263,7 @@ func TestChaosSigrepoRestartConvergence(t *testing.T) {
 	}
 
 	gw.Close()
-	if gw.State() != LinkDown {
+	if gw.State() != resilience.Down {
 		t.Errorf("state after Close = %v", gw.State())
 	}
 	waitGoroutines(t, base)

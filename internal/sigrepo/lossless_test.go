@@ -179,7 +179,7 @@ func TestConcurrentOutboxPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	waitFor(t, "degraded", func() bool { return mc.State() == LinkDegraded })
+	waitFor(t, "degraded", func() bool { return mc.State() == resilience.Degraded })
 
 	const writers, perWriter = 8, 20
 	var wg sync.WaitGroup

@@ -16,37 +16,6 @@ import (
 	"iotsec/internal/telemetry"
 )
 
-// LinkState is the managed northbound link's health.
-type LinkState int32
-
-// Link states, in ascending health order.
-const (
-	// LinkDown: the supervisor has stopped (Close called or the
-	// reconnect budget exhausted). Nothing will be delivered.
-	LinkDown LinkState = iota
-	// LinkDegraded: the session is lost and the supervisor is
-	// redialing; publishes/votes queue in the outbox, pushed
-	// signatures will be recovered by cursor replay on reconnect.
-	LinkDegraded
-	// LinkUp: live session; pushes stream and the outbox is empty or
-	// draining.
-	LinkUp
-)
-
-// String renders the state.
-func (s LinkState) String() string {
-	switch s {
-	case LinkUp:
-		return "up"
-	case LinkDegraded:
-		return "degraded"
-	case LinkDown:
-		return "down"
-	default:
-		return "unknown"
-	}
-}
-
 // OutboxOp is one queued repository mutation, durable across restarts
 // when ManagedOptions.OutboxPath is set.
 type OutboxOp struct {
@@ -81,29 +50,27 @@ type ManagedOptions struct {
 	// once (live pushes and replays alike, after dedupe).
 	OnInstall func(sig Signature, replayed bool)
 	// OnStateChange observes link-state transitions.
-	OnStateChange func(LinkState)
+	OnStateChange func(resilience.State)
 }
 
-// ManagedClient is the supervised northbound session of §4.1: it owns
-// dial/handshake/resubscribe-with-cursor under exponential backoff,
-// dedupes replayed notifications by signature ID so installs are
-// idempotent, and queues publishes/votes in a bounded durable outbox
-// while the link is down — the northbound mirror of the southbound
-// SwitchAgent supervision from PR 3. A gateway that crashes, loses
-// its uplink, or watches sigrepod restart converges back to the exact
-// cleared-signature set with no loss and no duplicate installs.
+// ManagedClient is the supervised northbound session of §4.1: a
+// resilience.Session owns dial/redial under backoff; on every session
+// the client resubscribes each SKU from its cursor, dedupes replayed
+// notifications by signature ID so installs are idempotent, and
+// queues publishes/votes in a bounded durable outbox while the link is
+// down — the northbound mirror of the southbound SwitchAgent. A
+// gateway that crashes, loses its uplink, or watches sigrepod restart
+// converges back to the exact cleared-signature set with no loss and
+// no duplicate installs.
 type ManagedClient struct {
-	addr     string
 	identity string
 	opts     ManagedOptions
+	sess     *resilience.Session[*Client]
 
 	mu      sync.Mutex
-	client  *Client           // live session, nil while degraded
 	cursors map[string]uint64 // sku → highest processed clear seq
 	seen    map[string]bool   // installed signature IDs (dedupe)
 	subs    map[string]bool   // SKUs subscribed at least once
-	state   LinkState
-	closing bool // Close() in progress: no new resync goroutines
 
 	// Live-stream gap tracking: the server's per-subscriber notify
 	// ring is drop-oldest, so a slow consumer can lose LIVE pushes
@@ -126,116 +93,103 @@ type ManagedClient struct {
 	persistMu sync.Mutex
 	outbox    *resilience.Ring[OutboxOp]
 
-	stopped  chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// ready closes once the first session has resubscribed and drained
+	// the outbox; DialManaged returns only then.
+	ready     chan struct{}
+	readyOnce sync.Once
 
-	reconnects  atomic.Uint64
-	replayed    atomic.Uint64
-	deduped     atomic.Uint64
-	delivered   atomic.Uint64 // outbox ops delivered
-	gaps        atomic.Uint64 // live-stream gaps detected (fetch-resynced)
-	outageWarn  atomic.Bool   // journal sigrepo-down once per outage
-	replayNote  atomic.Bool   // journal sigrepo-replay once per session
-	linkUpGauge atomic.Bool   // mirrors the mLinkUp contribution
+	replayed   atomic.Uint64
+	deduped    atomic.Uint64
+	delivered  atomic.Uint64 // outbox ops delivered
+	gaps       atomic.Uint64 // live-stream gaps detected (fetch-resynced)
+	replayNote atomic.Bool   // journal sigrepo-replay once per session
 }
 
 // DialManaged establishes a supervised session with the repository.
 // The first dial is synchronous so an unreachable repository surfaces
-// immediately; after that, every disconnect is retried under the
-// backoff schedule with cursor-based resubscription.
+// immediately, and the first session has resubscribed and drained the
+// outbox when DialManaged returns; after that, every disconnect is
+// redialed under the backoff schedule with cursor-based
+// resubscription.
 func DialManaged(addr, identity string, opts ManagedOptions) (*ManagedClient, error) {
 	if opts.OutboxCap < 1 {
 		opts.OutboxCap = 256
 	}
+	if opts.Dial == nil {
+		opts.Dial = func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, 5*time.Second)
+		}
+	}
 	m := &ManagedClient{
-		addr:      addr,
 		identity:  identity,
 		opts:      opts,
 		cursors:   make(map[string]uint64),
 		seen:      make(map[string]bool),
 		subs:      make(map[string]bool),
-		state:     LinkDegraded,
 		liveNext:  make(map[string]uint64),
 		dirty:     make(map[string]bool),
 		gapGen:    make(map[string]uint64),
 		resyncing: make(map[string]bool),
 		outbox:    resilience.NewRing[OutboxOp](opts.OutboxCap),
-		stopped:   make(chan struct{}),
+		ready:     make(chan struct{}),
 	}
 	m.loadOutbox()
-	conn, err := m.dial()
-	if err != nil {
+	wasUp := false // this link's contribution to the mLinkUp gauge
+	m.sess = resilience.NewSession(resilience.SessionOptions[*Client]{
+		Name:    identity,
+		Backoff: opts.Backoff,
+		Dial: func() (*Client, error) {
+			conn, err := opts.Dial(addr)
+			if err != nil {
+				return nil, err
+			}
+			// The push handler is pinned here, before the client's read
+			// goroutine starts.
+			return NewClient(conn, identity, m.handlePush), nil
+		},
+		Run:       m.run,
+		UpEvent:   journal.TypeSigrepoUp,
+		DownEvent: journal.TypeSigrepoDown,
+		Detail: func() string {
+			return fmt.Sprintf("outbox %d queued, %d gaps", m.OutboxDepth(), m.Gaps())
+		},
+		OnStateChange: func(st resilience.State) {
+			// Calls are serialized, so wasUp needs no lock.
+			if st == resilience.Up {
+				wasUp = true
+				mLinkReconnects.Inc()
+				mLinkUp.Inc()
+			} else if wasUp {
+				wasUp = false
+				mLinkUp.Dec()
+			}
+			if opts.OnStateChange != nil {
+				opts.OnStateChange(st)
+			}
+		},
+	})
+	if err := m.sess.Connect(); err != nil {
 		return nil, fmt.Errorf("sigrepo: dial %s: %w", addr, err)
 	}
-	first := NewClient(conn, identity, m.handlePush)
-	// The first session comes up synchronously so callers can publish
-	// and fetch immediately after a successful dial (and so an
-	// unreachable SKU feed surfaces in tests deterministically).
-	m.sessionUp(first, 0)
-	m.wg.Add(1)
-	go m.supervise(first)
+	<-m.ready
 	return m, nil
 }
 
-func (m *ManagedClient) dial() (net.Conn, error) {
-	if m.opts.Dial != nil {
-		return m.opts.Dial(m.addr)
-	}
-	return net.DialTimeout("tcp", m.addr, 5*time.Second)
+// run is one session: catch up, then stay until the connection dies.
+func (m *ManagedClient) run(c *Client) error {
+	m.resume(c)
+	m.readyOnce.Do(func() { close(m.ready) })
+	<-c.Done()
+	return c.Err()
 }
 
-// supervise is the session lifecycle loop: run the session until it
-// dies, journal the outage, redial under backoff, resubscribe with
-// cursors, drain the outbox, repeat. The entry session is already up
-// (DialManaged brought it up synchronously).
-func (m *ManagedClient) supervise(c *Client) {
-	defer m.wg.Done()
-	bo := resilience.NewBackoff(m.opts.Backoff)
-	for {
-		select {
-		case <-m.stopped:
-			c.Close()
-			<-c.Done()
-			return
-		case <-c.Done():
-		}
-		m.sessionDown(c)
-		c = nil
-		for c == nil {
-			delay, ok := bo.Next()
-			if !ok {
-				journal.RecordTrace(0, journal.TypeSigrepoDown, journal.Critical, "",
-					fmt.Sprintf("%s: northbound reconnect budget exhausted after %d attempts; link down",
-						m.identity, bo.Attempt()))
-				m.setState(LinkDown)
-				return
-			}
-			select {
-			case <-m.stopped:
-				return
-			case <-time.After(delay):
-			}
-			conn, err := m.dial()
-			if err != nil {
-				continue
-			}
-			c = NewClient(conn, m.identity, m.handlePush)
-		}
-		m.sessionUp(c, bo.Attempt())
-		bo.Reset()
-	}
-}
-
-// sessionUp installs the new session: journal + state first (so the
-// replay events that follow are ordered after sigrepo-up), then
-// resubscribe every known SKU from its cursor, repair any SKU with an
-// unrecovered live-stream gap, then drain the outbox. The session's
-// push handler was pinned in NewClient, before its read goroutine
-// started.
-func (m *ManagedClient) sessionUp(c *Client, attempt int) {
+// resume catches a fresh session up (the Session has already
+// journaled sigrepo-up, so the replay events that follow are ordered
+// after it): resubscribe every known SKU from its cursor, repair any
+// SKU with an unrecovered live-stream gap, then drain the outbox.
+func (m *ManagedClient) resume(c *Client) {
+	m.replayNote.Store(false)
 	m.mu.Lock()
-	m.client = c
 	skus := make(map[string]bool, len(m.subs))
 	for sku := range m.subs {
 		skus[sku] = true
@@ -248,15 +202,6 @@ func (m *ManagedClient) sessionUp(c *Client, attempt int) {
 			}
 		}
 	}
-	m.reconnects.Add(1)
-	mLinkReconnects.Inc()
-	m.outageWarn.Store(false)
-	m.replayNote.Store(false)
-	journal.RecordTrace(0, journal.TypeSigrepoUp, journal.Info, "",
-		fmt.Sprintf("%s: northbound session up (attempt %d, %d SKUs, outbox %d)",
-			m.identity, attempt, len(skus), m.outbox.Len()))
-	m.setState(LinkUp)
-
 	ordered := make([]string, 0, len(skus))
 	for sku := range skus {
 		ordered = append(ordered, sku)
@@ -298,25 +243,6 @@ func (m *ManagedClient) sessionUp(c *Client, attempt int) {
 		}
 	}
 	m.drainOutbox(c)
-}
-
-// sessionDown records the loss (once per outage) and flips to
-// degraded; queued work and cursors carry over to the next session.
-func (m *ManagedClient) sessionDown(c *Client) {
-	m.mu.Lock()
-	m.client = nil
-	m.mu.Unlock()
-	if m.outageWarn.CompareAndSwap(false, true) {
-		journal.RecordTrace(0, journal.TypeSigrepoDown, journal.Warn, "",
-			fmt.Sprintf("%s: northbound session lost: %v (outbox %d queued)",
-				m.identity, c.Err(), m.outbox.Len()))
-	}
-	select {
-	case <-m.stopped:
-		// Close() owns the final state transition.
-	default:
-		m.setState(LinkDegraded)
-	}
 }
 
 // handlePush advances the SKU cursor, dedupes by signature ID, checks
@@ -380,19 +306,16 @@ func (m *ManagedClient) handlePush(p Push) {
 // resync for a gap detected on the live stream. Runs off the read
 // goroutine so the Fetch round-trip doesn't deadlock the reply path.
 func (m *ManagedClient) triggerResync(sku string) {
+	c, live := m.sess.Current()
 	m.mu.Lock()
-	if m.closing || m.resyncing[sku] || m.client == nil {
+	defer m.mu.Unlock()
+	if !live || m.resyncing[sku] {
 		// Already repairing, or no session: the SKU stays dirty and
-		// sessionUp repairs it on the next (re)connect.
-		m.mu.Unlock()
+		// resume repairs it on the next (re)connect.
 		return
 	}
-	c := m.client
-	m.resyncing[sku] = true
-	m.wg.Add(1) // under mu, ordered against Close()'s closing=true
-	m.mu.Unlock()
-	go func() {
-		defer m.wg.Done()
+	// Go refuses once Close has begun; the SKU then stays dirty too.
+	m.resyncing[sku] = m.sess.Go(func() {
 		err := m.resync(c, sku)
 		m.mu.Lock()
 		delete(m.resyncing, sku)
@@ -404,7 +327,7 @@ func (m *ManagedClient) triggerResync(sku string) {
 		if again {
 			m.triggerResync(sku)
 		}
-	}()
+	})
 }
 
 // resync repairs a live-stream gap by fetching the SKU's full cleared
@@ -412,7 +335,7 @@ func (m *ManagedClient) triggerResync(sku string) {
 // safe (installs dedupe by signature ID); under-delivery is not, so
 // the SKU is cleared from the dirty set only once a fetch taken after
 // the last detected gap succeeds — if the link dies first, the next
-// sessionUp retries. Must not run on the session's read goroutine.
+// resume retries. Must not run on the session's read goroutine.
 func (m *ManagedClient) resync(c *Client, sku string) error {
 	for {
 		m.mu.Lock()
@@ -518,7 +441,7 @@ func (m *ManagedClient) Publish(sku, rule, description string) (*Signature, erro
 	if err := Validate(sku, rule); err != nil {
 		return nil, err
 	}
-	if c := m.liveClient(); c != nil {
+	if c, live := m.sess.Current(); live {
 		sig, err := c.Publish(sku, rule, description)
 		if err == nil {
 			return sig, nil
@@ -537,7 +460,7 @@ func (m *ManagedClient) Publish(sku, rule, description string) (*Signature, erro
 // redelivered vote whose first attempt landed is rejected by the
 // repository as a duplicate and dropped, preserving effect-once.
 func (m *ManagedClient) Vote(sigID string, up bool) (*Signature, error) {
-	if c := m.liveClient(); c != nil {
+	if c, live := m.sess.Current(); live {
 		sig, err := c.Vote(sigID, up)
 		if err == nil {
 			return sig, nil
@@ -552,8 +475,8 @@ func (m *ManagedClient) Vote(sigID string, up bool) (*Signature, error) {
 
 // Fetch proxies to the live session (errors while degraded).
 func (m *ManagedClient) Fetch(sku string) ([]Signature, error) {
-	c := m.liveClient()
-	if c == nil {
+	c, live := m.sess.Current()
+	if !live {
 		return nil, ErrClosed
 	}
 	return c.Fetch(sku)
@@ -563,17 +486,15 @@ func (m *ManagedClient) Fetch(sku string) ([]Signature, error) {
 // subscribes immediately (from cursor 0 → full backfill); while
 // degraded the SKU is picked up by the next session.
 func (m *ManagedClient) Watch(sku string) error {
+	c, live := m.sess.Current()
 	m.mu.Lock()
 	already := m.subs[sku]
 	m.subs[sku] = true
-	c := m.client
-	m.mu.Unlock()
-	if already || c == nil {
-		return nil
-	}
-	m.mu.Lock()
 	since := m.cursors[sku]
 	m.mu.Unlock()
+	if already || !live {
+		return nil
+	}
 	head, err := c.SubscribeSince(sku, since)
 	if err != nil && !errors.Is(err, ErrRemote) {
 		c.Close() // supervisor will resubscribe everything on reconnect
@@ -584,15 +505,6 @@ func (m *ManagedClient) Watch(sku string) error {
 		m.mu.Unlock()
 	}
 	return err
-}
-
-func (m *ManagedClient) liveClient() *Client {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.state == LinkUp {
-		return m.client
-	}
-	return nil
 }
 
 func (m *ManagedClient) enqueue(op OutboxOp) {
@@ -648,35 +560,11 @@ func (m *ManagedClient) loadOutbox() {
 	}
 }
 
-// setState publishes a state transition.
-func (m *ManagedClient) setState(s LinkState) {
-	m.mu.Lock()
-	if m.state == s {
-		m.mu.Unlock()
-		return
-	}
-	m.state = s
-	m.mu.Unlock()
-	if s == LinkUp {
-		if m.linkUpGauge.CompareAndSwap(false, true) {
-			mLinkUp.Inc()
-		}
-	} else {
-		if m.linkUpGauge.CompareAndSwap(true, false) {
-			mLinkUp.Dec()
-		}
-	}
-	if m.opts.OnStateChange != nil {
-		m.opts.OnStateChange(s)
-	}
-}
-
-// State reports the link's current health.
-func (m *ManagedClient) State() LinkState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
+// State reports the link's current health: Up (pushes stream, the
+// outbox is empty or draining), Degraded (redialing; publishes and
+// votes queue in the outbox, missed signatures come back by cursor
+// replay) or Down (closed, or the reconnect budget is spent).
+func (m *ManagedClient) State() resilience.State { return m.sess.State() }
 
 // Cursor reports the highest processed clear sequence for a SKU.
 func (m *ManagedClient) Cursor(sku string) uint64 {
@@ -700,7 +588,7 @@ func (m *ManagedClient) Cursors() map[string]uint64 {
 func (m *ManagedClient) OutboxDepth() int { return m.outbox.Len() }
 
 // Reconnects reports session establishments (including the first).
-func (m *ManagedClient) Reconnects() uint64 { return m.reconnects.Load() }
+func (m *ManagedClient) Reconnects() uint64 { return m.sess.Sessions() }
 
 // Replayed reports cursor-replayed notifications received.
 func (m *ManagedClient) Replayed() uint64 { return m.replayed.Load() }
@@ -718,19 +606,9 @@ func (m *ManagedClient) Gaps() uint64 { return m.gaps.Load() }
 // Close stops the supervisor, persists the outbox, and marks the
 // link down. Idempotent.
 func (m *ManagedClient) Close() {
-	m.stopOnce.Do(func() { close(m.stopped) })
-	m.mu.Lock()
-	// closing is ordered (under mu) against triggerResync's wg.Add, so
-	// no resync goroutine can start once Wait below has begun.
-	m.closing = true
-	c := m.client
-	m.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-	m.wg.Wait()
+	m.sess.Stop()
+	m.sess.Wait()
 	m.persistOutbox()
-	m.setState(LinkDown)
 }
 
 // ExportTelemetry registers a scrape-time collector exposing the
@@ -772,30 +650,12 @@ func (m *ManagedClient) ExportTelemetry(reg *telemetry.Registry, link string) {
 	})
 }
 
-// Health is a telemetry.HealthReporter for the managed link: Up maps
-// to Healthy, Degraded (reconnecting under backoff, outbox queueing)
-// to Degraded, Down (not yet connected or supervisor stopped) to
-// Down. The reason carries the operational detail a /readyz probe
-// needs to be actionable.
-func (m *ManagedClient) Health() (telemetry.HealthState, string) {
-	switch m.State() {
-	case LinkUp:
-		return telemetry.HealthHealthy, ""
-	case LinkDegraded:
-		return telemetry.HealthDegraded, fmt.Sprintf(
-			"reconnecting (outbox %d queued, %d reconnects, %d gaps)",
-			m.OutboxDepth(), m.Reconnects(), m.Gaps())
-	default:
-		return telemetry.HealthDown, fmt.Sprintf(
-			"link down (outbox %d queued)", m.OutboxDepth())
-	}
-}
-
 // RegisterHealth registers the link in the component-health registry
-// as "sigrepo-link:<link>". The northbound link is advisory for a
-// gateway (enforcement works without crowd updates), so callers
-// normally pass critical=false — readiness then reports it without
-// gating on it.
+// as "sigrepo-link:<link>": healthy while up, degraded while
+// redialing with the outbox queueing, down once closed or out of
+// budget. The northbound link is advisory for a gateway (enforcement
+// works without crowd updates), so callers normally pass
+// critical=false — readiness then reports it without gating on it.
 func (m *ManagedClient) RegisterHealth(h *telemetry.HealthRegistry, link string, critical bool) {
-	h.Register("sigrepo-link:"+link, critical, m.Health)
+	h.Register("sigrepo-link:"+link, critical, m.sess.Health)
 }

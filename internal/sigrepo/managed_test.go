@@ -288,13 +288,13 @@ func TestManagedClientOutboxWhileDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.State() != LinkUp {
+	if mc.State() != resilience.Up {
 		t.Fatalf("state after dial = %v", mc.State())
 	}
 
 	// Outage: every publish queues durably.
 	srv.Close()
-	waitFor(t, "degraded", func() bool { return mc.State() == LinkDegraded })
+	waitFor(t, "degraded", func() bool { return mc.State() == resilience.Degraded })
 	if sig, err := mc.Publish("sku-x", `block tcp any any -> any 80 (msg:"m"; content:"t"; sid:1;)`, "d"); err != nil || sig != nil {
 		t.Fatalf("degraded publish = %v, %v (want queued nil,nil)", sig, err)
 	}
@@ -318,7 +318,7 @@ func TestManagedClientOutboxWhileDown(t *testing.T) {
 		t.Fatalf("outbox delivered = %d, want 1", got)
 	}
 	mc.Close()
-	if mc.State() != LinkDown {
+	if mc.State() != resilience.Down {
 		t.Fatalf("state after Close = %v", mc.State())
 	}
 	waitGoroutines(t, base)
@@ -343,7 +343,7 @@ func TestManagedClientOutboxDurableAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	waitFor(t, "degraded", func() bool { return mc.State() == LinkDegraded })
+	waitFor(t, "degraded", func() bool { return mc.State() == resilience.Degraded })
 	if _, err := mc.Publish("sku-x", `block tcp any any -> any 80 (msg:"m"; content:"t"; sid:2;)`, "d"); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestManagedClientReconnectResumesCursor(t *testing.T) {
 
 	// Outage; a signature clears while the gateway is gone.
 	srv.Close()
-	waitFor(t, "degraded", func() bool { return mc.State() == LinkDegraded })
+	waitFor(t, "degraded", func() bool { return mc.State() == resilience.Degraded })
 	sig2 := publishCleared(t, repo, "pub", "sku-x", 2)
 
 	srv2 := NewServer(repo)

@@ -520,7 +520,9 @@ func (c *Client) SubscribeSince(sku string, since uint64) (head uint64, err erro
 	return resp.Seq, nil
 }
 
-// Close drops the connection (idempotent).
-func (c *Client) Close() {
-	c.closeOnce.Do(func() { _ = c.conn.Close() })
+// Close drops the connection. Idempotent; only the first call reports
+// the transport's close error.
+func (c *Client) Close() (err error) {
+	c.closeOnce.Do(func() { err = c.conn.Close() })
+	return err
 }

@@ -206,9 +206,11 @@ func (w *Watchdog) Start() {
 	if !w.started.CompareAndSwap(false, true) {
 		return
 	}
+	// The ticker exists before Start returns, so a clock advanced right
+	// after it (a fake one, in tests) cannot slip past the first window.
+	ticker := w.clock.NewTicker(w.obj.Window)
 	go func() {
 		defer close(w.done)
-		ticker := w.clock.NewTicker(w.obj.Window)
 		defer ticker.Stop()
 		for {
 			select {

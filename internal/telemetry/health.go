@@ -10,7 +10,7 @@ import (
 // HealthState is a component's coarse condition. The numeric order is
 // deliberate — Down < Degraded < Healthy — so the exported
 // iotsec_component_health gauge reads naturally on a dashboard (2 is
-// good, 0 is an outage) and matches the sigrepo LinkState convention.
+// good, 0 is an outage) and matches resilience.State.
 type HealthState int32
 
 // Health states, worst first.

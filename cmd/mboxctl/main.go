@@ -66,6 +66,21 @@ import (
 	"iotsec/internal/telemetry"
 )
 
+// telemetryCommands are the subcommands served by the daemon's
+// telemetry listener; each gets that address and its own arguments.
+var telemetryCommands = map[string]func(addr string, args []string) error{
+	"stats":       printStats,
+	"fleet":       printFleet,
+	"controllers": printControllers,
+	"health":      printHealth,
+	"slo":         printSLO,
+	"crowd":       printCrowd,
+	"trace":       printTrace,
+	"journal":     printJournal,
+	"incidents":   printIncidents,
+	"profiles":    printProfiles,
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7700", "iotsecd admin address")
 	telemetryAddr := flag.String("telemetry-addr", "127.0.0.1:7701",
@@ -76,73 +91,16 @@ func main() {
 		usage()
 	}
 
+	if cmd, ok := telemetryCommands[args[0]]; ok {
+		if err := cmd(*telemetryAddr, args[1:]); err != nil {
+			fmt.Fprintf(os.Stderr, "mboxctl: %s: %v\n", args[0], err)
+			os.Exit(1)
+		}
+		return
+	}
+
 	var req core.AdminRequest
 	switch args[0] {
-	case "stats":
-		raw := len(args) > 1 && args[1] == "-json"
-		if err := printStats(*telemetryAddr, raw); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: stats: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "fleet":
-		raw := len(args) > 1 && args[1] == "-json"
-		if err := printFleet(*telemetryAddr, raw); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: fleet: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "controllers":
-		if err := printControllers(*telemetryAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: controllers: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "health":
-		if err := printHealth(*telemetryAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: health: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "slo":
-		if err := printSLO(*telemetryAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: slo: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "crowd":
-		if err := printCrowd(*telemetryAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: crowd: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "trace":
-		if len(args) != 2 {
-			usage()
-		}
-		if err := printTrace(*telemetryAddr, args[1]); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "journal":
-		if err := printJournal(*telemetryAddr, args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: journal: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "incidents":
-		if err := printIncidents(*telemetryAddr, args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: incidents: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "profiles":
-		if err := printProfiles(*telemetryAddr, args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "mboxctl: profiles: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	case "status":
 		req = core.AdminRequest{Op: "status"}
 	case "env":
@@ -186,22 +144,19 @@ func main() {
 	}
 }
 
+// wantsJSON reports a leading -json argument (stats, fleet).
+func wantsJSON(args []string) bool { return len(args) > 0 && args[0] == "-json" }
+
 // printStats fetches the JSON telemetry snapshot and renders it; with
-// raw set it relays the snapshot verbatim for scripting.
-func printStats(addr string, raw bool) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/telemetry?spans=16")
-	if err != nil {
-		return fmt.Errorf("%w (is iotsecd running with -telemetry-addr %s?)", err, addr)
-	}
-	defer resp.Body.Close()
-	if raw {
-		_, err := io.Copy(os.Stdout, resp.Body)
-		return err
+// -json it relays the snapshot verbatim for scripting.
+func printStats(addr string, args []string) error {
+	q := url.Values{"spans": {"16"}}
+	if wantsJSON(args) {
+		return relay(addr, "/debug/telemetry", q)
 	}
 	var snap telemetry.SnapshotJSON
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+	if err := getJSON(addr, "/debug/telemetry", q, &snap); err != nil {
+		return err
 	}
 
 	fmt.Printf("telemetry snapshot @ %s\n", snap.TakenAt.Format(time.RFC3339))
@@ -253,24 +208,14 @@ func printStats(addr string, raw bool) error {
 }
 
 // printFleet renders the merged fleet rollup view from /debug/fleet;
-// with raw set it relays the JSON verbatim.
-func printFleet(addr string, raw bool) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/fleet")
-	if err != nil {
-		return fmt.Errorf("%w (is iotsecd running with -telemetry-addr %s?)", err, addr)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server: %s (fleet rollups enabled?)", resp.Status)
-	}
-	if raw {
-		_, err := io.Copy(os.Stdout, resp.Body)
-		return err
+// with -json it relays the JSON verbatim.
+func printFleet(addr string, args []string) error {
+	if wantsJSON(args) {
+		return relay(addr, "/debug/fleet", nil)
 	}
 	var v controller.FleetView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return fmt.Errorf("decoding fleet view: %w", err)
+	if err := getJSON(addr, "/debug/fleet", nil, &v); err != nil {
+		return fmt.Errorf("%w (fleet rollups enabled?)", err)
 	}
 
 	fl := v.Fleet
@@ -432,19 +377,10 @@ func parseHistogram(m telemetry.MetricJSON) []histSeries {
 // printControllers renders the supervision state of every partition's
 // local controller from /debug/controllers: liveness, last-checkpoint
 // age, re-homing target, and the recent failover history.
-func printControllers(addr string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/controllers")
-	if err != nil {
-		return fmt.Errorf("%w (is iotsecd running with -telemetry-addr and -ctrl-heartbeat?)", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server: %s (controller supervision enabled?)", resp.Status)
-	}
+func printControllers(addr string, _ []string) error {
 	var st controller.SupervisorStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return fmt.Errorf("decoding supervisor status: %w", err)
+	if err := getJSON(addr, "/debug/controllers", nil, &st); err != nil {
+		return fmt.Errorf("%w (controller supervision enabled with -ctrl-heartbeat?)", err)
 	}
 
 	fmt.Printf("supervision: %d partition(s), heartbeat %s, %d misses ⇒ dead, %s mode\n\n",
@@ -492,16 +428,17 @@ func printControllers(addr string) error {
 // printHealth probes /healthz and /readyz and renders the aggregated
 // component detail. Exit status stays 0 even when not ready — the
 // command reports, orchestrators should probe the endpoints directly.
-func printHealth(addr string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	live, err := client.Get("http://" + addr + "/healthz")
+func printHealth(addr string, _ []string) error {
+	live, err := get(addr, "/healthz", nil)
 	if err != nil {
-		return fmt.Errorf("%w (is the daemon running with -telemetry-addr %s?)", err, addr)
+		return err
 	}
 	live.Body.Close()
 	fmt.Printf("liveness:  %s\n", live.Status)
 
-	resp, err := client.Get("http://" + addr + "/readyz")
+	// /readyz answers 503 with the same document when not ready, so the
+	// status is rendered, not checked.
+	resp, err := get(addr, "/readyz", nil)
 	if err != nil {
 		return err
 	}
@@ -535,16 +472,10 @@ func printHealth(addr string) error {
 // printSLO renders the live MTTR pipeline and watchdog state: per-
 // stage and end-to-end detect→enforce quantiles, incomplete chains by
 // missing stage, and the SLO evaluation gauges.
-func printSLO(addr string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/telemetry")
-	if err != nil {
-		return fmt.Errorf("%w (is the daemon running with -telemetry-addr %s?)", err, addr)
-	}
-	defer resp.Body.Close()
+func printSLO(addr string, _ []string) error {
 	var snap telemetry.SnapshotJSON
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+	if err := getJSON(addr, "/debug/telemetry", nil, &snap); err != nil {
+		return err
 	}
 
 	var sloLines []string
@@ -648,16 +579,10 @@ func linkStateName(v float64) string {
 
 // printCrowd renders the health of every northbound sigrepo link plus
 // the process-global crowd-learning counters.
-func printCrowd(addr string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/telemetry")
-	if err != nil {
-		return fmt.Errorf("%w (is iotsecd running with -telemetry-addr %s?)", err, addr)
-	}
-	defer resp.Body.Close()
+func printCrowd(addr string, _ []string) error {
 	var snap telemetry.SnapshotJSON
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding snapshot: %w", err)
+	if err := getJSON(addr, "/debug/telemetry", nil, &snap); err != nil {
+		return err
 	}
 
 	links := map[string]*crowdLink{}
@@ -756,24 +681,6 @@ func printCrowd(addr string) error {
 	return nil
 }
 
-// fetchProfiles pulls the behavior-profile report.
-func fetchProfiles(addr string) (*profile.Report, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/profiles")
-	if err != nil {
-		return nil, fmt.Errorf("%w (is iotsecd running with -telemetry-addr and -profile-enforce or -profile-learn-window?)", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server: %s (profile plane enabled?)", resp.Status)
-	}
-	var rep profile.Report
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("decoding report: %w", err)
-	}
-	return &rep, nil
-}
-
 // printProfiles renders the profile plane: `profiles` / `profiles
 // list` summarize the accepted set, `profiles show <sku>` details one
 // profile, `profiles violations` dumps the recent violation history.
@@ -782,9 +689,9 @@ func printProfiles(addr string, args []string) error {
 	if len(args) > 0 {
 		mode = args[0]
 	}
-	rep, err := fetchProfiles(addr)
-	if err != nil {
-		return err
+	var rep profile.Report
+	if err := getJSON(addr, "/debug/profiles", nil, &rep); err != nil {
+		return fmt.Errorf("%w (profile plane enabled with -profile-enforce or -profile-learn-window?)", err)
 	}
 	switch mode {
 	case "list":
@@ -849,24 +756,19 @@ func printProfiles(addr string, args []string) error {
 
 // fetchJournal pulls a filtered snapshot from /debug/journal.
 func fetchJournal(addr string, query url.Values) (*journal.SnapshotJSON, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/journal?" + query.Encode())
-	if err != nil {
-		return nil, fmt.Errorf("%w (is iotsecd running with -telemetry-addr %s?)", err, addr)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server: %s", resp.Status)
-	}
 	var snap journal.SnapshotJSON
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("decoding journal: %w", err)
+	if err := getJSON(addr, "/debug/journal", query, &snap); err != nil {
+		return nil, err
 	}
 	return &snap, nil
 }
 
 // printTrace reconstructs and renders one causal chain.
-func printTrace(addr, idArg string) error {
+func printTrace(addr string, args []string) error {
+	if len(args) != 1 {
+		usage()
+	}
+	idArg := args[0]
 	id, err := strconv.ParseUint(idArg, 10, 64)
 	if err != nil || id == 0 {
 		return fmt.Errorf("trace id must be a positive integer, got %q", idArg)
@@ -956,8 +858,9 @@ func printEvent(e journal.Event) {
 		e.Seq, e.Wall.Format("15:04:05.000"), e.Severity, e.Type, e.Device, e.TraceID, e.Detail)
 }
 
-// getJSON fetches one telemetry endpoint and decodes it into out.
-func getJSON(addr, path string, q url.Values, out interface{}) error {
+// get issues one GET against the telemetry listener; the caller closes
+// the body and judges the status.
+func get(addr, path string, q url.Values) (*http.Response, error) {
 	client := &http.Client{Timeout: 5 * time.Second}
 	u := "http://" + addr + path
 	if len(q) > 0 {
@@ -965,14 +868,46 @@ func getJSON(addr, path string, q url.Values, out interface{}) error {
 	}
 	resp, err := client.Get(u)
 	if err != nil {
-		return fmt.Errorf("%w (is iotsecd running with -telemetry-addr %s?)", err, addr)
+		return nil, fmt.Errorf("%w (is iotsecd running with -telemetry-addr %s?)", err, addr)
+	}
+	return resp, nil
+}
+
+// getBody fetches one telemetry endpoint and returns its body verbatim;
+// anything but 200 is an error carrying the server's explanation.
+func getBody(addr, path string, q url.Values) ([]byte, error) {
+	resp, err := get(addr, path, q)
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("server: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) // best-effort detail for the error text
+		return nil, fmt.Errorf("server: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return io.ReadAll(resp.Body)
+}
+
+// getJSON fetches one telemetry endpoint and decodes it into out.
+func getJSON(addr, path string, q url.Values, out interface{}) error {
+	body, err := getBody(addr, path, q)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("decoding %s: %w", path, err)
+	}
+	return nil
+}
+
+// relay copies one telemetry endpoint's body to stdout (-json modes).
+func relay(addr, path string, q url.Values) error {
+	body, err := getBody(addr, path, q)
+	if err != nil {
+		return err
+	}
+	_, err = os.Stdout.Write(body)
+	return err
 }
 
 // printDigest renders one incident summary line.
@@ -1084,17 +1019,7 @@ func printIncidents(addr string, args []string) error {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("usage: incidents export [-o file] <id>")
 		}
-		client := &http.Client{Timeout: 5 * time.Second}
-		resp, err := client.Get("http://" + addr + "/debug/incidents?" +
-			url.Values{"id": {fs.Arg(0)}, "export": {"1"}}.Encode())
-		if err != nil {
-			return fmt.Errorf("%w (is iotsecd running with -telemetry-addr %s?)", err, addr)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("server: %s", resp.Status)
-		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := getBody(addr, "/debug/incidents", url.Values{"id": {fs.Arg(0)}, "export": {"1"}})
 		if err != nil {
 			return err
 		}

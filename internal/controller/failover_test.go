@@ -443,3 +443,80 @@ func BenchmarkFailoverRecovery(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// TestSupervisorLoopDetectsDeadLocal drives the deadman through Start's
+// loop, never Tick: the heartbeat ticker exists once Start has
+// returned, so the very first advance is a probe (the first miss), and
+// further advances walk the confirmation schedule to the failover.
+func TestSupervisorLoopDetectsDeadLocal(t *testing.T) {
+	fx := newFailoverFixture(t)
+	clock := resilience.NewFakeClock(time.Unix(1_700_000_000, 0))
+	failed := make(chan FailoverRecord, 1)
+	sup := fx.supervise(clock, journal.New(256), FailModeRehome, func(r FailoverRecord) { failed <- r })
+	g0 := fx.part.GroupOf("fva0")
+	fx.h.LocalFor(g0).Kill()
+
+	sup.Start()
+	defer sup.Stop()
+	clock.Advance(100 * time.Millisecond)
+	misses := func() int {
+		for _, cs := range sup.Status().Partitions {
+			if cs.Group == g0 {
+				return cs.Misses
+			}
+		}
+		return -1
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for misses() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("misses = %d after the first heartbeat, want 1", misses())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		clock.Advance(100 * time.Millisecond)
+		select {
+		case r := <-failed:
+			if r.Group != g0 {
+				t.Fatalf("failed-over group = %d, want %d", r.Group, g0)
+			}
+			sup.Stop() // waits for the Tick that ran the hook
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no failover through the supervisor's own loop")
+		}
+	}
+}
+
+// TestHierarchyPartitionConverges is the partition-tier form of the
+// stale-reconcile regression: concurrent flips of one partition's
+// variables run concurrent local reconciles, and once they join the
+// local's recorded postures must be the ones its view implies — a
+// reconcile that read an older state must not be the last to write.
+func TestHierarchyPartitionConverges(t *testing.T) {
+	fx := newFailoverFixture(t)
+	g := fx.part.GroupOf("fva0")
+	local := fx.h.LocalFor(g)
+	devs := fx.h.groupDevices(g)
+	vals := []string{"a", "b", "q"}
+	for round := 0; round < 200; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < 6; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				fx.event(devs[i%len(devs)], vals[(i+round)%len(vals)])
+			}(i)
+		}
+		wg.Wait()
+		got := local.Postures()
+		for dev, p := range local.fsm.Lookup(local.View.State()) {
+			if got[dev] != p.Key() {
+				t.Fatalf("round %d: %s recorded as %q, view implies %q", round, dev, got[dev], p.Key())
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"iotsec/internal/resilience"
 	"iotsec/internal/telemetry"
 )
 
@@ -350,19 +351,19 @@ type ShardSummary struct {
 
 // FleetSummary is the merged fleet-wide row.
 type FleetSummary struct {
-	Shards           int `json:"shards"`
-	StaleShards      int `json:"stale_shards"`
-	FailedOverShards int `json:"failed_over_shards"`
-	Devices      float64               `json:"devices"`
-	SKUDevices   map[string]float64    `json:"sku_devices,omitempty"`
-	Events       uint64                `json:"events_total"`
-	Escalations  uint64                `json:"escalations_total"`
-	Violations   uint64                `json:"violations_total"`
-	EventsPerSec float64               `json:"events_per_sec"`
-	MTTR         QuantilesJSON         `json:"mttr"`
-	TopProducers []telemetry.TopKEntry `json:"top_producers,omitempty"`
-	TopViolators []telemetry.TopKEntry `json:"top_violators,omitempty"`
-	TopMTTR      []telemetry.TopKEntry `json:"top_mttr_contributors,omitempty"`
+	Shards           int                   `json:"shards"`
+	StaleShards      int                   `json:"stale_shards"`
+	FailedOverShards int                   `json:"failed_over_shards"`
+	Devices          float64               `json:"devices"`
+	SKUDevices       map[string]float64    `json:"sku_devices,omitempty"`
+	Events           uint64                `json:"events_total"`
+	Escalations      uint64                `json:"escalations_total"`
+	Violations       uint64                `json:"violations_total"`
+	EventsPerSec     float64               `json:"events_per_sec"`
+	MTTR             QuantilesJSON         `json:"mttr"`
+	TopProducers     []telemetry.TopKEntry `json:"top_producers,omitempty"`
+	TopViolators     []telemetry.TopKEntry `json:"top_violators,omitempty"`
+	TopMTTR          []telemetry.TopKEntry `json:"top_mttr_contributors,omitempty"`
 }
 
 // FleetView is the merged picture served at /debug/fleet.
@@ -604,20 +605,17 @@ func (h *Hierarchy) recordShardEvent(group int, device string, escalated bool) {
 
 // FleetRollupPlane periodically pushes every shard's rollup delta up
 // to a fleet aggregator — the hierarchical transport of the telemetry
-// plane. One pusher goroutine serves all shards (rollup extraction is
+// plane. One resilience.Loop serves all shards (rollup extraction is
 // a snapshot fold, far off the event hot path).
 type FleetRollupPlane struct {
-	agg      *FleetAggregator
-	stats    []*ShardStats
-	interval time.Duration
+	agg   *FleetAggregator
+	stats []*ShardStats
 
 	// incidents, when attached, has its digests pushed with every
 	// rollup flush (the incident side-channel of the shard report).
 	incidents atomic.Pointer[incidentFeed]
 
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	loop resilience.Loop
 }
 
 // incidentFeed pairs an incident source with its reporting name.
@@ -651,30 +649,9 @@ func (h *Hierarchy) StartFleetRollups(agg *FleetAggregator, interval time.Durati
 	for _, g := range groups {
 		stats = append(stats, byGroup[g])
 	}
-	p := &FleetRollupPlane{
-		agg:      agg,
-		stats:    stats,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go p.run()
+	p := &FleetRollupPlane{agg: agg, stats: stats}
+	p.loop.Start(resilience.System, interval, nil, func(bool) { p.Flush() })
 	return p
-}
-
-func (p *FleetRollupPlane) run() {
-	defer close(p.done)
-	ticker := time.NewTicker(p.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.stop:
-			p.Flush()
-			return
-		case <-ticker.C:
-			p.Flush()
-		}
-	}
 }
 
 // Flush pushes one rollup per shard immediately (plus the incident
@@ -689,12 +666,11 @@ func (p *FleetRollupPlane) Flush() {
 	}
 }
 
-// Stop halts the pusher after one final flush. Idempotent.
+// Stop halts the pusher, then flushes one final rollup (a repeated Stop
+// pushes one more, empty, delta).
 func (p *FleetRollupPlane) Stop() {
-	p.once.Do(func() {
-		close(p.stop)
-		<-p.done
-	})
+	p.loop.Stop()
+	p.Flush()
 }
 
 // Fleet returns the global controller's fleet aggregator, creating it

@@ -19,18 +19,87 @@ import (
 // to it.
 type PostureSink func(ctx context.Context, deviceName string, p policy.Posture, version uint64)
 
+// reconciler is the step both controller tiers run after a view commit:
+// view → fsm.Lookup → diff against the postures last pushed → sink.
+// Global and each Local embed one.
+type reconciler struct {
+	View *View
+	fsm  *policy.FSM
+	sink PostureSink
+
+	mu           sync.Mutex
+	lastPostures map[string]string // device → posture key
+	// reconciled is the highest view version lastPostures reflects.
+	reconciled uint64
+}
+
+// reconcile recomputes all postures and pushes the deltas, reporting
+// how many it pushed.
+func (r *reconciler) reconcile(ctx context.Context, version uint64) int {
+	postures := r.fsm.Lookup(r.View.State())
+
+	r.mu.Lock()
+	// Commits notify outside the view's lock, so reconciles run
+	// concurrently. One that read its state before a newer commit but
+	// got here after that commit's reconcile would record postures the
+	// view has already left, and the next real change back to them
+	// would look like no change. The newer reconcile saw everything
+	// this one did: skip.
+	if version < r.reconciled {
+		r.mu.Unlock()
+		return 0
+	}
+	r.reconciled = version
+	type change struct {
+		dev string
+		p   policy.Posture
+	}
+	var changed []change
+	for dev, p := range postures {
+		key := p.Key()
+		if r.lastPostures[dev] != key {
+			r.lastPostures[dev] = key
+			changed = append(changed, change{dev, p})
+		}
+	}
+	r.mu.Unlock()
+
+	if r.sink != nil {
+		for _, c := range changed {
+			r.sink(ctx, c.dev, c.p, version)
+		}
+	}
+	return len(changed)
+}
+
+// Postures snapshots the last pushed posture keys (device → posture
+// key) — checkpoint material.
+func (r *reconciler) Postures() map[string]string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]string, len(r.lastPostures))
+	for dev, key := range r.lastPostures {
+		out[dev] = key
+	}
+	return out
+}
+
+// seedPostures primes the posture cache from a checkpoint so the
+// post-restore reconcile only pushes deltas instead of re-delivering
+// every posture the dead controller had already enforced.
+func (r *reconciler) seedPostures(m map[string]string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for dev, key := range m {
+		r.lastPostures[dev] = key
+	}
+}
+
 // Global is the logically centralized controller: it owns the
 // authoritative view and the full policy, recomputing postures on
 // every committed change.
 type Global struct {
-	View *View
-	fsm  *policy.FSM
-
-	mu           sync.Mutex
-	sink         PostureSink
-	lastPostures map[string]string // device → posture key
-	// reconciled is the highest version lastPostures reflects.
-	reconciled uint64
+	reconciler
 
 	// commitTimes retains the commit wall-clock of recent versions so
 	// the enforcement layer can measure event→enforcement latency
@@ -52,11 +121,8 @@ const commitWindow = 4096
 // NewGlobal builds the global controller over a fresh view.
 func NewGlobal(fsm *policy.FSM, sink PostureSink) *Global {
 	g := &Global{
-		View:         NewView(),
-		fsm:          fsm,
-		sink:         sink,
-		lastPostures: make(map[string]string),
-		commitTimes:  make(map[uint64]time.Time),
+		reconciler:  reconciler{View: NewView(), fsm: fsm, sink: sink, lastPostures: make(map[string]string)},
+		commitTimes: make(map[uint64]time.Time),
 	}
 	g.View.Observe(func(ctx context.Context, c ViewChange) {
 		g.recordCommit(c.Version, c.When)
@@ -82,49 +148,13 @@ func (g *Global) CommitTime(version uint64) (time.Time, bool) {
 	return t, ok
 }
 
-// reconcile recomputes all postures and pushes the deltas.
+// reconcile runs the full policy and counts the work.
 func (g *Global) reconcile(ctx context.Context, version uint64) {
 	g.recomputes.Add(1)
 	mRecomputes.Inc()
-	state := g.View.State()
-	postures := g.fsm.Lookup(state)
-
-	g.mu.Lock()
-	// Commits notify outside the view's lock, so reconciles run
-	// concurrently. One that read its state before a newer commit but
-	// got here after that commit's reconcile would record postures the
-	// view has already left, and the next real change back to them
-	// would look like no change. The newer reconcile saw everything
-	// this one did: skip.
-	if version < g.reconciled {
-		g.mu.Unlock()
-		return
-	}
-	g.reconciled = version
-	var changed []struct {
-		dev string
-		p   policy.Posture
-	}
-	for dev, p := range postures {
-		key := p.Key()
-		if g.lastPostures[dev] != key {
-			g.lastPostures[dev] = key
-			changed = append(changed, struct {
-				dev string
-				p   policy.Posture
-			}{dev, p})
-		}
-	}
-	sink := g.sink
-	g.mu.Unlock()
-
-	for _, c := range changed {
-		g.changes.Add(1)
-		mPostureChanges.Inc()
-		if sink != nil {
-			sink(ctx, c.dev, c.p, version)
-		}
-	}
+	n := uint64(g.reconciler.reconcile(ctx, version))
+	g.changes.Add(n)
+	mPostureChanges.Add(n)
 }
 
 // Metrics reports recomputation and posture-change counts.
@@ -175,19 +205,14 @@ type Hierarchy struct {
 }
 
 // Local is one partition's controller: it keeps a local view and
-// resolves partition-local rules itself.
+// resolves the partition-local rule subset itself.
 type Local struct {
 	Group int
-	View  *View
-	fsm   *policy.FSM // the partition-local rule subset
-	sink  PostureSink
+	reconciler
 
 	// down is the crash flag: a dead local absorbs nothing until the
 	// supervisor declares it failed and re-homes its partition.
 	down atomic.Bool
-
-	mu           sync.Mutex
-	lastPostures map[string]string
 }
 
 // Alive reports whether the local controller is running.
@@ -198,29 +223,6 @@ func (l *Local) Alive() bool { return !l.down.Load() }
 // devices are unprotected until the supervisor's deadman notices and
 // re-homes them — exactly the window the failover machinery bounds.
 func (l *Local) Kill() { l.down.Store(true) }
-
-// Postures snapshots the local's last pushed posture keys (device →
-// posture key) — checkpoint material.
-func (l *Local) Postures() map[string]string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]string, len(l.lastPostures))
-	for dev, key := range l.lastPostures {
-		out[dev] = key
-	}
-	return out
-}
-
-// seedPostures primes the posture cache from a checkpoint so the
-// post-restore reconcile only pushes deltas instead of re-delivering
-// every posture the dead controller had already enforced.
-func (l *Local) seedPostures(m map[string]string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for dev, key := range m {
-		l.lastPostures[dev] = key
-	}
-}
 
 // NewHierarchy builds the hierarchy over a partitioning. Rules whose
 // device and condition variables all fall within one partition are
@@ -323,43 +325,11 @@ func (h *Hierarchy) newLocalFor(g int) *Local {
 		lf.AddRule(r)
 	}
 	local := &Local{
-		Group:        g,
-		View:         NewView(),
-		fsm:          lf,
-		sink:         h.sink,
-		lastPostures: make(map[string]string),
+		Group:      g,
+		reconciler: reconciler{View: NewView(), fsm: lf, sink: h.sink, lastPostures: make(map[string]string)},
 	}
 	local.View.Observe(func(ctx context.Context, c ViewChange) { local.reconcile(ctx, c.Version) })
 	return local
-}
-
-// reconcile runs the local rule subset.
-func (l *Local) reconcile(ctx context.Context, version uint64) {
-	state := l.View.State()
-	postures := l.fsm.Lookup(state)
-	l.mu.Lock()
-	var changed []struct {
-		dev string
-		p   policy.Posture
-	}
-	for dev, p := range postures {
-		// Only devices in this group are authoritative locally.
-		key := p.Key()
-		if l.lastPostures[dev] != key {
-			l.lastPostures[dev] = key
-			changed = append(changed, struct {
-				dev string
-				p   policy.Posture
-			}{dev, p})
-		}
-	}
-	sink := l.sink
-	l.mu.Unlock()
-	for _, c := range changed {
-		if sink != nil {
-			sink(ctx, c.dev, c.p, version)
-		}
-	}
 }
 
 // HandleDeviceEvent routes an event: the owning partition's local

@@ -15,7 +15,7 @@ import (
 //
 // Time is injected explicitly (Offer records the commit time,
 // AdvanceTo applies everything older than now-lag), so experiments
-// are deterministic; FollowStore provides the convenience live mode.
+// are deterministic.
 type Replica struct {
 	// Lag is the replication delay.
 	Lag time.Duration
@@ -90,26 +90,4 @@ func (r *Replica) Staleness() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.pending)
-}
-
-// FollowStore wires the replica to a live store with wall-clock
-// timing. Returns a stop function.
-func (r *Replica) FollowStore(s *Store) (stop func()) {
-	ch := s.Watch(1024)
-	done := make(chan struct{})
-	go func() {
-		ticker := time.NewTicker(time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case u := <-ch:
-				r.Offer(u, time.Now())
-			case now := <-ticker.C:
-				r.AdvanceTo(now)
-			}
-		}
-	}()
-	return func() { close(done) }
 }

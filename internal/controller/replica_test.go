@@ -46,25 +46,6 @@ func TestReplicaVersionOrderingUnderReordering(t *testing.T) {
 	}
 }
 
-func TestReplicaFollowStoreLive(t *testing.T) {
-	s := NewStore()
-	r := NewReplica(5 * time.Millisecond)
-	stop := r.FollowStore(s)
-	defer stop()
-
-	s.Put("x", "1")
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if v, _, ok := r.Get("x"); ok && v == "1" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("replica never converged")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 func TestReplicaInOrderOffersStayOrdered(t *testing.T) {
 	// The common case: offers arrive in version order (store watch),
 	// so AdvanceTo's dirty-flag sort never fires — results must be

@@ -134,8 +134,7 @@ type groupState struct {
 // recovery-complete on the same trace, and observe the recovery MTTR.
 //
 // Tick is the whole supervision pass and is safe to drive directly —
-// determinism tests call it under a FakeClock instead of Start's
-// goroutine.
+// determinism tests call it under a FakeClock instead of Start's loop.
 type Supervisor struct {
 	h     *Hierarchy
 	opts  SupervisorOptions
@@ -149,9 +148,7 @@ type Supervisor struct {
 	groups   map[int]*groupState
 	lastCkpt time.Time
 
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	done     chan struct{}
+	loop resilience.Loop
 }
 
 // Supervise attaches a supervisor to the hierarchy's local controllers.
@@ -187,8 +184,6 @@ func (h *Hierarchy) Supervise(opts SupervisorOptions) *Supervisor {
 		log:     NewCheckpointLog(opts.CheckpointKeep),
 		history: resilience.NewRing[FailoverRecord](opts.HistoryCap),
 		groups:  make(map[int]*groupState, len(h.locals)),
-		stopCh:  make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	now := s.clock.Now()
 	s.lastCkpt = now
@@ -199,28 +194,15 @@ func (h *Hierarchy) Supervise(opts SupervisorOptions) *Supervisor {
 	return s
 }
 
-// Start runs the supervision loop on the configured clock until Stop.
+// Start runs Tick every Heartbeat on the configured clock until Stop.
 func (s *Supervisor) Start() {
-	go func() {
-		defer close(s.done)
-		t := s.clock.NewTicker(s.opts.Heartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stopCh:
-				return
-			case <-t.C():
-				s.Tick()
-			}
-		}
-	}()
+	s.loop.Start(s.clock, s.opts.Heartbeat, nil, func(bool) { s.Tick() })
 }
 
-// Stop halts the background loop (idempotent; no-op if Start was never
-// called — the done channel is only closed by the loop).
-func (s *Supervisor) Stop() {
-	s.stopOnce.Do(func() { close(s.stopCh) })
-}
+// Stop halts the background loop and waits for a Tick in flight
+// (idempotent; no-op if Start was never called). An OnFailover hook
+// runs inside Tick, so it must not call Stop.
+func (s *Supervisor) Stop() { s.loop.Stop() }
 
 // Tick runs one deterministic supervision pass: probe every supervised
 // local, declare deaths, fail over, and take due checkpoints.

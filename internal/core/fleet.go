@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"iotsec/internal/controller"
+	"iotsec/internal/resilience"
 	"iotsec/internal/telemetry"
 )
 
@@ -21,9 +21,7 @@ type FleetSelfReport struct {
 	agg     *controller.FleetAggregator
 	builder *telemetry.RollupBuilder
 
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	loop resilience.Loop
 }
 
 // StartFleetSelfReport begins pushing this platform's rollups into
@@ -53,8 +51,6 @@ func (p *Platform) StartFleetSelfReport(source string, interval time.Duration, e
 			AddHistogram(controller.RollupMTTR, e2e).
 			AddGauge(controller.RollupDevices, func() float64 { return float64(p.DeviceCount()) }).
 			AddGauge(controller.RollupHealthy, func() float64 { return 1 }),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
 	}
 	// With forensics enabled, the shard report carries the incident
 	// plane too: live pull handle for cross-shard assembly, digests
@@ -62,23 +58,8 @@ func (p *Platform) StartFleetSelfReport(source string, interval time.Duration, e
 	if cap := p.Forensics(); cap != nil {
 		r.agg.AttachIncidentSource(source, cap)
 	}
-	go r.run(interval)
+	r.loop.Start(resilience.System, interval, nil, func(bool) { r.flush() })
 	return r
-}
-
-func (r *FleetSelfReport) run(interval time.Duration) {
-	defer close(r.done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.stop:
-			r.flush()
-			return
-		case <-ticker.C:
-			r.flush()
-		}
-	}
 }
 
 // flush pushes one rollup, folding in the live per-SKU device counts
@@ -97,12 +78,11 @@ func (r *FleetSelfReport) flush() {
 	}
 }
 
-// Stop halts the reporter after a final flush. Idempotent.
+// Stop halts the reporter, then flushes one final rollup (a repeated
+// Stop pushes one more, empty, delta).
 func (r *FleetSelfReport) Stop() {
-	r.once.Do(func() {
-		close(r.stop)
-		<-r.done
-	})
+	r.loop.Stop()
+	r.flush()
 }
 
 // DeviceCount reports how many devices are under management.

@@ -40,14 +40,15 @@ type Options struct {
 	SKUOf func(device string) string
 }
 
-// Capturer is the tail-based incident capture consumer: a single
-// goroutine draining a drop-oldest journal subscription (the same
-// attached-tap budget as the SLO tracker — one cursor bump per append
-// on the hot path). Incident-opening events open an incident keyed by
-// trace ID and backfill the trace's earlier events from the ring;
-// subsequent events on an open trace are appended; a quiet period
-// seals the incident and persists it to the store. Everything else —
-// the overwhelming majority of traffic — never leaves the ring.
+// Capturer is the tail-based incident capture consumer: a
+// resilience.Loop draining a drop-oldest journal subscription (wake =
+// the tap, tick = the quiet-period sweep; the same attached-tap budget
+// as the SLO tracker — one cursor bump per append on the hot path).
+// Incident-opening events open an incident keyed by trace ID and
+// backfill the trace's earlier events from the ring; subsequent events
+// on an open trace are appended; a quiet period seals the incident and
+// persists it to the store. Everything else — the overwhelming
+// majority of traffic — never leaves the ring.
 type Capturer struct {
 	j     *journal.Journal
 	sub   *journal.Subscription
@@ -61,10 +62,7 @@ type Capturer struct {
 	events    uint64 // chain events captured
 	openDrops uint64 // opening events dropped at MaxOpen
 
-	syncCh chan chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
-	once   sync.Once
+	loop resilience.Loop
 }
 
 // openIncident is an incident still accumulating events.
@@ -95,75 +93,54 @@ func NewCapturer(j *journal.Journal, opt Options) *Capturer {
 		opt.Clock = resilience.System
 	}
 	c := &Capturer{
-		j:      j,
-		sub:    j.Subscribe(opt.Buffer),
-		store:  opt.Store,
-		opt:    opt,
-		clock:  opt.Clock,
-		open:   make(map[uint64]*openIncident),
-		syncCh: make(chan chan struct{}),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		j:     j,
+		sub:   j.Subscribe(opt.Buffer),
+		store: opt.Store,
+		opt:   opt,
+		clock: opt.Clock,
+		open:  make(map[uint64]*openIncident),
 	}
 	c.register(opt.Registry)
-	go c.run()
+	c.loop.Start(c.clock, opt.SweepEvery, c.sub.Wait(), c.pass)
 	return c
 }
 
-// run is the consumer loop: wake on pending events, tick for sweeps.
-func (c *Capturer) run() {
-	defer close(c.done)
-	ticker := c.clock.NewTicker(c.opt.SweepEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.sub.Wait():
-			c.handle(c.sub.Drain())
-		case <-ticker.C():
-			c.handle(c.sub.Drain())
-			c.sweep(false)
-		case ack := <-c.syncCh:
-			c.handle(c.sub.Drain())
-			c.sweep(false)
-			close(ack)
-		}
+// pass drains the tap and folds it, then (on a tick) seals the incidents
+// whose quiet period elapsed. The drain happens under c.mu, so a pass
+// on the loop and a Sync on a caller fold their batches in journal
+// order — folded the other way round, the lastSeq fence would drop the
+// older batch as duplicates.
+func (c *Capturer) pass(sweep bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.foldLocked(c.sub.Drain())
+	if sweep {
+		c.sweepLocked(false)
 	}
 }
 
-// Sync drains and sweeps synchronously — the deterministic barrier
+// Sync runs one tick's pass on the caller — the deterministic barrier
 // tests pair with a fake clock.
-func (c *Capturer) Sync() {
-	ack := make(chan struct{})
-	select {
-	case c.syncCh <- ack:
-		<-ack
-	case <-c.done:
-	}
-}
+func (c *Capturer) Sync() { c.pass(true) }
 
 // Close stops the consumer, drains the subscription backlog, and
 // force-seals every open incident into the store — the shutdown flush
 // that makes in-flight incidents survive a restart. Idempotent.
 func (c *Capturer) Close() {
-	c.once.Do(func() {
-		close(c.stop)
-		<-c.done
-		c.sub.Close()
-		c.handle(c.sub.Drain())
-		c.sweep(true)
-	})
+	c.loop.Stop()
+	c.sub.Close()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.foldLocked(c.sub.Drain())
+	c.sweepLocked(true)
 }
 
-// handle folds drained events into open incidents.
-func (c *Capturer) handle(events []journal.Event) {
+// foldLocked folds drained events into open incidents.
+func (c *Capturer) foldLocked(events []journal.Event) {
 	if len(events) == 0 {
 		return
 	}
 	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, e := range events {
 		if e.TraceID == 0 {
 			continue // routine, untraced traffic stays ring-only
@@ -252,12 +229,10 @@ func (c *Capturer) appendLocked(oi *openIncident, e journal.Event, now time.Time
 	c.events++
 }
 
-// sweep seals incidents whose quiet period elapsed (or all of them,
-// when forced at shutdown).
-func (c *Capturer) sweep(force bool) {
+// sweepLocked seals incidents whose quiet period elapsed (or all of
+// them, when forced at shutdown).
+func (c *Capturer) sweepLocked(force bool) {
 	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for trace, oi := range c.open {
 		if !force && now.Sub(oi.touched) < c.opt.Quiet {
 			continue
@@ -364,14 +339,14 @@ func (c *Capturer) TraceEvents(traceID uint64) []journal.Event {
 
 // CapturerStats is the capture accounting snapshot.
 type CapturerStats struct {
-	Shard       string `json:"shard,omitempty"`
-	Open        int    `json:"open"`
-	Captured    uint64 `json:"captured_total"`
-	Events      uint64 `json:"events_captured_total"`
-	OpenDrops   uint64 `json:"open_drops_total"`
-	TapEvicted  uint64 `json:"tap_evicted_total"`
-	TapPending  int    `json:"tap_pending"`
-	StoreStats  *StoreStats `json:"store,omitempty"`
+	Shard      string      `json:"shard,omitempty"`
+	Open       int         `json:"open"`
+	Captured   uint64      `json:"captured_total"`
+	Events     uint64      `json:"events_captured_total"`
+	OpenDrops  uint64      `json:"open_drops_total"`
+	TapEvicted uint64      `json:"tap_evicted_total"`
+	TapPending int         `json:"tap_pending"`
+	StoreStats *StoreStats `json:"store,omitempty"`
 }
 
 // Stats snapshots the capturer (and its store, when attached).

@@ -294,3 +294,27 @@ func TestCaptureDigestsOpenWins(t *testing.T) {
 		t.Fatalf("digest severity %s, want the live critical", ds[0].Severity)
 	}
 }
+
+// TestCaptureLoopSealsWithoutSync drives the capturer through its own
+// loop only — no Sync barrier: the tap's wake opens the incident, and
+// the sweep ticker, which exists once NewCapturer has returned, sees
+// the clock advance past the quiet period and seals it.
+func TestCaptureLoopSealsWithoutSync(t *testing.T) {
+	j := journal.New(256)
+	c, clock := newTestCapturer(t, j, Options{Quiet: 2 * time.Second})
+
+	waitStats := func(what string, cond func(CapturerStats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for !cond(c.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout waiting for %s: %+v", what, c.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	driveChain(j, 77, "cam")
+	waitStats("the wake to pin the chain", func(st CapturerStats) bool { return st.Open == 1 && st.Events == 4 })
+	clock.Advance(2 * time.Second)
+	waitStats("the tick to seal it", func(st CapturerStats) bool { return st.Open == 0 && st.Captured == 1 })
+}

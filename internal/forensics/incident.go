@@ -138,30 +138,21 @@ func (in *Incident) Timeline() *journal.Timeline {
 	return journal.Reconstruct(in.Events, in.TraceID)
 }
 
-// chainComplete evaluates loop closure for a chain of the given kind:
-// failover chains must carry failover→rehomed→recovered in order;
-// detection chains must close the Figure 2 detect→policy→enforce loop.
+// chainComplete answers the forensic question "did this chain close
+// its loop" (not the SLO tracker's stricter "is the latency sample
+// final"): failover chains must carry failover→rehomed→recovered in
+// order; detection chains must close the Figure 2 loop, which is
+// journal.Timeline.Complete.
 func chainComplete(kind string, events []journal.Event) bool {
-	if kind == KindFailover {
-		want := []journal.Type{journal.TypeCtrlFailover, journal.TypeCtrlRehomed, journal.TypeCtrlRecovered}
-		i := 0
-		for _, e := range events {
-			if i < len(want) && e.Type == want[i] {
-				i++
-			}
-		}
-		return i == len(want)
+	if kind != KindFailover {
+		return (&journal.Timeline{Events: events}).Complete()
 	}
-	var detect, policy, enforce bool
+	want := []journal.Type{journal.TypeCtrlFailover, journal.TypeCtrlRehomed, journal.TypeCtrlRecovered}
+	i := 0
 	for _, e := range events {
-		switch journal.Stage(e.Type) {
-		case "detect":
-			detect = true
-		case "policy":
-			policy = true
-		case "controller", "mbox":
-			enforce = true
+		if i < len(want) && e.Type == want[i] {
+			i++
 		}
 	}
-	return detect && policy && enforce
+	return i == len(want)
 }

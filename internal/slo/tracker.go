@@ -89,9 +89,9 @@ type chain struct {
 //	iotsec_mttr_incomplete_total{missing_stage=...}
 //	iotsec_mttr_unescalated_total         device events that needed no posture
 //
-// plus scrape-time gauges for in-flight chains and tap drops. One
-// consumer goroutine owns all chain state; the hot journal path only
-// pays the tap's drop-oldest ring push.
+// plus scrape-time gauges for in-flight chains and tap drops. The
+// consumer is a resilience.Loop (wake = the tap, tick = the timeout
+// sweep); the hot journal path only pays the tap's cursor bump.
 type Tracker struct {
 	j     *journal.Journal
 	sub   *journal.Subscription
@@ -99,7 +99,6 @@ type Tracker struct {
 	reg   *telemetry.Registry
 
 	chainTimeout time.Duration
-	sweepEvery   time.Duration
 	healthHold   time.Duration
 
 	mStage       *telemetry.HistogramVec
@@ -115,9 +114,7 @@ type Tracker struct {
 	lastIncomplete  incompleteMark
 	lastEnforceMiss incompleteMark // missing stage beyond posture
 
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	loop resilience.Loop
 }
 
 // incompleteMark remembers the most recent incomplete chain for
@@ -165,11 +162,8 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 		clock:        clock,
 		reg:          reg,
 		chainTimeout: timeout,
-		sweepEvery:   sweep,
 		healthHold:   hold,
 		chains:       make(map[uint64]*chain),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 	}
 	t.mStage = reg.NewHistogramVec("iotsec_mttr_stage_seconds",
 		"Per-stage detect→enforce latency, measured online from the journal tap (delta from the stage's causal predecessor).",
@@ -184,40 +178,29 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 	t.mCompleted = reg.NewCounter("iotsec_mttr_complete_total",
 		"Chains that closed the detect→enforce loop.")
 	reg.RegisterCollector("slo-tracker", t.collect)
-	go t.run()
+	t.loop.Start(clock, sweep, t.sub.Wait(), t.pass)
 	return t
 }
 
-// run is the single consumer goroutine: drains the tap, sweeps
-// timeouts.
-func (t *Tracker) run() {
-	defer close(t.done)
-	ticker := t.clock.NewTicker(t.sweepEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-t.sub.Wait():
-			for _, e := range t.sub.Drain() {
-				t.handle(e)
-			}
-		case <-ticker.C():
-			for _, e := range t.sub.Drain() {
-				t.handle(e)
-			}
-			t.sweep()
-		}
+// pass drains the tap and folds it, then (on a tick) sweeps timeouts.
+// The drain happens under t.mu, so a pass on the loop and a Sync on a
+// caller fold their batches in journal order.
+func (t *Tracker) pass(sweep bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range t.sub.Drain() {
+		t.handleLocked(e)
+	}
+	if sweep {
+		t.sweepLocked()
 	}
 }
 
-// handle folds one journal event into chain state.
-func (t *Tracker) handle(e journal.Event) {
+// handleLocked folds one journal event into chain state.
+func (t *Tracker) handleLocked(e journal.Event) {
 	if e.TraceID == 0 {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	switch e.Type {
 	case journal.TypeAnomaly, journal.TypeAlert, journal.TypeDeviceEvent:
 		detection := e.Type != journal.TypeDeviceEvent
@@ -274,8 +257,10 @@ func (t *Tracker) stageLocked(e journal.Event, stage, pred string) {
 	t.mStage.With(stage).Observe(d.Seconds())
 }
 
-// maybeCompleteLocked closes the chain when the loop is closed: the
-// µmbox pipeline was reconfigured AND — if the posture emitted flow
+// maybeCompleteLocked answers "is this chain's SLO sample final" — a
+// stricter question than journal.Timeline.Complete's forensic "did the
+// loop close", and deliberately not folded into it: the µmbox pipeline
+// was reconfigured AND — if the posture emitted flow
 // rules at all — at least one switch acknowledged applying them.
 // (FLOW_MODs are journaled synchronously before the reconfig event,
 // so by the time mbox-reconfig arrives we know whether to wait for a
@@ -304,13 +289,11 @@ func (t *Tracker) maybeCompleteLocked(traceID uint64) {
 	t.dropLocked(traceID)
 }
 
-// sweep expires chains past their deadline, counting each under its
-// first missing canonical stage — except device-event chains that never
-// drew a posture, which are unescalated traffic.
-func (t *Tracker) sweep() {
+// sweepLocked expires chains past their deadline, counting each under
+// its first missing canonical stage — except device-event chains that
+// never drew a posture, which are unescalated traffic.
+func (t *Tracker) sweepLocked() {
 	now := t.clock.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var keep []uint64
 	for _, id := range t.order {
 		c, ok := t.chains[id]
@@ -433,23 +416,14 @@ func (t *Tracker) E2E() *telemetry.Histogram { return t.mE2E }
 // Sync and Incomplete it makes the tracker a watchdog Source.
 func (t *Tracker) Rollup() telemetry.HistogramRollup { return t.mE2E.Rollup() }
 
-// Sync drains any tapped events and runs one timeout sweep
-// synchronously — a deterministic barrier for tests and for the
-// watchdog's evaluation tick (so an evaluation never races the
-// consumer goroutine over events that are already in the tap).
-func (t *Tracker) Sync() {
-	for _, e := range t.sub.Drain() {
-		t.handle(e)
-	}
-	t.sweep()
-}
+// Sync runs one tick's pass on the caller — a deterministic barrier
+// for tests and for the watchdog's evaluation tick (so an evaluation
+// judges every event that is already in the tap).
+func (t *Tracker) Sync() { t.pass(true) }
 
-// Close detaches the tap and stops the consumer. Idempotent.
+// Close stops the consumer and detaches the tap. Idempotent.
 func (t *Tracker) Close() {
-	t.once.Do(func() {
-		close(t.stop)
-		<-t.done
-		t.sub.Close()
-		t.reg.UnregisterCollector("slo-tracker")
-	})
+	t.loop.Stop()
+	t.sub.Close()
+	t.reg.UnregisterCollector("slo-tracker")
 }

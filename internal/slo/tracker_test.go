@@ -406,3 +406,19 @@ func TestBenignDeviceEventsDoNotBurn(t *testing.T) {
 		t.Fatalf("unescalated_total moved to %v, want %d", v, benign)
 	}
 }
+
+// TestTrackerLoopSweepsWithoutSync drives the tracker through its own
+// loop only — no Sync barrier: the tap's wake opens the chain, and the
+// sweep ticker, which exists once NewTracker has returned, sees the
+// clock advance and expires it.
+func TestTrackerLoopSweepsWithoutSync(t *testing.T) {
+	clk := resilience.NewFakeClock(time.Unix(1000, 0))
+	j := journal.New(256)
+	tr := slo.NewTracker(j, slo.Options{Registry: telemetry.NewRegistry(), ChainTimeout: time.Second, Clock: clk})
+	defer tr.Close()
+
+	j.RecordTrace(13, journal.TypeAnomaly, journal.Warn, "cam", "synthetic anomaly")
+	waitFor(t, "the wake to open the chain", func() bool { return tr.Inflight() == 1 })
+	clk.Advance(time.Second)
+	waitFor(t, "the tick to expire it", func() bool { return tr.Incomplete() == 1 })
+}

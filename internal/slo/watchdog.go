@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iotsec/internal/journal"
@@ -78,9 +77,9 @@ type HistogramSource struct {
 	H *telemetry.Histogram
 }
 
-func (s HistogramSource) Sync()                              {}
+func (s HistogramSource) Sync()                             {}
 func (s HistogramSource) Rollup() telemetry.HistogramRollup { return s.H.Rollup() }
-func (s HistogramSource) Incomplete() uint64                 { return 0 }
+func (s HistogramSource) Incomplete() uint64                { return 0 }
 
 // WatchdogOptions configures the evaluation machinery.
 type WatchdogOptions struct {
@@ -141,10 +140,7 @@ type Watchdog struct {
 	last    Evaluation
 	evals   uint64
 
-	started atomic.Bool
-	stop    chan struct{}
-	done    chan struct{}
-	once    sync.Once
+	loop resilience.Loop
 }
 
 // NewWatchdog builds a watchdog over a tracker's detect→enforce
@@ -185,8 +181,6 @@ func NewWatchdogSource(src Source, obj Objectives, opts WatchdogOptions) *Watchd
 		reg:       reg,
 		onBurn:    opts.OnBurn,
 		onRecover: opts.OnRecover,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	w.mBurn = reg.NewCounter("iotsec_slo_burn_total",
 		"Evaluation windows in which the MTTR objective's error budget was exceeded.")
@@ -201,38 +195,16 @@ func NewWatchdogSource(src Source, obj Objectives, opts WatchdogOptions) *Watchd
 // Objectives returns the (defaulted) objective under evaluation.
 func (w *Watchdog) Objectives() Objectives { return w.obj }
 
-// Start begins the evaluation ticker. Stop (or Close) ends it.
+// Start begins evaluating once per Window. Stop ends it.
 func (w *Watchdog) Start() {
-	if !w.started.CompareAndSwap(false, true) {
-		return
-	}
-	// The ticker exists before Start returns, so a clock advanced right
-	// after it (a fake one, in tests) cannot slip past the first window.
-	ticker := w.clock.NewTicker(w.obj.Window)
-	go func() {
-		defer close(w.done)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-ticker.C():
-				w.Evaluate()
-			}
-		}
-	}()
+	w.loop.Start(w.clock, w.obj.Window, nil, func(bool) { w.Evaluate() })
 }
 
-// Stop halts the ticker (a never-Started watchdog just unregisters its
-// collector). Idempotent.
+// Stop halts the evaluations (a never-Started watchdog just unregisters
+// its collector). Idempotent.
 func (w *Watchdog) Stop() {
-	w.once.Do(func() {
-		close(w.stop)
-		if w.started.Load() {
-			<-w.done
-		}
-		w.reg.UnregisterCollector(w.id)
-	})
+	w.loop.Stop()
+	w.reg.UnregisterCollector(w.id)
 }
 
 // Evaluate judges the window since the previous evaluation. Exported

@@ -228,35 +228,3 @@ func (s *Server) Close() error {
 	<-s.done
 	return err
 }
-
-// StartFlusher invokes fn with a fresh snapshot every interval until
-// the returned stop function runs (which flushes one final time). Use
-// it to append benchmark-comparable JSON lines to a file or pipe.
-func (r *Registry) StartFlusher(interval time.Duration, fn func(*SnapshotJSON)) (stop func()) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				fn(r.Snapshot(0))
-				return
-			case <-t.C:
-				fn(r.Snapshot(0))
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
-	}
-}

@@ -356,31 +356,6 @@ func TestServerCloseNoGoroutineLeak(t *testing.T) {
 	t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-func TestFlusher(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("iotsec_test_flush_total", "f")
-	c.Add(2)
-	var mu sync.Mutex
-	var got []*SnapshotJSON
-	stop := r.StartFlusher(5*time.Millisecond, func(s *SnapshotJSON) {
-		mu.Lock()
-		got = append(got, s)
-		mu.Unlock()
-	})
-	time.Sleep(20 * time.Millisecond)
-	stop()
-	stop() // idempotent
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) < 2 {
-		t.Fatalf("flushes = %d, want >= 2 (periodic + final)", len(got))
-	}
-	last := got[len(got)-1]
-	if len(last.Metrics) != 1 || last.Metrics[0].Samples[0].Value != 2 {
-		t.Fatalf("final snapshot wrong: %+v", last.Metrics)
-	}
-}
-
 func TestTimeHelper(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("iotsec_test_op_seconds", "op", []float64{10})

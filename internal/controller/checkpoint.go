@@ -43,21 +43,18 @@ type Checkpoint struct {
 
 // CheckpointLog is the bounded per-partition snapshot log the
 // supervisor appends to on every checkpoint pass. Only the most recent
-// keep checkpoints per partition are retained (recovery only ever
-// needs the latest; the short history is for operators and artifacts).
+// checkpointKeep per partition are retained (recovery only ever needs
+// the latest; the short history is for operators and artifacts).
 type CheckpointLog struct {
 	mu      sync.Mutex
-	keep    int
 	byGroup map[int][]Checkpoint // oldest first
 }
 
-// NewCheckpointLog builds a log retaining keep checkpoints per
-// partition (values < 1 default to 4).
-func NewCheckpointLog(keep int) *CheckpointLog {
-	if keep < 1 {
-		keep = 4
-	}
-	return &CheckpointLog{keep: keep, byGroup: make(map[int][]Checkpoint)}
+const checkpointKeep = 4
+
+// NewCheckpointLog builds an empty log.
+func NewCheckpointLog() *CheckpointLog {
+	return &CheckpointLog{byGroup: make(map[int][]Checkpoint)}
 }
 
 // Append stores one checkpoint, evicting the group's oldest beyond the
@@ -66,8 +63,8 @@ func (l *CheckpointLog) Append(c Checkpoint) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	cks := append(l.byGroup[c.Group], c)
-	if len(cks) > l.keep {
-		cks = cks[len(cks)-l.keep:]
+	if len(cks) > checkpointKeep {
+		cks = cks[len(cks)-checkpointKeep:]
 	}
 	l.byGroup[c.Group] = cks
 }

@@ -3,6 +3,8 @@ package controller
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,76 +15,210 @@ import (
 	"iotsec/internal/policy"
 )
 
-func TestStoreVersionsMonotonic(t *testing.T) {
-	s := NewStore()
-	v1 := s.Put("a", "1")
-	v2 := s.Put("b", "2")
-	v3 := s.Put("a", "3")
-	if !(v1 < v2 && v2 < v3) {
-		t.Errorf("versions = %d %d %d", v1, v2, v3)
-	}
-	val, ver, ok := s.Get("a")
-	if !ok || val != "3" || ver != v3 {
-		t.Errorf("get a = %q v%d %v", val, ver, ok)
-	}
-	if s.Version() != v3 {
-		t.Errorf("store version = %d", s.Version())
+// observed collects a view's committed changes.
+func observed(v *View) func() []ViewChange {
+	var mu sync.Mutex
+	var changes []ViewChange
+	v.Observe(func(_ context.Context, c ViewChange) {
+		mu.Lock()
+		changes = append(changes, c)
+		mu.Unlock()
+	})
+	return func() []ViewChange {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]ViewChange(nil), changes...)
 	}
 }
 
-func TestStoreWatchOrdering(t *testing.T) {
-	s := NewStore()
-	w := s.Watch(16)
-	for i := 0; i < 10; i++ {
-		s.Put("k", fmt.Sprint(i))
+// TestViewVersionsMonotonic: one version counter across device and env
+// variables, and Version() is the last committed change's.
+func TestViewVersionsMonotonic(t *testing.T) {
+	v := NewView()
+	changes := observed(v)
+	ctx := context.Background()
+	v.SetEnv(ctx, "a", "1", "")
+	v.SetDeviceContext(ctx, "b", policy.ContextSuspicious, "")
+	v.SetEnv(ctx, "a", "3", "")
+	got := changes()
+	if len(got) != 3 || !(got[0].Version < got[1].Version && got[1].Version < got[2].Version) {
+		t.Fatalf("changes = %+v", got)
 	}
-	var last uint64
-	for i := 0; i < 10; i++ {
-		select {
-		case u := <-w:
-			if u.Version <= last {
-				t.Fatalf("out of order: %d after %d", u.Version, last)
+	if v.Env("a") != "3" || v.DeviceContext("b") != policy.ContextSuspicious {
+		t.Errorf("a = %q, b = %q", v.Env("a"), v.DeviceContext("b"))
+	}
+	if v.Version() != got[2].Version {
+		t.Errorf("Version() = %d, last change v%d", v.Version(), got[2].Version)
+	}
+}
+
+// TestViewSetGetProperty: a write reads back, takes the next version
+// exactly when it changed the value, and an unchanged value commits
+// nothing and notifies nobody.
+func TestViewSetGetProperty(t *testing.T) {
+	v := NewView()
+	changes := observed(v)
+	f := func(name, value string) bool {
+		before, seen, old := v.Version(), len(changes()), v.Env(name)
+		v.SetEnv(context.Background(), name, value, "")
+		got := changes()
+		if v.Env(name) != value {
+			return false
+		}
+		if value == old {
+			return v.Version() == before && len(got) == seen
+		}
+		return v.Version() == before+1 && len(got) == seen+1 && got[seen].Version == before+1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if !f("k", "same") || !f("k", "same") {
+		t.Error("repeated write broke the property")
+	}
+}
+
+// TestViewConcurrentCommitters: N concurrent commits take versions
+// 1..N, no gap, no duplicate.
+func TestViewConcurrentCommitters(t *testing.T) {
+	const n = 64
+	v := NewView()
+	changes := observed(v)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				v.SetEnv(context.Background(), fmt.Sprint("k", i), "x", "")
+			} else {
+				v.SetDeviceContext(context.Background(), fmt.Sprint("d", i), policy.ContextSuspicious, "")
 			}
-			last = u.Version
-		case <-time.After(time.Second):
-			t.Fatal("watch starved")
+		}(i)
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, n)
+	for _, c := range changes() {
+		if c.Version < 1 || c.Version > n || seen[c.Version] {
+			t.Fatalf("version %d out of range or duplicated", c.Version)
+		}
+		seen[c.Version] = true
+	}
+	if len(seen) != n || v.Version() != n {
+		t.Fatalf("%d distinct versions, Version() = %d, want %d", len(seen), v.Version(), n)
+	}
+}
+
+// TestViewRestoreVersions: Restore takes one version per variable it
+// changed, whatever order the map yields them in, notifies nobody, and
+// the next commit continues from there.
+func TestViewRestoreVersions(t *testing.T) {
+	vars := map[string]string{"junk": "ignored"}
+	for i := 0; i < 20; i++ {
+		vars[fmt.Sprint("env:k", i)] = "x"
+		vars[fmt.Sprint("dev:d", i)] = string(policy.ContextSuspicious)
+	}
+	for run := 0; run < 5; run++ {
+		v := NewView()
+		changes := observed(v)
+		v.SetEnv(context.Background(), "k0", "x", "") // v1; Restore skips it as unchanged
+		if got := v.Restore(vars); got != 40 || v.Version() != 40 {
+			t.Fatalf("run %d: Restore = %d, Version() = %d, want 40", run, got, v.Version())
+		}
+		if got := v.Restore(vars); got != 40 {
+			t.Fatalf("run %d: second Restore = %d, want 40 (idempotent)", run, got)
+		}
+		if len(changes()) != 1 {
+			t.Fatalf("run %d: Restore notified observers: %+v", run, changes())
+		}
+		v.SetEnv(context.Background(), "k0", "y", "")
+		if got := changes(); got[1].Version != 41 {
+			t.Fatalf("run %d: commit after Restore took v%d, want 41", run, got[1].Version)
+		}
+		if got := v.Vars(); len(got) != 40 || got["dev:d7"] != string(policy.ContextSuspicious) {
+			t.Fatalf("run %d: Vars = %v", run, got)
 		}
 	}
 }
 
-func TestStoreSinceAndSnapshot(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 5; i++ {
-		s.Put(fmt.Sprintf("k%d", i), "v")
+// TestViewChangeFormatRoundTrip: parse∘format is the identity for
+// every (var, value, reason), including text that contains the
+// format's own separators; ordinary values keep today's plain line.
+func TestViewChangeFormatRoundTrip(t *testing.T) {
+	check := func(c ViewChange) {
+		t.Helper()
+		line := formatViewChange(c)
+		got, ok := parseViewChange(line)
+		if !ok || got != c {
+			t.Fatalf("%q parsed as %+v ok=%v, want %+v", line, got, ok, c)
+		}
 	}
-	ups, ok := s.Since(2)
-	if !ok || len(ups) != 3 {
-		t.Errorf("since(2) = %v ok=%v", ups, ok)
+	for _, c := range []ViewChange{
+		{Version: 7, Var: "dev:cam", Value: "suspicious", Reason: "ids sid=9 cam backdoor (CVE-2014-1234)"},
+		{Version: 8, Var: "dev:cam", Value: "suspicious", Reason: "backdoor access: x = y (z) ("},
+		{Version: 9, Var: "env:cam_mode", Value: "a (b", Reason: "device report"},
+		{Version: 10, Var: "env:cam_a = b", Value: `"quoted"`, Reason: ""},
+		{Version: 11, Var: "", Value: "", Reason: ")"},
+	} {
+		check(c)
 	}
-	// Truncated log forces resync.
-	s2 := NewStore()
-	s2.LogLimit = 2
-	for i := 0; i < 10; i++ {
-		s2.Put("k", fmt.Sprint(i))
+	plain := ViewChange{Version: 3, Var: "env:fva0_attr", Value: "q", Reason: "device report"}
+	if got := formatViewChange(plain); got != "v3 env:fva0_attr = q (device report)" {
+		t.Errorf("ordinary change rendered as %q", got)
 	}
-	if _, ok := s2.Since(1); ok {
-		t.Error("truncated log claimed completeness")
+
+	const alphabet = ` =()"\av:_`
+	rng := rand.New(rand.NewSource(1))
+	field := func() string {
+		b := make([]byte, rng.Intn(8))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
 	}
-	snap, ver := s2.Snapshot()
-	if snap["k"] != "9" || ver != 10 {
-		t.Errorf("snapshot = %v v%d", snap, ver)
+	for i := 0; i < 20000; i++ {
+		check(ViewChange{Version: rng.Uint64(), Var: field(), Value: field(), Reason: field()})
+	}
+	for _, bad := range []string{"", "v", "v7", "vx a = b (c)", "v7 a = b", "v7 a = b (c", `v7 "a = b (c)`} {
+		if c, ok := parseViewChange(bad); ok {
+			t.Errorf("%q parsed as %+v", bad, c)
+		}
 	}
 }
 
-func TestStorePutGetProperty(t *testing.T) {
-	s := NewStore()
-	f := func(key, value string) bool {
-		v := s.Put(key, value)
-		got, ver, ok := s.Get(key)
-		return ok && got == value && ver == v
+// TestEventVarMatchesCommit: for every event kind, the event→variable
+// rule names exactly the variable and value HandleDeviceEvent commits
+// (auth failures once the brute-force threshold is reached).
+func TestEventVarMatchesCommit(t *testing.T) {
+	for _, e := range []device.Event{
+		{Device: "cam", Kind: device.EventAuthFailure},
+		{Device: "cam", Kind: device.EventAuthSuccess},
+		{Device: "cam", Kind: device.EventBackdoorAccess, Detail: "TEST"},
+		{Device: "cam", Kind: device.EventCommand, Detail: "mode=on"},
+		{Device: "cam", Kind: device.EventStateChange, Detail: "mode=on"},
+		{Device: "cam", Kind: device.EventStateChange, Detail: "no-assignment"},
+		{Device: "cam", Kind: device.EventSensor, Detail: "presence=yes"},
+		{Device: "cam", Kind: device.EventSensor, Detail: "test-alarm"},
+	} {
+		v := NewView()
+		changes := observed(v)
+		for i := 0; i < bruteForceThreshold; i++ {
+			v.HandleDeviceEvent(context.Background(), e)
+		}
+		got := changes()
+		varName, value := eventVar(e)
+		ok := varName != ""
+		switch {
+		case !ok && len(got) != 0:
+			t.Errorf("%s %q: rule says no variable, committed %+v", e.Kind, e.Detail, got)
+		case ok && (len(got) != 1 || got[0].Var != varName || got[0].Value != value):
+			t.Errorf("%s %q: rule says %s = %s, committed %+v", e.Kind, e.Detail, varName, value, got)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	// The naming convention and its inverse agree.
+	name, _ := strings.CutPrefix(deviceEnvVar("smart_plug", "power"), "env:")
+	if dev, ok := envVarReporter(name); !ok || dev != "smart_plug" {
+		t.Errorf("envVarReporter(%q) = %q %v", name, dev, ok)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"iotsec/internal/device"
+	"iotsec/internal/ids"
 	"iotsec/internal/journal"
 	"iotsec/internal/policy"
 	"iotsec/internal/resilience"
@@ -31,7 +32,9 @@ type failoverFixture struct {
 
 var failoverDevs = []string{"fva0", "fva1", "fvb0", "fvb1", "fvc0", "fvc1"}
 
-func newFailoverFixture(t *testing.T) *failoverFixture {
+// newFailoverFixture builds the fixture; extra rules join the policy
+// before the hierarchy classifies it.
+func newFailoverFixture(t *testing.T, extra ...policy.Rule) *failoverFixture {
 	t.Helper()
 	fx := &failoverFixture{
 		postures:  map[string]policy.Posture{},
@@ -56,6 +59,9 @@ func newFailoverFixture(t *testing.T) *failoverFixture {
 			Posture:    policy.Posture{Isolate: true},
 			Priority:   9,
 		})
+	}
+	for _, r := range extra {
+		f.AddRule(r)
 	}
 	fx.part = Partition(failoverDevs, []InteractionEdge{
 		{A: "fva0", B: "fva1", Weight: 10},
@@ -518,5 +524,92 @@ func TestHierarchyPartitionConverges(t *testing.T) {
 				t.Fatalf("round %d: %s recorded as %q, view implies %q", round, dev, got[dev], p.Key())
 			}
 		}
+	}
+}
+
+// TestHierarchyPartitionEnforcementConverges is the convergence check
+// at the tier that matters: what the sink last RECEIVED for a device,
+// not what the reconciler recorded, must be the posture the view
+// implies. Concurrent reconciles of one local decide in version order;
+// their deliveries must leave in that order too, or a stale posture
+// lands last and lifts a newer quarantine.
+func TestHierarchyPartitionEnforcementConverges(t *testing.T) {
+	fx := newFailoverFixture(t)
+	g := fx.part.GroupOf("fva0")
+	local := fx.h.LocalFor(g)
+	devs := fx.h.groupDevices(g)
+	vals := []string{"a", "b", "q"}
+	for round := 0; round < 2000; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < 6; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				fx.event(devs[i%len(devs)], vals[(i+round)%len(vals)])
+			}(i)
+		}
+		wg.Wait()
+		want := local.fsm.Lookup(local.View.State())
+		fx.mu.Lock()
+		for _, dev := range devs {
+			if got := fx.postures[dev]; !got.Equal(want[dev]) {
+				t.Errorf("round %d: %s ENFORCED %s, view implies %s", round, dev, got.Key(), want[dev].Key())
+			}
+		}
+		fx.mu.Unlock()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// TestRehomeReplaysReasonWithParens: a quarantine whose journaled
+// reason carries attacker-influenced text containing " (" and " = "
+// must replay as the same context on the replacement local, which then
+// keeps the device quarantined instead of restoring a value no rule
+// matches and releasing it.
+func TestRehomeReplaysReasonWithParens(t *testing.T) {
+	quarantineOn := func(sc policy.SecurityContext) policy.Rule {
+		return policy.Rule{
+			Name:       "ctx-" + string(sc),
+			Conditions: []policy.Condition{policy.DeviceIs("fva0", sc)},
+			Device:     "fva0",
+			Posture:    policy.Posture{Isolate: true},
+			Priority:   9,
+		}
+	}
+	fx := newFailoverFixture(t, quarantineOn(policy.ContextSuspicious), quarantineOn(policy.ContextCompromised))
+	clock := resilience.NewFakeClock(time.Unix(1_700_000_000, 0))
+	var mu sync.Mutex
+	failovers := 0
+	sup := fx.supervise(clock, journal.New(256), FailModeRehome, func(FailoverRecord) {
+		mu.Lock()
+		failovers++
+		mu.Unlock()
+	})
+
+	ctx := context.Background()
+	g0 := fx.part.GroupOf("fva0")
+	fx.h.HandleDeviceEvent(ctx, device.Event{Device: "fva0", Kind: device.EventBackdoorAccess, Detail: "id"})
+	sup.Checkpoint() // vars: suspicious; postures: isolated
+	// After the checkpoint, so it travels by journal replay alone.
+	fx.h.LocalFor(g0).View.HandleAlert(ctx, "fva0",
+		ids.Alert{SID: 9, Action: ids.ActionBlock, Msg: "cam backdoor (CVE-2014-1234) = known (bad)"})
+
+	fx.h.LocalFor(g0).Kill()
+	tickUntilDead(t, clock, sup, 1, &failovers, &mu)
+
+	repl, _ := fx.h.routeFor(g0)
+	if repl == nil {
+		t.Fatal("partition not re-homed to a replacement local")
+	}
+	if got := repl.View.DeviceContext("fva0"); got != policy.ContextCompromised {
+		t.Errorf("replayed context = %q, want %q", got, policy.ContextCompromised)
+	}
+	fx.mu.Lock()
+	defer fx.mu.Unlock()
+	if !fx.postures["fva0"].Isolate || !fx.installed["fva0"] {
+		t.Errorf("fva0 released by recovery: posture %s, quarantine installed = %v",
+			fx.postures["fva0"].Key(), fx.installed["fva0"])
 	}
 }

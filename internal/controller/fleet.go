@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -500,10 +499,7 @@ func (f *FleetAggregator) Stats() (reports, dups, mergeErrors uint64) {
 // Handler serves the fleet view as JSON (mount at /debug/fleet).
 func (f *FleetAggregator) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(f.View())
+		telemetry.WriteJSON(w, f.View())
 	})
 }
 

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 
 	"iotsec/internal/forensics"
 	"iotsec/internal/journal"
+	"iotsec/internal/telemetry"
 )
 
 // IncidentSource is what a shard exposes to the fleet incident plane:
@@ -133,19 +133,16 @@ type FleetIncidentsJSON struct {
 // trace=<id> the assembled cross-shard timeline.
 func (f *FleetAggregator) IncidentsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
 		if s := req.URL.Query().Get("trace"); s != "" {
 			traceID, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
 				http.Error(w, "bad trace parameter: "+s, http.StatusBadRequest)
 				return
 			}
-			_ = enc.Encode(f.AssembleTimeline(traceID))
+			telemetry.WriteJSON(w, f.AssembleTimeline(traceID))
 			return
 		}
 		ds := f.FleetIncidents()
-		_ = enc.Encode(&FleetIncidentsJSON{TakenAt: time.Now(), Total: len(ds), Incidents: ds})
+		telemetry.WriteJSON(w, &FleetIncidentsJSON{TakenAt: time.Now(), Total: len(ds), Incidents: ds})
 	})
 }

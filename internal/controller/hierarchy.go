@@ -31,6 +31,11 @@ type reconciler struct {
 	lastPostures map[string]string // device → posture key
 	// reconciled is the highest view version lastPostures reflects.
 	reconciled uint64
+	// deliverMu is taken before mu is released and held across the sink
+	// calls, so postures leave in the order reconciles decided them: a
+	// stale posture never reaches the sink after the newer one that
+	// superseded it. A sink must not commit to the view delivering to it.
+	deliverMu sync.Mutex
 }
 
 // reconcile recomputes all postures and pushes the deltas, reporting
@@ -62,7 +67,9 @@ func (r *reconciler) reconcile(ctx context.Context, version uint64) int {
 			changed = append(changed, change{dev, p})
 		}
 	}
+	r.deliverMu.Lock()
 	r.mu.Unlock()
+	defer r.deliverMu.Unlock()
 
 	if r.sink != nil {
 		for _, c := range changed {
@@ -333,52 +340,19 @@ func (h *Hierarchy) newLocalFor(g int) *Local {
 }
 
 // HandleDeviceEvent routes an event: the owning partition's local
-// controller absorbs it; only events touching globally referenced
-// variables escalate (paying GlobalDelay). The trace carried by ctx
+// controller absorbs it; only events moving a variable some global rule
+// references escalate (paying GlobalDelay). The trace carried by ctx
 // crosses the local/global boundary with the event, so escalated
 // enforcement still links back to the original sensor reading.
 func (h *Hierarchy) HandleDeviceEvent(ctx context.Context, e device.Event) {
 	group := h.partitioning.GroupOf(e.Device)
 	local, failGlobal := h.routeFor(group)
+	varName, value := eventVar(e)
 	if local != nil {
-		local.View.HandleDeviceEvent(ctx, e)
+		local.View.fold(ctx, e, varName, value)
 	}
-
-	// Re-homed-to-global partitions route everything up: the global
-	// controller runs the full policy, so it can stand in for the dead
-	// local at the cost of the global round trip (degraded mode).
-	escalate := h.eventGloballyRelevant(e) || failGlobal
-	h.recordShardEvent(group, e.Device, escalate)
-	if escalate {
-		h.escalated.Add(1)
-		mEscalations.Inc()
-		ctx, span := telemetry.StartSpan(ctx, "controller.escalate")
-		span.SetAttr("device", e.Device)
-		if h.GlobalDelay > 0 {
-			time.Sleep(h.GlobalDelay)
-		}
-		h.Global.View.HandleDeviceEvent(ctx, e)
-		span.End()
-		return
-	}
-	h.localHandled.Add(1)
-	mLocalHandled.Inc()
-}
-
-// eventGloballyRelevant decides whether the global policy could care
-// about this event.
-func (h *Hierarchy) eventGloballyRelevant(e device.Event) bool {
-	// Context-affecting events matter if any global rule references
-	// the device's context.
-	switch e.Kind {
-	case device.EventBackdoorAccess, device.EventAuthFailure:
-		return h.globalVars["dev:"+e.Device]
-	case device.EventStateChange, device.EventSensor:
-		if attr, _, ok := strings.Cut(e.Detail, "="); ok {
-			return h.globalVars["env:"+e.Device+"_"+attr]
-		}
-	}
-	return false
+	h.settle(ctx, group, "device", e.Device, failGlobal || h.globalVars[varName],
+		func(ctx context.Context) { h.Global.View.fold(ctx, e, varName, value) })
 }
 
 // HandleEnv routes an environment reading to the owning partition (if
@@ -388,22 +362,33 @@ func (h *Hierarchy) HandleEnv(ctx context.Context, envVar, level string, group i
 	if local != nil {
 		local.View.SetEnv(ctx, envVar, level, reason)
 	}
-	escalate := h.globalVars["env:"+envVar] || failGlobal
-	h.recordShardEvent(group, envVar, escalate)
-	if escalate {
-		h.escalated.Add(1)
-		mEscalations.Inc()
-		ctx, span := telemetry.StartSpan(ctx, "controller.escalate")
-		span.SetAttr("env", envVar)
-		if h.GlobalDelay > 0 {
-			time.Sleep(h.GlobalDelay)
-		}
-		h.Global.View.SetEnv(ctx, envVar, level, reason)
-		span.End()
+	h.settle(ctx, group, "env", envVar, failGlobal || h.globalVars["env:"+envVar],
+		func(ctx context.Context) { h.Global.View.SetEnv(ctx, envVar, level, reason) })
+}
+
+// settle books an event its partition's controller has seen (or, for a
+// partition re-homed to global, could not): absorbed locally, or
+// escalated — the global round trip is paid and commit runs against the
+// global view under the escalation span. Re-homed-to-global partitions
+// escalate everything: the global controller runs the full policy, so
+// it can stand in for the dead local at the cost of the round trip
+// (degraded mode).
+func (h *Hierarchy) settle(ctx context.Context, group int, attr, subject string, escalate bool, commit func(context.Context)) {
+	h.recordShardEvent(group, subject, escalate)
+	if !escalate {
+		h.localHandled.Add(1)
+		mLocalHandled.Inc()
 		return
 	}
-	h.localHandled.Add(1)
-	mLocalHandled.Inc()
+	h.escalated.Add(1)
+	mEscalations.Inc()
+	ctx, span := telemetry.StartSpan(ctx, "controller.escalate")
+	span.SetAttr(attr, subject)
+	if h.GlobalDelay > 0 {
+		time.Sleep(h.GlobalDelay)
+	}
+	commit(ctx)
+	span.End()
 }
 
 // routeFor resolves the partition's current controller: the

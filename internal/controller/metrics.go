@@ -12,12 +12,6 @@ import (
 // distribution, and the steering program histogram covers the
 // FLOW_MOD + barrier round trip that gates enforcement.
 var (
-	mStoreCommits = telemetry.NewCounter(
-		"iotsec_controller_store_commits_total",
-		"Writes committed through versioned stores.")
-	mStoreWatchDrops = telemetry.NewCounter(
-		"iotsec_controller_store_watch_drops_total",
-		"Watch notifications dropped on full subscriber channels.")
 	mViewChanges = telemetry.NewCounter(
 		"iotsec_controller_view_changes_total",
 		"State-variable changes committed to views.")

@@ -116,11 +116,11 @@ func (h *Hierarchy) rehome(ctx context.Context, group int, failGlobal bool, ck C
 		if e.Seq <= ck.Seq {
 			continue
 		}
-		varName, value, ok := parseViewChangeDetail(e.Detail)
-		if !ok || !h.varInGroup(varName, group) {
+		c, ok := parseViewChange(e.Detail)
+		if !ok || !h.varInGroup(c.Var, group) {
 			continue
 		}
-		vars[varName] = value
+		vars[c.Var] = c.Value
 		replayed++
 	}
 
@@ -221,8 +221,7 @@ func (h *Hierarchy) groupDevices(group int) []string {
 
 // varInGroup decides whether a view variable belongs to a partition's
 // recovery scope: its own devices' contexts, env vars its delegated
-// rules reference, and device-derived env vars ("<device>_<attr>")
-// reported by its devices.
+// rules reference, and env vars its devices report.
 func (h *Hierarchy) varInGroup(varName string, group int) bool {
 	if name, ok := strings.CutPrefix(varName, "dev:"); ok {
 		return h.partitioning.GroupOf(name) == group
@@ -231,38 +230,9 @@ func (h *Hierarchy) varInGroup(varName string, group int) bool {
 		if h.localRuleVars[group][varName] {
 			return true
 		}
-		if i := strings.LastIndex(name, "_"); i > 0 {
-			return h.partitioning.GroupOf(name[:i]) == group
+		if dev, ok := envVarReporter(name); ok {
+			return h.partitioning.GroupOf(dev) == group
 		}
 	}
 	return false
-}
-
-// parseViewChangeDetail inverts View.apply's journal format
-// ("v<version> <var> = <value> (<reason>)"), recovering the variable
-// and value for replay.
-func parseViewChangeDetail(detail string) (varName, value string, ok bool) {
-	rest, found := strings.CutPrefix(detail, "v")
-	if !found {
-		return "", "", false
-	}
-	sp := strings.IndexByte(rest, ' ')
-	if sp <= 0 {
-		return "", "", false
-	}
-	for _, c := range rest[:sp] {
-		if c < '0' || c > '9' {
-			return "", "", false
-		}
-	}
-	rest = rest[sp+1:]
-	varName, rest, found = strings.Cut(rest, " = ")
-	if !found {
-		return "", "", false
-	}
-	i := strings.LastIndex(rest, " (")
-	if i < 0 {
-		return "", "", false
-	}
-	return varName, rest[:i], true
 }

@@ -6,7 +6,14 @@ import (
 	"time"
 )
 
-// Replica is a weakly consistent follower of a Store: updates become
+// Update is one committed write as a follower sees it.
+type Update struct {
+	Key     string
+	Value   string
+	Version uint64
+}
+
+// Replica is a weakly consistent follower of a View: updates become
 // visible only after a replication lag, the way traditional SDN state
 // distribution works (§5.1: "traditional mechanisms for scaling SDN
 // typically exploit weak consistency semantics"). IoTSec's critical
@@ -23,9 +30,9 @@ type Replica struct {
 	mu      sync.Mutex
 	pending []timedUpdate
 	// dirty marks pending as out of version order. Offers almost always
-	// arrive in order (a store watch delivers commits sequentially), so
-	// AdvanceTo only pays the sort after an actual inversion instead of
-	// re-sorting the whole backlog every tick.
+	// arrive in order (a view commits sequentially), so AdvanceTo only
+	// pays the sort after an actual inversion instead of re-sorting the
+	// whole backlog every tick.
 	dirty  bool
 	values map[string]Update
 }

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -58,17 +57,12 @@ type SupervisorOptions struct {
 	// CheckpointEvery is the snapshot period (default 2s; <0 disables
 	// periodic checkpoints — Checkpoint() still forces one).
 	CheckpointEvery time.Duration
-	// CheckpointKeep bounds retained checkpoints per partition
-	// (default 4).
-	CheckpointKeep int
 	// FailMode picks re-home vs fail-global (default re-home).
 	FailMode FailMode
 	// Journal receives the supervisor's own failover events (default
 	// journal.Default). View-change REPLAY always reads journal.Default
 	// regardless, because View.apply records there.
 	Journal *journal.Journal
-	// HistoryCap bounds the retained failover history (default 64).
-	HistoryCap int
 	// QuarantinedOf reports the devices the control plane holds under
 	// standing quarantine in a partition — checkpoint material.
 	QuarantinedOf func(group int) []string
@@ -142,7 +136,7 @@ type Supervisor struct {
 	j     *journal.Journal
 
 	log     *CheckpointLog
-	history *resilience.Ring[FailoverRecord]
+	history *resilience.Ring[FailoverRecord] // the last historyCap failovers
 
 	mu       sync.Mutex
 	groups   map[int]*groupState
@@ -150,6 +144,8 @@ type Supervisor struct {
 
 	loop resilience.Loop
 }
+
+const historyCap = 64
 
 // Supervise attaches a supervisor to the hierarchy's local controllers.
 // It does not start the background loop — call Start, or drive Tick
@@ -173,16 +169,13 @@ func (h *Hierarchy) Supervise(opts SupervisorOptions) *Supervisor {
 	if opts.Journal == nil {
 		opts.Journal = journal.Default
 	}
-	if opts.HistoryCap <= 0 {
-		opts.HistoryCap = 64
-	}
 	s := &Supervisor{
 		h:       h,
 		opts:    opts,
 		clock:   opts.Clock,
 		j:       opts.Journal,
-		log:     NewCheckpointLog(opts.CheckpointKeep),
-		history: resilience.NewRing[FailoverRecord](opts.HistoryCap),
+		log:     NewCheckpointLog(),
+		history: resilience.NewRing[FailoverRecord](historyCap),
 		groups:  make(map[int]*groupState, len(h.locals)),
 	}
 	now := s.clock.Now()
@@ -453,9 +446,6 @@ func (s *Supervisor) Status() SupervisorStatus {
 // Handler serves Status as JSON — mounted at /debug/controllers.
 func (s *Supervisor) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Status())
+		telemetry.WriteJSON(w, s.Status())
 	})
 }

@@ -29,12 +29,11 @@ type SupervisionOptions struct {
 	// variable; unlisted variables stay on the Global-only path.
 	EnvLocality map[string]int
 
-	// Heartbeat / Misses / CheckpointEvery / CheckpointKeep / FailMode /
-	// Clock tune the supervisor (see controller.SupervisorOptions).
+	// Heartbeat / Misses / CheckpointEvery / FailMode / Clock tune the
+	// supervisor (see controller.SupervisorOptions).
 	Heartbeat       time.Duration
 	Misses          int
 	CheckpointEvery time.Duration
-	CheckpointKeep  int
 	FailMode        controller.FailMode
 	Clock           resilience.Clock
 
@@ -81,7 +80,6 @@ func (p *Platform) SuperviseControllers(opts SupervisionOptions) (*controller.Hi
 		Heartbeat:       opts.Heartbeat,
 		Misses:          opts.Misses,
 		CheckpointEvery: opts.CheckpointEvery,
-		CheckpointKeep:  opts.CheckpointKeep,
 		FailMode:        opts.FailMode,
 		Fleet:           opts.Fleet,
 		OnFailover:      opts.OnFailover,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -84,8 +85,15 @@ func TestSuperviseControllersRecoversQuarantine(t *testing.T) {
 		t.Fatal("SuperviseControllers is not idempotent")
 	}
 
-	// Quarantine sa0 through the normal platform event path.
+	// Quarantine sa0 through the normal platform event path. Its posture
+	// carries partition-local version 1, which must not be timed against
+	// the unrelated commit the global view made under the same number.
+	p.Global.View.SetEnv(context.Background(), "unrelated", "x", "test")
+	timed := mEnforceSeconds.Count()
 	p.ReportDeviceEvent(device.Event{Device: "sa0", Kind: device.EventStateChange, Detail: "attr=q"})
+	if got := mEnforceSeconds.Count(); got != timed {
+		t.Fatalf("partition-tier posture added %d event→enforcement samples from the global view's commit times", got-timed)
+	}
 	sup.Checkpoint()
 	g := part.GroupOf("sa0")
 	ck, ok := sup.Checkpoints().Latest(g)

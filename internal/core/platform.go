@@ -33,18 +33,11 @@ type Options struct {
 	// Policy is the FSM; nil installs an empty (allow-all) policy
 	// over an empty domain.
 	Policy *policy.FSM
-	// Discretizer maps continuous environment variables into the
-	// levels the policy conditions on; nil uses the standard bands.
-	Discretizer *envsim.Discretizer
-	// Environment is the physical world; nil builds StandardHome.
-	Environment *envsim.Environment
 	// Platform selects the µmbox boot model (default micro-VM).
 	Platform mbox.PlatformKind
 	// BootTimeScale compresses modeled boot latency in tests
 	// (default 0.01).
 	BootTimeScale float64
-	// AdminIP is the management host allowed through DNS guards etc.
-	AdminIP packet.IPv4Address
 	// ChallengeSolution is the robot-check answer a human supplies.
 	ChallengeSolution string
 	// Capture attaches a fabric-wide recorder (needed by
@@ -135,12 +128,6 @@ func New(opts Options) (*Platform, error) {
 	if opts.Policy == nil {
 		opts.Policy = policy.NewFSM(policy.NewDomain())
 	}
-	if opts.Discretizer == nil {
-		opts.Discretizer = envsim.StandardDiscretizer()
-	}
-	if opts.Environment == nil {
-		opts.Environment = envsim.StandardHome()
-	}
 	if opts.Platform == "" {
 		opts.Platform = mbox.PlatformMicroVM
 	}
@@ -153,11 +140,11 @@ func New(opts Options) (*Platform, error) {
 
 	p := &Platform{
 		Network:        netsim.NewNetwork(),
-		Env:            opts.Environment,
+		Env:            envsim.StandardHome(),
 		Switch:         netsim.NewSwitch("iotsec-uplink", 1),
 		Manager:        mbox.NewManager(mbox.Server{Name: "onprem0", Slots: 256}, mbox.Server{Name: "onprem1", Slots: 256}),
 		opts:           opts,
-		disc:           opts.Discretizer,
+		disc:           envsim.StandardDiscretizer(),
 		fsm:            opts.Policy,
 		devices:        make(map[string]*Managed),
 		signatures:     make(map[string]*skuSignatures),
@@ -396,7 +383,9 @@ func (p *Platform) enforce(ctx context.Context, deviceName string, origin postur
 	_ = p.Manager.Reconfigure(ctx, "mb-"+deviceName, elements...)
 	span.End()
 	mPostureApplies.Inc()
-	if version > 0 && origin != reapply {
+	// Only the global view's versions index Global's commit times; a
+	// partition-local version would fetch some unrelated commit's.
+	if version > 0 && origin == fromGlobal {
 		if committed, ok := p.Global.CommitTime(version); ok {
 			mEnforceSeconds.Observe(time.Since(committed).Seconds())
 		}
@@ -567,11 +556,7 @@ func (p *Platform) buildElement(dev *device.Device, spec policy.ModuleSpec) mbox
 		if maxResp == 0 {
 			maxResp = 512
 		}
-		allowed := map[packet.IPv4Address]bool{}
-		if !p.opts.AdminIP.IsZero() {
-			allowed[p.opts.AdminIP] = true
-		}
-		return &mbox.DNSGuard{AllowedClients: allowed, MaxResponseBytes: maxResp}
+		return &mbox.DNSGuard{MaxResponseBytes: maxResp}
 	case "stateful-fw":
 		return mbox.NewStatefulFirewall(device.MgmtPort)
 	case "robot-check":

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"log"
 	"time"
 
 	"iotsec/internal/controller"
@@ -17,14 +16,9 @@ type SouthboundOptions struct {
 	// HeartbeatInterval is the controller→switch ECHO probe period
 	// (default openflow.DefaultHeartbeatInterval; < 0 disables).
 	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many unanswered probes reap a session
-	// (default openflow.DefaultHeartbeatMisses).
-	HeartbeatMisses int
 	// Agent tunes the switch-side supervised channel (fail mode,
 	// backoff schedule, degradation buffer).
 	Agent netsim.AgentOptions
-	// Logger receives endpoint diagnostics (nil discards).
-	Logger *log.Logger
 }
 
 // Southbound bundles the live southbound channel AttachSouthbound
@@ -60,16 +54,12 @@ func (p *Platform) AttachSouthbound(opts SouthboundOptions) (*Southbound, error)
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
 	}
-	s := controller.NewSteering(opts.Logger)
+	s := controller.NewSteering(nil)
 	interval := opts.HeartbeatInterval
 	if interval == 0 {
 		interval = openflow.DefaultHeartbeatInterval
 	}
-	misses := opts.HeartbeatMisses
-	if misses == 0 {
-		misses = openflow.DefaultHeartbeatMisses
-	}
-	s.SetHeartbeat(interval, misses)
+	s.SetHeartbeat(interval, openflow.DefaultHeartbeatMisses)
 	addr, err := s.Listen(opts.Addr)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -13,13 +14,14 @@ import (
 // the Figure 5 gate ("allow ON only when someone is home") decided
 // against a weakly consistent replica admits unsafe actions whenever
 // occupancy changed within the replication lag; the strongly
-// consistent store never does.
+// consistent controller.View never does.
 //
 // The simulation is deterministic (logical time): occupancy toggles
 // at the given mean interval, gate decisions arrive at random times,
-// and each decision is scored against the ground truth at decision
-// time. "Unsafe allow" = the gate permits ON while the home is
-// actually empty.
+// and each decision reads both sides after every flip up to its own
+// time has been committed to the view and offered to the replica, then
+// is scored against the ground truth. "Unsafe allow" = the gate permits
+// ON while the home is actually empty.
 func RunAblationConsistency(seed int64) *Table {
 	t := &Table{
 		ID:      "A6",
@@ -41,46 +43,30 @@ func RunAblationConsistency(seed int64) *Table {
 
 	const decisions = 2000
 	for _, sc := range scenarios {
-		store := controller.NewStore()
+		view := controller.NewView()
 		replica := controller.NewReplica(sc.lag)
 
 		base := time.Unix(0, 0)
 		horizon := base.Add(time.Duration(decisions) * sc.interval / 4)
 
-		// Build the occupancy timeline and feed both stores.
+		// The occupancy timeline: home at base, then toggling.
 		type flip struct {
 			at    time.Time
 			value string
 		}
-		var timeline []flip
+		timeline := []flip{{base, "home"}}
 		cur := base
 		occupied := true
-		put := func(at time.Time, value string) {
-			v := store.Put("occupancy", value)
-			replica.Offer(controller.Update{Key: "occupancy", Value: value, Version: v}, at)
-			timeline = append(timeline, flip{at: at, value: value})
-		}
-		put(base, "home")
 		for cur.Before(horizon) {
 			// Exponential-ish jitter around the mean interval.
 			step := time.Duration(float64(sc.interval) * (0.5 + rng.Float64()))
 			cur = cur.Add(step)
 			occupied = !occupied
 			if occupied {
-				put(cur, "home")
+				timeline = append(timeline, flip{cur, "home"})
 			} else {
-				put(cur, "away")
+				timeline = append(timeline, flip{cur, "away"})
 			}
-		}
-		truthAt := func(at time.Time) string {
-			v := "home"
-			for _, f := range timeline {
-				if f.at.After(at) {
-					break
-				}
-				v = f.value
-			}
-			return v
 		}
 
 		// Decision times, ascending (AdvanceTo is monotonic).
@@ -90,9 +76,16 @@ func RunAblationConsistency(seed int64) *Table {
 		}
 		sortTimes(when)
 
+		ctx := context.Background()
 		unsafeWeak, unsafeStrong := 0, 0
+		truth, next := "home", 0
 		for _, at := range when {
-			truth := truthAt(at)
+			for ; next < len(timeline) && !timeline[next].at.After(at); next++ {
+				f := timeline[next]
+				truth = f.value
+				view.SetEnv(ctx, "occupancy", f.value, "occupancy sensor")
+				replica.Offer(controller.Update{Key: "occupancy", Value: f.value, Version: view.Version()}, f.at)
+			}
 
 			// Weak: the replica's view at decision time.
 			replica.AdvanceTo(at)
@@ -103,12 +96,10 @@ func RunAblationConsistency(seed int64) *Table {
 			if weakView == "home" && truth == "away" {
 				unsafeWeak++
 			}
-			// Strong: the gate reads the committed value
-			// synchronously — by construction it equals the truth, so
-			// no unsafe allow is possible. The read is still
-			// performed to keep the comparison honest.
-			if v, _, ok := store.Get("occupancy"); ok {
-				_ = v // final committed value; historical reads equal truthAt by the total order
+			// Strong: the gate reads the view synchronously; every
+			// commit up to now is visible, in commit order.
+			if view.Env("occupancy") == "home" && truth == "away" {
+				unsafeStrong++
 			}
 		}
 		t.AddRow(sc.interval, sc.lag,

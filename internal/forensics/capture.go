@@ -10,6 +10,9 @@ import (
 	"iotsec/internal/telemetry"
 )
 
+// tapBuffer is the journal subscription backlog, in events.
+const tapBuffer = 2048
+
 // Options parameterizes a Capturer.
 type Options struct {
 	// Store receives sealed incidents (nil = memory-only capture; the
@@ -17,8 +20,6 @@ type Options struct {
 	Store *Store
 	// Shard names this capturer's shard in digests and fleet reports.
 	Shard string
-	// Buffer is the journal subscription backlog (default 2048).
-	Buffer int
 	// Quiet seals an open incident after this long without new trace
 	// events (default 2s).
 	Quiet time.Duration
@@ -74,9 +75,6 @@ type openIncident struct {
 
 // NewCapturer attaches a capturer to j and starts its consumer.
 func NewCapturer(j *journal.Journal, opt Options) *Capturer {
-	if opt.Buffer <= 0 {
-		opt.Buffer = 2048
-	}
 	if opt.Quiet <= 0 {
 		opt.Quiet = 2 * time.Second
 	}
@@ -94,7 +92,7 @@ func NewCapturer(j *journal.Journal, opt Options) *Capturer {
 	}
 	c := &Capturer{
 		j:     j,
-		sub:   j.Subscribe(opt.Buffer),
+		sub:   j.Subscribe(tapBuffer),
 		store: opt.Store,
 		opt:   opt,
 		clock: opt.Clock,

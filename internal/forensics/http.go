@@ -1,12 +1,12 @@
 package forensics
 
 import (
-	"encoding/json"
 	"net/http"
-	"strconv"
+	"net/url"
 	"time"
 
 	"iotsec/internal/journal"
+	"iotsec/internal/telemetry"
 )
 
 // ListJSON is the /debug/incidents list response shape.
@@ -18,78 +18,21 @@ type ListJSON struct {
 	Incidents []Digest      `json:"incidents"`
 }
 
-// parseQuery reads the incident filter parameters:
+// parseQuery reads the incident filter parameters: the ones
+// /debug/journal takes (journal.ParseFilter: trace, device, sev,
+// since/until against OpenedAt, limit — here a page size, default 64)
+// plus
 //
-//	id=<inc-...>     one incident (full record; add export=1 for a
-//	                 replayable scenario)
-//	trace=<id>       one causal chain
-//	device=<name>    one device
 //	kind=<kind>      one incident kind
-//	sev=<name>       minimum severity
-//	since/until=<dur|rfc3339>  OpenedAt range
-//	offset=<n>, limit=<n>      pagination (limit defaults to 64)
-func parseQuery(req *http.Request) (Query, error) {
-	q := Query{Limit: 64}
-	v := req.URL.Query()
-	if s := v.Get("trace"); s != "" {
-		id, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return q, errBadParam{"trace", s}
-		}
-		q.TraceID = id
+//	offset=<n>       pagination
+func parseQuery(v url.Values) (q Query, err error) {
+	if q.Filter, err = journal.ParseFilter(v, 64); err != nil {
+		return q, err
 	}
-	q.Device = v.Get("device")
 	q.Kind = v.Get("kind")
-	if s := v.Get("sev"); s != "" {
-		sev, ok := journal.ParseSeverity(s)
-		if !ok {
-			return q, errBadParam{"sev", s}
-		}
-		q.MinSeverity = sev
-	}
-	if s := v.Get("since"); s != "" {
-		t, err := parseTimeBound(s)
-		if err != nil {
-			return q, errBadParam{"since", s}
-		}
-		q.Since = t
-	}
-	if s := v.Get("until"); s != "" {
-		t, err := parseTimeBound(s)
-		if err != nil {
-			return q, errBadParam{"until", s}
-		}
-		q.Until = t
-	}
-	if s := v.Get("offset"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return q, errBadParam{"offset", s}
-		}
-		q.Offset = n
-	}
-	if s := v.Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return q, errBadParam{"limit", s}
-		}
-		q.Limit = n
-	}
-	return q, nil
+	q.Offset, err = journal.ParseCount(v, "offset", 0)
+	return q, err
 }
-
-// parseTimeBound accepts a relative duration ("5m" = five minutes
-// ago) or an absolute RFC3339 timestamp.
-func parseTimeBound(s string) (time.Time, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return time.Now().Add(-d), nil
-	}
-	return time.Parse(time.RFC3339, s)
-}
-
-type errBadParam struct{ name, value string }
-
-func (e errBadParam) Error() string { return "bad " + e.name + " parameter: " + e.value }
 
 // Handler serves the incident index (mount at /debug/incidents).
 // Plain GETs list digests filtered by the query parameters; id=
@@ -97,32 +40,26 @@ func (e errBadParam) Error() string { return "bad " + e.name + " parameter: " + 
 // scenario.
 func (c *Capturer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if id := req.URL.Query().Get("id"); id != "" {
+		v := req.URL.Query()
+		if id := v.Get("id"); id != "" {
 			inc, ok := c.Get(id)
-			if !ok {
+			switch {
+			case !ok:
 				http.Error(w, "unknown incident "+id, http.StatusNotFound)
-				return
+			case v.Get("export") == "1":
+				telemetry.WriteJSON(w, ExportScenario(inc, 0))
+			default:
+				telemetry.WriteJSON(w, inc)
 			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if req.URL.Query().Get("export") == "1" {
-				_ = enc.Encode(ExportScenario(inc, 0))
-				return
-			}
-			_ = enc.Encode(inc)
 			return
 		}
-		q, err := parseQuery(req)
+		q, err := parseQuery(v)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		page, total := c.Incidents(q)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(&ListJSON{
+		telemetry.WriteJSON(w, &ListJSON{
 			TakenAt:   time.Now(),
 			Total:     total,
 			Offset:    q.Offset,

@@ -1,52 +1,28 @@
 package forensics
 
-import (
-	"time"
-
-	"iotsec/internal/journal"
-)
+import "iotsec/internal/journal"
 
 // Query selects incident digests. Zero-valued fields match everything.
 type Query struct {
-	// TraceID restricts to one causal chain.
-	TraceID uint64
-	// Device restricts to one device.
-	Device string
+	// Filter holds the criteria incidents share with journal events:
+	// TraceID, Device, MinSeverity, Since/Until (against OpenedAt) and
+	// Limit, here the page size (0 = all matches). Leave Type empty:
+	// incidents have a Kind instead.
+	journal.Filter
 	// Kind restricts to one incident kind.
 	Kind string
-	// MinSeverity drops incidents below it.
-	MinSeverity journal.Severity
-	// Since drops incidents opened before it.
-	Since time.Time
-	// Until drops incidents opened after it.
-	Until time.Time
 	// Offset skips that many matches (pagination).
 	Offset int
-	// Limit caps the returned page (0 = all matches).
-	Limit int
 }
 
 // Matches applies the filter to one digest.
 func (q Query) Matches(d Digest) bool {
-	if q.TraceID != 0 && d.TraceID != q.TraceID {
-		return false
-	}
-	if q.Device != "" && d.Device != q.Device {
-		return false
-	}
 	if q.Kind != "" && d.Kind != q.Kind {
 		return false
 	}
-	if d.Severity < q.MinSeverity {
-		return false
-	}
-	if !q.Since.IsZero() && d.OpenedAt.Before(q.Since) {
-		return false
-	}
-	if !q.Until.IsZero() && d.OpenedAt.After(q.Until) {
-		return false
-	}
-	return true
+	return q.Filter.Matches(journal.Event{
+		TraceID: d.TraceID, Device: d.Device, Severity: d.Severity, Wall: d.OpenedAt,
+	})
 }
 
 // Apply filters an already-ordered digest list and pages it,

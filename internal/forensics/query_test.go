@@ -27,12 +27,12 @@ func TestQueryFilters(t *testing.T) {
 	}{
 		{"all", Query{}, 4},
 		{"kind", Query{Kind: KindAnomaly}, 2},
-		{"device", Query{Device: "wemo"}, 2},
-		{"severity", Query{MinSeverity: journal.Critical}, 2},
-		{"since", Query{Since: base.Add(90 * time.Second)}, 2},
-		{"until", Query{Until: base.Add(90 * time.Second)}, 2},
-		{"range", Query{Since: base.Add(30 * time.Second), Until: base.Add(150 * time.Second)}, 2},
-		{"combined", Query{Device: "wemo", MinSeverity: journal.Critical}, 1},
+		{"device", Query{Filter: journal.Filter{Device: "wemo"}}, 2},
+		{"severity", Query{Filter: journal.Filter{MinSeverity: journal.Critical}}, 2},
+		{"since", Query{Filter: journal.Filter{Since: base.Add(90 * time.Second)}}, 2},
+		{"until", Query{Filter: journal.Filter{Until: base.Add(90 * time.Second)}}, 2},
+		{"range", Query{Filter: journal.Filter{Since: base.Add(30 * time.Second), Until: base.Add(150 * time.Second)}}, 2},
+		{"combined", Query{Filter: journal.Filter{Device: "wemo", MinSeverity: journal.Critical}, Kind: KindProfileViolation}, 1},
 	}
 	for _, tc := range cases {
 		if page, total := tc.q.Apply(ds); total != tc.want || len(page) != tc.want {
@@ -49,7 +49,7 @@ func TestQueryPagination(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ds = append(ds, digestAt(IncidentID(uint64(i+1)), KindAnomaly, "cam", journal.Warn, base.Add(time.Duration(i)*time.Second)))
 	}
-	page, total := Query{Offset: 3, Limit: 4}.Apply(ds)
+	page, total := Query{Offset: 3, Filter: journal.Filter{Limit: 4}}.Apply(ds)
 	if total != 10 {
 		t.Fatalf("total = %d, want 10 regardless of the page", total)
 	}
@@ -59,7 +59,7 @@ func TestQueryPagination(t *testing.T) {
 	if page, _ := (Query{Offset: 20}).Apply(ds); page != nil {
 		t.Fatal("offset past the end must return an empty page")
 	}
-	if page, _ := (Query{Limit: 0}).Apply(ds); len(page) != 10 {
+	if page, _ := (Query{}).Apply(ds); len(page) != 10 {
 		t.Fatal("limit 0 means no cap")
 	}
 }

@@ -3,8 +3,11 @@ package journal
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
+
+	"iotsec/internal/telemetry"
 )
 
 // SnapshotJSON is the /debug/journal response shape.
@@ -15,18 +18,19 @@ type SnapshotJSON struct {
 	Events    []Event   `json:"events"`
 }
 
-// parseFilter reads the query-string filter parameters:
+// ParseFilter reads the filter parameters the debug query surfaces
+// share (/debug/journal, /debug/incidents):
 //
 //	trace=<id>       one causal chain
 //	device=<name>    one device
-//	type=<type>      one event type
 //	since=<dur|rfc3339>  5m = last five minutes; or an absolute time
 //	until=<dur|rfc3339>  upper bound of the time range (same forms)
 //	sev=<name>       minimum severity (debug|info|warn|critical)
-//	limit=<n>        most recent n matches (default 256; 0 = all)
-func parseFilter(req *http.Request) (Filter, error) {
-	f := Filter{Limit: 256}
-	q := req.URL.Query()
+//	limit=<n>        at most n matches (defaultLimit when absent; 0 = all)
+//
+// A malformed value is an error naming the parameter, fit for a 400.
+func ParseFilter(q url.Values, defaultLimit int) (Filter, error) {
+	f := Filter{Device: q.Get("device")}
 	if s := q.Get("trace"); s != "" {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
@@ -34,21 +38,12 @@ func parseFilter(req *http.Request) (Filter, error) {
 		}
 		f.TraceID = v
 	}
-	f.Device = q.Get("device")
-	f.Type = Type(q.Get("type"))
-	if s := q.Get("since"); s != "" {
-		t, err := parseTimeBound(s)
-		if err != nil {
-			return f, errBadParam{"since", s}
-		}
-		f.Since = t
+	var err error
+	if f.Since, err = parseTimeBound(q, "since"); err != nil {
+		return f, err
 	}
-	if s := q.Get("until"); s != "" {
-		t, err := parseTimeBound(s)
-		if err != nil {
-			return f, errBadParam{"until", s}
-		}
-		f.Until = t
+	if f.Until, err = parseTimeBound(q, "until"); err != nil {
+		return f, err
 	}
 	if s := q.Get("sev"); s != "" {
 		sev, ok := ParseSeverity(s)
@@ -57,23 +52,39 @@ func parseFilter(req *http.Request) (Filter, error) {
 		}
 		f.MinSeverity = sev
 	}
-	if s := q.Get("limit"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			return f, errBadParam{"limit", s}
-		}
-		f.Limit = v
-	}
-	return f, nil
+	f.Limit, err = ParseCount(q, "limit", defaultLimit)
+	return f, err
 }
 
-// parseTimeBound accepts either a relative duration ("5m" = five
-// minutes ago) or an absolute RFC3339 timestamp.
-func parseTimeBound(s string) (time.Time, error) {
+// ParseCount reads a non-negative integer parameter (limit, offset),
+// def when absent.
+func ParseCount(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
+	if s == "" {
+		return def, nil
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 0 {
+		return def, errBadParam{name, s}
+	}
+	return v, nil
+}
+
+// parseTimeBound reads a time parameter: a relative duration ("5m" =
+// five minutes ago) or an absolute RFC3339 timestamp; zero when absent.
+func parseTimeBound(q url.Values, name string) (time.Time, error) {
+	s := q.Get(name)
+	if s == "" {
+		return time.Time{}, nil
+	}
 	if d, err := time.ParseDuration(s); err == nil {
 		return time.Now().Add(-d), nil
 	}
-	return time.Parse(time.RFC3339, s)
+	t, err := time.Parse(time.RFC3339, s)
+	if err != nil {
+		return t, errBadParam{name, s}
+	}
+	return t, nil
 }
 
 type errBadParam struct{ name, value string }
@@ -81,26 +92,25 @@ type errBadParam struct{ name, value string }
 func (e errBadParam) Error() string { return "bad " + e.name + " parameter: " + e.value }
 
 // Handler serves the journal (mount at /debug/journal). Plain GETs
-// return a JSON snapshot filtered by the query parameters; follow=1
-// switches to a streaming follow: the filtered backlog followed by live
-// matching events, one JSON object per line, until the client goes
-// away.
+// return a JSON snapshot filtered by ParseFilter's parameters (the most
+// recent 256 matches by default) plus type=<type>; follow=1 switches to
+// a streaming follow: the filtered backlog followed by live matching
+// events, one JSON object per line, until the client goes away.
 func (j *Journal) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		f, err := parseFilter(req)
+		q := req.URL.Query()
+		f, err := ParseFilter(q, 256)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if req.URL.Query().Get("follow") == "1" {
+		f.Type = Type(q.Get("type"))
+		if q.Get("follow") == "1" {
 			j.serveFollow(w, req, f)
 			return
 		}
 		appended, drops := j.Stats()
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(&SnapshotJSON{
+		telemetry.WriteJSON(w, &SnapshotJSON{
 			TakenAt:   time.Now(),
 			Appended:  appended,
 			TailDrops: drops,
@@ -137,7 +147,7 @@ func (j *Journal) serveFollow(w http.ResponseWriter, req *http.Request, f Filter
 		}
 		wrote := false
 		for _, e := range sub.Drain() {
-			if e.Seq <= lastSeq || !f.matches(e) {
+			if e.Seq <= lastSeq || !f.Matches(e) {
 				continue
 			}
 			if enc.Encode(e) != nil {

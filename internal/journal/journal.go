@@ -323,8 +323,8 @@ type Filter struct {
 	Limit int
 }
 
-// matches applies the filter.
-func (f Filter) matches(e Event) bool {
+// Matches applies the filter.
+func (f Filter) Matches(e Event) bool {
 	if f.TraceID != 0 && e.TraceID != f.TraceID {
 		return false
 	}
@@ -361,7 +361,7 @@ func (j *Journal) Snapshot(f Filter) []Event {
 		if j.full {
 			idx = (j.pos + i) % len(j.ring)
 		}
-		if e := j.ring[idx]; f.matches(e) {
+		if e := j.ring[idx]; f.Matches(e) {
 			out = append(out, e)
 		}
 	}

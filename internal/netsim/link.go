@@ -16,8 +16,6 @@ type LinkOptions struct {
 	BandwidthBps float64
 	// LossRate drops frames with this probability in [0,1).
 	LossRate float64
-	// QueueLen bounds each endpoint's receive queue (default 256).
-	QueueLen int
 	// Seed makes loss deterministic; 0 derives a fixed default.
 	Seed int64
 }

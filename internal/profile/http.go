@@ -1,8 +1,9 @@
 package profile
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"iotsec/internal/telemetry"
 )
 
 // Report is the /debug/profiles document: the accepted profile set,
@@ -30,9 +31,6 @@ func (e *Engine) Snapshot() Report {
 // by `mboxctl profiles`).
 func (e *Engine) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(e.Snapshot())
+		telemetry.WriteJSON(w, e.Snapshot())
 	})
 }

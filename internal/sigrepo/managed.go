@@ -27,6 +27,9 @@ type OutboxOp struct {
 	Up          bool   `json:"up,omitempty"`
 }
 
+// outboxCap bounds the publish/vote outbox (drop-oldest).
+const outboxCap = 256
+
 // ManagedOptions configure a ManagedClient.
 type ManagedOptions struct {
 	// Backoff parameterizes the reconnect schedule. MaxElapsed bounds
@@ -36,9 +39,6 @@ type ManagedOptions struct {
 	// Dial overrides the transport dial (fault-injection tests wrap
 	// conns here). Default: net.DialTimeout("tcp", addr, 5s).
 	Dial func(addr string) (net.Conn, error)
-	// OutboxCap bounds the publish/vote outbox (default 256,
-	// drop-oldest).
-	OutboxCap int
 	// OutboxPath, when set, persists the outbox as JSON so queued
 	// submissions survive gateway restarts.
 	OutboxPath string
@@ -112,9 +112,6 @@ type ManagedClient struct {
 // redialed under the backoff schedule with cursor-based
 // resubscription.
 func DialManaged(addr, identity string, opts ManagedOptions) (*ManagedClient, error) {
-	if opts.OutboxCap < 1 {
-		opts.OutboxCap = 256
-	}
 	if opts.Dial == nil {
 		opts.Dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
@@ -130,7 +127,7 @@ func DialManaged(addr, identity string, opts ManagedOptions) (*ManagedClient, er
 		dirty:     make(map[string]bool),
 		gapGen:    make(map[string]uint64),
 		resyncing: make(map[string]bool),
-		outbox:    resilience.NewRing[OutboxOp](opts.OutboxCap),
+		outbox:    resilience.NewRing[OutboxOp](outboxCap),
 		ready:     make(chan struct{}),
 	}
 	m.loadOutbox()

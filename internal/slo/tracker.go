@@ -44,14 +44,15 @@ var Stages = []string{StagePosture, StageFlowMod, StageFlowApplied, StageMboxRec
 // Component is the health-registry name the tracker reports under.
 const Component = "mttr-pipeline"
 
+// tapBuffer is the journal-tap ring size, in events.
+const tapBuffer = 4096
+
 // Options configures a Tracker. The zero value is usable.
 type Options struct {
 	// Registry receives the MTTR metrics (Default when nil). Metric
 	// registration is idempotent, so several trackers on one registry
 	// share series (tests use isolated registries).
 	Registry *telemetry.Registry
-	// Buffer is the journal-tap ring size (default 4096 events).
-	Buffer int
 	// ChainTimeout is how long a chain may stay open before it is
 	// counted incomplete (default 5s — generous against the modeled
 	// µmbox boot latencies, tight against a stuck enforcement path).
@@ -59,10 +60,6 @@ type Options struct {
 	// SweepEvery is the incomplete-chain sweep period (default
 	// ChainTimeout/4).
 	SweepEvery time.Duration
-	// HealthHold is how long after an incomplete chain the tracker's
-	// health stays non-Healthy (default 4×ChainTimeout): long enough
-	// for a probe to see it, short enough to recover on its own.
-	HealthHold time.Duration
 	// Clock drives timeouts and health decay (resilience.System when
 	// nil); tests inject a FakeClock. Stage latencies do NOT use it —
 	// they come from the journal's own monotonic event offsets.
@@ -99,7 +96,10 @@ type Tracker struct {
 	reg   *telemetry.Registry
 
 	chainTimeout time.Duration
-	healthHold   time.Duration
+	// healthHold is how long after an incomplete chain the tracker's
+	// health stays non-Healthy (4×chainTimeout): long enough for a
+	// probe to see it, short enough to recover on its own.
+	healthHold time.Duration
 
 	mStage       *telemetry.HistogramVec
 	mE2E         *telemetry.Histogram
@@ -140,10 +140,6 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 	if clock == nil {
 		clock = resilience.System
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = 4096
-	}
 	timeout := opts.ChainTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -152,17 +148,13 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 	if sweep <= 0 {
 		sweep = timeout / 4
 	}
-	hold := opts.HealthHold
-	if hold <= 0 {
-		hold = 4 * timeout
-	}
 	t := &Tracker{
 		j:            j,
-		sub:          j.Subscribe(buffer),
+		sub:          j.Subscribe(tapBuffer),
 		clock:        clock,
 		reg:          reg,
 		chainTimeout: timeout,
-		healthHold:   hold,
+		healthHold:   4 * timeout,
 		chains:       make(map[uint64]*chain),
 	}
 	t.mStage = reg.NewHistogramVec("iotsec_mttr_stage_seconds",

@@ -104,11 +104,17 @@ func (r *Registry) DebugHandler() http.Handler {
 				n = v
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Snapshot(n))
+		WriteJSON(w, r.Snapshot(n))
 	})
+}
+
+// WriteJSON answers a debug request with v as indented JSON — the one
+// writer behind every /debug/* JSON surface.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // Server is a telemetry HTTP listener serving /metrics and

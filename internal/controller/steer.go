@@ -44,6 +44,20 @@ type SteeredDevice struct {
 // by the device MAC, emitted with the trace ID of the causal chain
 // that requested them, so forensic timelines show which anomaly
 // produced which FLOW_MOD.
+//
+// Who owns which entries on a switch is told by the cookie's top byte
+// (openflow.ClassCookie), and each owner deletes by its own cookies
+// only:
+//
+//	= dpid     the tunnel fabric above (AddDevice), rebuilt from a clean
+//	           table on every reprogram
+//	0x51 'Q'   quarantine drops, prio 400 (Isolate/Release)
+//	0x50 'P'   behavior-profile rule sets, prio 250–310 (profile.Compile,
+//	           installed through InstallRuleSet)
+//	0x54 'T'   core.Platform's tunnel pins, prio 100: written by the
+//	           platform into its own uplink switch, not by Steering, and
+//	           never deleted by it — a platform's switch is driven with
+//	           Isolate/Release and rule sets, not AddDevice
 type Steering struct {
 	mu      sync.Mutex
 	devices []SteeredDevice
@@ -349,11 +363,7 @@ func (s *Steering) programSteering(ctx context.Context, dpid uint64, ports []uin
 // Release can delete exactly the rules Isolate installed. The high
 // byte tags the rule class so steering cookies (= dpid) never collide.
 func quarantineCookie(mac packet.MACAddress) uint64 {
-	var c uint64 = 0x51 // 'Q'
-	for _, b := range mac {
-		c = c<<8 | uint64(b)
-	}
-	return c
+	return openflow.ClassCookie(0x51, mac) // 'Q'
 }
 
 // sendQuarantine emits the two priority-400 drop rules (eth_src and

@@ -7,6 +7,7 @@ import (
 
 	"iotsec/internal/ids"
 	"iotsec/internal/packet"
+	"iotsec/internal/resilience"
 	"iotsec/internal/telemetry"
 )
 
@@ -225,12 +226,38 @@ func (e *IDSElement) Process(ctx *Context) Verdict {
 // StatefulFirewall permits inbound traffic only on flows the protected
 // device initiated (plus explicitly allowed inbound ports) — the
 // connection-state policy of §3.1's stateful-firewall example.
+//
+// The connection table holds work in flight, not history: a flow is
+// forgotten when TCP tears it down (an RST, or the ACK after both
+// sides' FINs), the table remembers at most conntrackCap flows and
+// forgets the oldest beyond that (counted,
+// iotsec_mbox_conntrack_evicted_total), and a flow whose device-side
+// port is open to the world anyway is never tracked — state could not
+// change its verdict. A forgotten flow is re-learned from the device's
+// next segment; until then inbound segments on it are dropped.
 type StatefulFirewall struct {
-	mu       sync.Mutex
-	outbound map[packet.Flow]bool
-	// AllowedInbound lists destination ports open to the world.
+	mu sync.Mutex
+	// flows maps each tracked flow (direction-independent) to which
+	// sides have sent a FIN.
+	flows *resilience.Recent[packet.Flow, uint8]
+	// AllowedInbound lists destination ports open to the world. Set at
+	// construction; Process reads it without the lock.
 	AllowedInbound map[uint16]bool
 }
+
+// conntrackCap bounds one firewall's connection table. A device with
+// more than a few thousand connections of its own in flight is not an
+// IoT device behaving normally, and the flows that never close (UDP,
+// half-open TCP) would otherwise accumulate for as long as the posture
+// stands.
+const conntrackCap = 4096
+
+// FIN bookkeeping per tracked flow.
+const (
+	finFromDevice uint8 = 1 << iota
+	finToDevice
+	finBoth = finFromDevice | finToDevice
+)
 
 // NewStatefulFirewall builds the firewall with the given open ports.
 func NewStatefulFirewall(openPorts ...uint16) *StatefulFirewall {
@@ -239,7 +266,7 @@ func NewStatefulFirewall(openPorts ...uint16) *StatefulFirewall {
 		open[p] = true
 	}
 	return &StatefulFirewall{
-		outbound:       make(map[packet.Flow]bool),
+		flows:          resilience.NewRecent[packet.Flow, uint8](conntrackCap),
 		AllowedInbound: open,
 	}
 }
@@ -247,33 +274,58 @@ func NewStatefulFirewall(openPorts ...uint16) *StatefulFirewall {
 // Name implements Element.
 func (f *StatefulFirewall) Name() string { return "stateful-fw" }
 
+// Tracked reports how many flows the connection table holds.
+func (f *StatefulFirewall) Tracked() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.flows.Len()
+}
+
 // Process implements Element.
 func (f *StatefulFirewall) Process(ctx *Context) Verdict {
 	flow, ok := ctx.Packet.TransportFlow()
 	if !ok {
 		return Forward // non-transport (ARP etc.) passes
 	}
+	tcp := ctx.Packet.TCP()
+	var srcPort, dstPort uint16
+	if tcp != nil {
+		srcPort, dstPort = tcp.SrcPort, tcp.DstPort
+	} else if u := ctx.Packet.UDP(); u != nil {
+		srcPort, dstPort = u.SrcPort, u.DstPort
+	}
+	devicePort, finBit := dstPort, finToDevice
+	if ctx.Dir == FromDevice {
+		devicePort, finBit = srcPort, finFromDevice
+	}
+	if f.AllowedInbound[devicePort] {
+		// Outbound always passes and inbound to an open port always
+		// passes: nothing to remember about this flow.
+		return Forward
+	}
+	key := flow.Canonical()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if ctx.Dir == FromDevice {
-		f.outbound[flow.Canonical()] = true
-		return Forward
+	fins, known := f.flows.Get(key)
+	if !known {
+		if ctx.Dir == ToDevice {
+			return Drop // not initiated outbound, or forgotten since
+		}
+		if f.flows.Put(key, 0) {
+			mConntrackEvicted.Inc()
+		}
 	}
-	// Inbound: allowed if the canonical flow was initiated outbound,
-	// or the destination port is explicitly open.
-	if f.outbound[flow.Canonical()] {
-		return Forward
+	if tcp != nil {
+		switch {
+		case tcp.Flags.Has(packet.TCPRst), fins == finBoth:
+			// The reset, or the ACK answering the second FIN, is the
+			// connection's last segment.
+			f.flows.Delete(key)
+		case tcp.Flags.Has(packet.TCPFin):
+			f.flows.Put(key, fins|finBit)
+		}
 	}
-	var dstPort uint16
-	if t := ctx.Packet.TCP(); t != nil {
-		dstPort = t.DstPort
-	} else if u := ctx.Packet.UDP(); u != nil {
-		dstPort = u.DstPort
-	}
-	if f.AllowedInbound[dstPort] {
-		return Forward
-	}
-	return Drop
+	return Forward
 }
 
 // --- DNS guard ---

@@ -31,6 +31,9 @@ var (
 	mDropped = telemetry.NewCounter(
 		"iotsec_mbox_frames_dropped_total",
 		"Frames dropped by µmboxes (all instances).")
+	mConntrackEvicted = telemetry.NewCounter(
+		"iotsec_mbox_conntrack_evicted_total",
+		"Live flows forgotten by stateful firewalls to stay within their connection-table bound (drop-oldest).")
 	mLoggerFrames = telemetry.NewCounter(
 		"iotsec_mbox_logger_frames_total",
 		"Frames seen by Logger elements (all instances).")

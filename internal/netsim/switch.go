@@ -17,9 +17,12 @@ type MissBehavior int
 const (
 	// MissPunt sends the frame to the controller (normal SDN mode).
 	MissPunt MissBehavior = iota
-	// MissFlood floods the frame (learning-switch bootstrap mode).
+	// MissFlood floods the frame (learning-switch bootstrap mode): for
+	// stand-alone rigs that install no forwarding entries. Every port
+	// sees every frame, so nothing that isolates devices runs on it.
 	MissFlood
-	// MissDrop silently discards the frame (fail-closed).
+	// MissDrop discards the frame and counts it (fail-closed): only
+	// what the table names is reachable.
 	MissDrop
 )
 
@@ -39,8 +42,9 @@ type Switch struct {
 	ports    map[uint16]*Port
 	packetIn PacketInFunc
 
-	packetsIn  atomic.Uint64 // frames received
-	packetsOut atomic.Uint64 // frames forwarded
+	packetsIn   atomic.Uint64 // frames received
+	packetsOut  atomic.Uint64 // frames forwarded
+	missDropped atomic.Uint64 // table misses discarded under MissDrop
 }
 
 // NewSwitch creates a switch with the given datapath ID. Ports are
@@ -113,6 +117,8 @@ func (s *Switch) HandleFrame(ingress *Port, frame Frame) {
 		case MissPunt:
 			s.punt(ingress.ID, 0, frame)
 		case MissDrop:
+			s.missDropped.Add(1)
+			mSwitchMissDropped.Inc()
 		}
 		return
 	}
@@ -184,6 +190,10 @@ func (s *Switch) punt(inPort uint16, reason uint8, frame Frame) {
 func (s *Switch) ExpireFlows(now time.Time) []openflow.FlowEntry {
 	return s.table.Expire(now)
 }
+
+// MissDropped reports how many table misses MissDrop discarded: frames
+// for a destination nothing on this switch was told how to reach.
+func (s *Switch) MissDropped() uint64 { return s.missDropped.Load() }
 
 // Stats reports aggregate counters.
 func (s *Switch) Stats() (packetsIn, packetsOut, tableMiss uint64, flows int) {

@@ -32,6 +32,18 @@ type FlowEntry struct {
 	bytes     uint64
 }
 
+// ClassCookie builds a per-MAC cookie in one rule class: the class tag
+// in the top byte, then the MAC. Each owner of flow entries (tunnel
+// pins, profile rules, quarantine drops) takes a tag of its own, so it
+// can delete-by-cookie exactly what it installed for one MAC.
+func ClassCookie(tag uint8, mac packet.MACAddress) uint64 {
+	c := uint64(tag)
+	for _, b := range mac {
+		c = c<<8 | uint64(b)
+	}
+	return c
+}
+
 // Stats reports the entry's hit counters.
 func (e *FlowEntry) Stats() (packets, bytes uint64) { return e.packets, e.bytes }
 

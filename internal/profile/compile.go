@@ -27,11 +27,7 @@ const CookieTag = 0x50
 
 // Cookie derives the profile-plane cookie for a device MAC.
 func Cookie(mac packet.MACAddress) uint64 {
-	c := uint64(CookieTag)
-	for _, b := range mac {
-		c = c<<8 | uint64(b)
-	}
-	return c
+	return openflow.ClassCookie(CookieTag, mac)
 }
 
 // Compile lowers an accepted profile into the default-deny flow rules

@@ -157,6 +157,30 @@ func (r *Ring[T]) Push(v T) (evictedOldest bool) {
 	return false
 }
 
+// Peek returns the oldest element without removing it.
+func (r *Ring[T]) Peek() (v T, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n == 0 {
+		return v, false
+	}
+	return r.buf[r.start], true
+}
+
+// Pop removes and returns the oldest element.
+func (r *Ring[T]) Pop() (v T, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n == 0 {
+		return v, false
+	}
+	var zero T
+	v, r.buf[r.start] = r.buf[r.start], zero
+	r.start = (r.start + 1) % len(r.buf)
+	r.n--
+	return v, true
+}
+
 // Drain removes and returns all buffered elements, oldest first.
 func (r *Ring[T]) Drain() []T {
 	r.mu.Lock()

@@ -47,6 +47,14 @@ const Component = "mttr-pipeline"
 // tapBuffer is the journal-tap ring size, in events.
 const tapBuffer = 4096
 
+// parkedCap bounds the device events remembered in case something
+// joins their trace. One arrives per authenticated management command,
+// so their number is the request rate × ChainTimeout; the ones that
+// matter are joined within the same reaction (microseconds later), so
+// remembering the most recent few thousand loses nothing but the start
+// time of a chain that would have been late anyway.
+const parkedCap = 4096
+
 // Options configures a Tracker. The zero value is usable.
 type Options struct {
 	// Registry receives the MTTR metrics (Default when nil). Metric
@@ -64,6 +72,14 @@ type Options struct {
 	// nil); tests inject a FakeClock. Stage latencies do NOT use it —
 	// they come from the journal's own monotonic event offsets.
 	Clock resilience.Clock
+}
+
+// opener is a traced device event nothing has joined yet: what a chain
+// opened by it would need, and nothing more.
+type opener struct {
+	device   string
+	start    time.Duration // journal Mono of the device event
+	deadline time.Time     // tracker-clock expiry
 }
 
 // chain is one in-flight detect→enforce correlation.
@@ -107,9 +123,14 @@ type Tracker struct {
 	mUnescalated *telemetry.Counter
 	mCompleted   *telemetry.Counter
 
-	mu              sync.Mutex
-	chains          map[uint64]*chain
-	order           []uint64 // insertion order, for deterministic sweeps
+	mu     sync.Mutex
+	chains map[uint64]*chain
+	order  []uint64 // insertion order, for deterministic sweeps
+	// parked holds device events by trace until an anomaly, alert or
+	// stage joins one (it becomes a chain, starting where the device
+	// event did) or it expires or is overwritten (unescalated). Almost
+	// all of them are benign, so they cost a map slot, not a chain.
+	parked          *resilience.Recent[uint64, opener]
 	incompleteCount uint64
 	lastIncomplete  incompleteMark
 	lastEnforceMiss incompleteMark // missing stage beyond posture
@@ -156,6 +177,7 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 		chainTimeout: timeout,
 		healthHold:   4 * timeout,
 		chains:       make(map[uint64]*chain),
+		parked:       resilience.NewRecent[uint64, opener](parkedCap),
 	}
 	t.mStage = reg.NewHistogramVec("iotsec_mttr_stage_seconds",
 		"Per-stage detect→enforce latency, measured online from the journal tap (delta from the stage's causal predecessor).",
@@ -166,7 +188,7 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 	t.mIncomplete = reg.NewCounterVec("iotsec_mttr_incomplete_total",
 		"Chains that timed out before completing, by first missing canonical stage.", "missing_stage")
 	t.mUnescalated = reg.NewCounter("iotsec_mttr_unescalated_total",
-		"Device-event chains that expired without a posture: benign traffic the policy did not escalate, not an enforcement miss.")
+		"Device events that expired (or were overwritten by newer ones) without a posture: benign traffic the policy did not escalate, not an enforcement miss.")
 	t.mCompleted = reg.NewCounter("iotsec_mttr_complete_total",
 		"Chains that closed the detect→enforce loop.")
 	reg.RegisterCollector("slo-tracker", t.collect)
@@ -194,22 +216,32 @@ func (t *Tracker) handleLocked(e journal.Event) {
 		return
 	}
 	switch e.Type {
-	case journal.TypeAnomaly, journal.TypeAlert, journal.TypeDeviceEvent:
-		detection := e.Type != journal.TypeDeviceEvent
-		if c, ok := t.chains[e.TraceID]; ok {
-			// Keep the first detection of the chain; a detection joining
-			// a device event's chain makes it one that owes a posture.
-			c.benign = c.benign && !detection
+	case journal.TypeDeviceEvent:
+		if _, open := t.chains[e.TraceID]; open {
 			return
 		}
-		t.chains[e.TraceID] = &chain{
-			device:   e.Device,
-			benign:   !detection,
-			start:    e.Mono,
-			stages:   make(map[string]time.Duration, 4),
-			deadline: t.clock.Now().Add(t.chainTimeout),
+		if _, parked := t.parked.Get(e.TraceID); parked {
+			return // the first device event of the trace is its start
 		}
-		t.order = append(t.order, e.TraceID)
+		if t.parked.Put(e.TraceID, opener{
+			device:   e.Device,
+			start:    e.Mono,
+			deadline: t.clock.Now().Add(t.chainTimeout),
+		}) {
+			t.mUnescalated.Inc() // overwritten before anything joined it
+		}
+	case journal.TypeAnomaly, journal.TypeAlert:
+		if c, ok := t.chainLocked(e.TraceID); ok {
+			// Keep the first detection of the chain; a detection joining
+			// a device event's chain makes it one that owes a posture.
+			c.benign = false
+			return
+		}
+		t.openLocked(e.TraceID, &chain{
+			device:   e.Device,
+			start:    e.Mono,
+			deadline: t.clock.Now().Add(t.chainTimeout),
+		})
 	case journal.TypePosture:
 		t.stageLocked(e, StagePosture, "")
 	case journal.TypeFlowMod:
@@ -223,12 +255,36 @@ func (t *Tracker) handleLocked(e journal.Event) {
 	}
 }
 
+// openLocked starts tracking a chain.
+func (t *Tracker) openLocked(traceID uint64, c *chain) {
+	c.stages = make(map[string]time.Duration, 4)
+	t.chains[traceID] = c
+	t.order = append(t.order, traceID)
+}
+
+// chainLocked finds the trace's open chain, opening it from the parked
+// device event if that is all the tracker has seen of the trace so far:
+// the chain starts, and expires, when the device event would have.
+func (t *Tracker) chainLocked(traceID uint64) (*chain, bool) {
+	if c, ok := t.chains[traceID]; ok {
+		return c, true
+	}
+	o, ok := t.parked.Get(traceID)
+	if !ok {
+		return nil, false
+	}
+	t.parked.Delete(traceID)
+	c := &chain{device: o.device, benign: true, start: o.start, deadline: o.deadline}
+	t.openLocked(traceID, c)
+	return c, true
+}
+
 // stageLocked records the first occurrence of a stage as a delta from
 // its causal predecessor (falling back to the detection when the
 // predecessor was never seen, e.g. a flow-applied whose flow-mod event
 // was evicted from the tap).
 func (t *Tracker) stageLocked(e journal.Event, stage, pred string) {
-	c, ok := t.chains[e.TraceID]
+	c, ok := t.chainLocked(e.TraceID)
 	if !ok {
 		return // chain never started here (standing-quarantine re-applies, foreign traces)
 	}
@@ -283,9 +339,18 @@ func (t *Tracker) maybeCompleteLocked(traceID uint64) {
 
 // sweepLocked expires chains past their deadline, counting each under
 // its first missing canonical stage — except device-event chains that
-// never drew a posture, which are unescalated traffic.
+// never drew a posture, and parked device events nothing ever joined,
+// which are unescalated traffic.
 func (t *Tracker) sweepLocked() {
 	now := t.clock.Now()
+	for {
+		id, o, ok := t.parked.Oldest()
+		if !ok || o.deadline.After(now) {
+			break
+		}
+		t.parked.Delete(id)
+		t.mUnescalated.Inc()
+	}
 	var keep []uint64
 	for _, id := range t.order {
 		c, ok := t.chains[id]
@@ -335,7 +400,9 @@ func missingStage(c *chain) string {
 	return StageFlowApplied
 }
 
-// dropLocked removes a chain from both the map and the order list.
+// dropLocked removes a chain from both the map and the order list. The
+// scan is over chains something has joined — incidents in flight —
+// never over the benign device events, which stay parked.
 func (t *Tracker) dropLocked(traceID uint64) {
 	delete(t.chains, traceID)
 	for i, id := range t.order {
@@ -348,11 +415,8 @@ func (t *Tracker) dropLocked(traceID uint64) {
 
 // collect emits scrape-time series: in-flight chains and tap drops.
 func (t *Tracker) collect(emit func(name string, kind telemetry.Kind, help string, labels telemetry.Labels, value float64)) {
-	t.mu.Lock()
-	inflight := len(t.chains)
-	t.mu.Unlock()
 	emit("iotsec_mttr_inflight_chains", telemetry.KindGauge,
-		"Detect→enforce chains currently open in the tracker.", nil, float64(inflight))
+		"Detect→enforce chains currently open in the tracker, parked device events included.", nil, float64(t.Inflight()))
 	emit("iotsec_mttr_tap_dropped_total", telemetry.KindCounter,
 		"Journal-tap events evicted before the tracker drained them (drop-oldest).",
 		nil, float64(t.sub.Evicted()))
@@ -387,11 +451,12 @@ func (t *Tracker) RegisterHealth(h *telemetry.HealthRegistry) {
 	h.Register(Component, true, t.Health)
 }
 
-// Inflight reports open chains (tests).
+// Inflight reports open chains plus parked device events: every trace
+// the tracker is still holding state for.
 func (t *Tracker) Inflight() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.chains)
+	return len(t.chains) + t.parked.Len()
 }
 
 // Incomplete reports the total chains counted incomplete.

@@ -422,3 +422,89 @@ func TestTrackerLoopSweepsWithoutSync(t *testing.T) {
 	clk.Advance(time.Second)
 	waitFor(t, "the tick to expire it", func() bool { return tr.Incomplete() == 1 })
 }
+
+// TestBenignDeviceEventFloodStaysBounded: a data plane serving 100k
+// authenticated commands inside one ChainTimeout costs the tracker at
+// most ParkedCap remembered device events, not 100k chains — and every
+// one of them is still accounted for as unescalated, whether it expired
+// or was overwritten by a newer one.
+func TestBenignDeviceEventFloodStaysBounded(t *testing.T) {
+	clk := resilience.NewFakeClock(time.Unix(1000, 0))
+	j := journal.New(8192)
+	reg := telemetry.NewRegistry()
+	tr := slo.NewTracker(j, slo.Options{Registry: reg, Clock: clk})
+	defer tr.Close()
+
+	const n = 100_000
+	for i := 0; i < n; i++ {
+		j.RecordTrace(uint64(1000+i), journal.TypeDeviceEvent, journal.Debug, "cam", "command: STATUS")
+		if i%1024 == 1023 { // keep the 4,096-event tap from overflowing
+			tr.Sync()
+			if got := tr.Inflight(); got > slo.ParkedCap {
+				t.Fatalf("Inflight = %d after %d device events, want ≤ %d", got, i+1, slo.ParkedCap)
+			}
+		}
+	}
+	tr.Sync()
+	if got := tr.Inflight(); got != slo.ParkedCap {
+		t.Fatalf("Inflight = %d, want the %d most recent device events", got, slo.ParkedCap)
+	}
+	if v, _ := sample(reg, "iotsec_mttr_unescalated_total", "", nil); v != n-slo.ParkedCap {
+		t.Fatalf("unescalated_total = %v before any timeout, want the %d overwritten", v, n-slo.ParkedCap)
+	}
+	clk.Advance(6 * time.Second)
+	tr.Sync()
+	if got := tr.Inflight(); got != 0 {
+		t.Fatalf("Inflight = %d after the timeout, want 0", got)
+	}
+	if v, _ := sample(reg, "iotsec_mttr_unescalated_total", "", nil); v != n {
+		t.Fatalf("unescalated_total = %v, want every one of the %d device events", v, n)
+	}
+	if got := tr.Incomplete(); got != 0 {
+		t.Fatalf("Incomplete = %d, want 0", got)
+	}
+	if v, _ := sample(reg, "iotsec_mttr_tap_dropped_total", "", nil); v != 0 {
+		t.Fatalf("the tap dropped %v events: the test lost count, not the tracker", v)
+	}
+}
+
+// TestParkedDeviceEventStartsTheChain: when an anomaly — or, with no
+// detection at all, the posture itself — joins a parked device event's
+// trace, the chain that completes is measured from the device event,
+// not from whatever joined it.
+func TestParkedDeviceEventStartsTheChain(t *testing.T) {
+	const gap = 20 * time.Millisecond
+	for name, join := range map[string]func(j *journal.Journal, trace uint64){
+		"anomaly": func(j *journal.Journal, trace uint64) {
+			j.RecordTrace(trace, journal.TypeAnomaly, journal.Warn, "cam", "login failures")
+			j.RecordTrace(trace, journal.TypePosture, journal.Warn, "cam", "v3 isolate")
+		},
+		"posture": func(j *journal.Journal, trace uint64) {
+			j.RecordTrace(trace, journal.TypePosture, journal.Warn, "cam", "v3 isolate")
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			j := journal.New(256)
+			reg := telemetry.NewRegistry()
+			tr := slo.NewTracker(j, slo.Options{Registry: reg, ChainTimeout: time.Minute})
+			defer tr.Close()
+
+			j.RecordTrace(7, journal.TypeDeviceEvent, journal.Debug, "cam", "smoke: detected")
+			j.RecordTrace(8, journal.TypeDeviceEvent, journal.Debug, "cam", "command: STATUS")
+			time.Sleep(gap) // the journal stamps Mono from the wall clock: make the start tell
+			join(j, 7)
+			j.RecordTrace(7, journal.TypeMboxReconfig, journal.Info, "mb-cam", "pipeline rebuilt")
+			tr.Sync()
+
+			if v, _ := sample(reg, "iotsec_mttr_complete_total", "", nil); v != 1 {
+				t.Fatalf("complete_total = %v, want 1", v)
+			}
+			if sum, _ := sample(reg, "iotsec_mttr_e2e_seconds", "_sum", nil); sum < gap.Seconds() {
+				t.Fatalf("e2e = %gs, want ≥ %s: the chain did not start at the device event", sum, gap)
+			}
+			if got := tr.Inflight(); got != 1 {
+				t.Fatalf("Inflight = %d, want 1 (the other device event, still parked)", got)
+			}
+		})
+	}
+}

@@ -13,8 +13,9 @@ import (
 
 // buildFleetHierarchy makes n devices in shards of shardSize, each
 // device carrying one self-targeting local rule on its own "_attr"
-// env var (posture flips zero↔Block as the attr alternates a/b).
-func buildFleetHierarchy(n, shardSize int, sink PostureSink) (*Hierarchy, []string) {
+// env var (posture flips zero↔Block as the attr alternates a/b). extra
+// rules follow the per-device ones.
+func buildFleetHierarchy(n, shardSize int, sink PostureSink, extra ...policy.Rule) (*Hierarchy, []string) {
 	devs := make([]string, n)
 	for i := range devs {
 		devs[i] = fmt.Sprintf("dev%06d", i)
@@ -31,6 +32,9 @@ func buildFleetHierarchy(n, shardSize int, sink PostureSink) (*Hierarchy, []stri
 			Posture:    policy.Posture{BlockCommands: []string{"ON"}},
 			Priority:   5,
 		})
+	}
+	for _, r := range extra {
+		f.AddRule(r)
 	}
 	// Star edges within each block of shardSize keep blocks together.
 	var edges []InteractionEdge

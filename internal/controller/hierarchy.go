@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,15 @@ type reconciler struct {
 	fsm  *policy.FSM
 	sink PostureSink
 
-	mu           sync.Mutex
-	lastPostures map[string]string // device → posture key
+	mu sync.Mutex
+	// lastPostures is device → id of the posture last pushed. A policy
+	// has few distinct postures, so each device costs a map slot and the
+	// rendered keys are held once: postureKeys[id-1] is id's key and
+	// postureIDs inverts it. Id 0 is never assigned, so a device with no
+	// recorded posture differs from every posture.
+	lastPostures map[string]uint32
+	postureKeys  []string
+	postureIDs   map[string]uint32
 	// reconciled is the highest view version lastPostures reflects.
 	reconciled uint64
 	// deliverMu is taken before mu is released and held across the sink
@@ -36,6 +44,26 @@ type reconciler struct {
 	// stale posture never reaches the sink after the newer one that
 	// superseded it. A sink must not commit to the view delivering to it.
 	deliverMu sync.Mutex
+}
+
+// newReconciler builds a reconciler over a fresh view.
+func newReconciler(fsm *policy.FSM, sink PostureSink) reconciler {
+	return reconciler{
+		View: NewView(), fsm: fsm, sink: sink,
+		lastPostures: make(map[string]uint32),
+		postureIDs:   make(map[string]uint32),
+	}
+}
+
+// postureID interns a posture key. Callers hold r.mu.
+func (r *reconciler) postureID(key string) uint32 {
+	if id, ok := r.postureIDs[key]; ok {
+		return id
+	}
+	r.postureKeys = append(r.postureKeys, key)
+	id := uint32(len(r.postureKeys))
+	r.postureIDs[key] = id
+	return id
 }
 
 // reconcile recomputes all postures and pushes the deltas, reporting
@@ -62,10 +90,11 @@ func (r *reconciler) reconcile(ctx context.Context, version uint64) int {
 	var changed []change
 	for dev, p := range postures {
 		key := p.Key()
-		if r.lastPostures[dev] != key {
-			r.lastPostures[dev] = key
-			changed = append(changed, change{dev, p})
+		if id := r.lastPostures[dev]; id != 0 && r.postureKeys[id-1] == key {
+			continue
 		}
+		r.lastPostures[dev] = r.postureID(key)
+		changed = append(changed, change{dev, p})
 	}
 	r.deliverMu.Lock()
 	r.mu.Unlock()
@@ -85,8 +114,8 @@ func (r *reconciler) Postures() map[string]string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]string, len(r.lastPostures))
-	for dev, key := range r.lastPostures {
-		out[dev] = key
+	for dev, id := range r.lastPostures {
+		out[dev] = r.postureKeys[id-1]
 	}
 	return out
 }
@@ -98,7 +127,7 @@ func (r *reconciler) seedPostures(m map[string]string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for dev, key := range m {
-		r.lastPostures[dev] = key
+		r.lastPostures[dev] = r.postureID(key)
 	}
 }
 
@@ -110,10 +139,12 @@ type Global struct {
 
 	// commitTimes retains the commit wall-clock of recent versions so
 	// the enforcement layer can measure event→enforcement latency
-	// (Figure 2's end-to-end loop). Bounded to the last commitWindow
-	// versions.
+	// (Figure 2's end-to-end loop). Version v sits in slot v mod
+	// commitWindow until a later version takes the slot, so at most
+	// commitWindow versions are retained even when View.Restore jumps
+	// the version past ones never recorded.
 	commitMu    sync.Mutex
-	commitTimes map[uint64]time.Time
+	commitTimes []commitTime
 
 	recomputes atomic.Uint64
 	changes    atomic.Uint64
@@ -125,11 +156,17 @@ type Global struct {
 // commitWindow bounds Global's retained commit timestamps.
 const commitWindow = 4096
 
+// commitTime is one retained (version, commit wall-clock) pair.
+type commitTime struct {
+	version uint64
+	at      time.Time
+}
+
 // NewGlobal builds the global controller over a fresh view.
 func NewGlobal(fsm *policy.FSM, sink PostureSink) *Global {
 	g := &Global{
-		reconciler:  reconciler{View: NewView(), fsm: fsm, sink: sink, lastPostures: make(map[string]string)},
-		commitTimes: make(map[uint64]time.Time),
+		reconciler:  newReconciler(fsm, sink),
+		commitTimes: make([]commitTime, commitWindow),
 	}
 	g.View.Observe(func(ctx context.Context, c ViewChange) {
 		g.recordCommit(c.Version, c.When)
@@ -138,11 +175,11 @@ func NewGlobal(fsm *policy.FSM, sink PostureSink) *Global {
 	return g
 }
 
-// recordCommit retains a version's commit time (bounded window).
+// recordCommit retains a version's commit time, evicting the one
+// commitWindow versions older.
 func (g *Global) recordCommit(version uint64, when time.Time) {
 	g.commitMu.Lock()
-	g.commitTimes[version] = when
-	delete(g.commitTimes, version-commitWindow) // monotonic versions: evict the tail
+	g.commitTimes[version%commitWindow] = commitTime{version, when}
 	g.commitMu.Unlock()
 }
 
@@ -151,8 +188,11 @@ func (g *Global) recordCommit(version uint64, when time.Time) {
 func (g *Global) CommitTime(version uint64) (time.Time, bool) {
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
-	t, ok := g.commitTimes[version]
-	return t, ok
+	c := g.commitTimes[version%commitWindow]
+	if version == 0 || c.version != version {
+		return time.Time{}, false
+	}
+	return c.at, true
 }
 
 // reconcile runs the full policy and counts the work.
@@ -183,13 +223,13 @@ type Hierarchy struct {
 	// (zero = no modeling).
 	GlobalDelay time.Duration
 
-	// localVars[g] is the variable support a partition can resolve
-	// alone; globalVars is the remainder.
-	localRuleVars map[int]map[string]bool
-	globalVars    map[string]bool
+	// globalVars is the variable support of the rules no partition can
+	// resolve alone: events moving one escalate.
+	globalVars map[string]bool
 
-	// localRules retains each partition's delegated rule subset so a
-	// replacement local can be rebuilt after a failover.
+	// localRules holds each partition's delegated rule subset: the one
+	// copy its local FSM shares, and what a replacement local is rebuilt
+	// from after a failover.
 	localRules map[int][]policy.Rule
 
 	locals map[int]*Local
@@ -245,22 +285,26 @@ func NewHierarchy(fsm *policy.FSM, part *Partitioning, envLocality map[string]in
 // partition tier later). g must have been built over the same fsm.
 func NewHierarchyWithGlobal(g *Global, fsm *policy.FSM, part *Partitioning, envLocality map[string]int, sink PostureSink) *Hierarchy {
 	h := &Hierarchy{
-		Global:        g,
-		partitioning:  part,
-		fsm:           fsm,
-		sink:          sink,
-		localRuleVars: make(map[int]map[string]bool),
-		globalVars:    make(map[string]bool),
-		localRules:    make(map[int][]policy.Rule),
-		locals:        make(map[int]*Local),
-		adopted:       make(map[int]int),
+		Global:       g,
+		partitioning: part,
+		fsm:          fsm,
+		sink:         sink,
+		globalVars:   make(map[string]bool),
+		localRules:   make(map[int][]policy.Rule),
+		locals:       make(map[int]*Local),
+		adopted:      make(map[int]int),
 	}
 	// Expose the partition shape on the default registry; the fixed id
 	// means a rebuilt hierarchy replaces its predecessor's collector.
 	part.ExportTelemetry(nil, "hierarchy")
 
-	// Classify each rule.
-	localRules := make(map[int][]policy.Rule)
+	// Classify each rule: ruleGroup[i] is the partition rule i is
+	// delegated to, or -1 when it runs globally; runs[g] spans the
+	// indices of partition g's rules.
+	rules := fsm.Rules()
+	ruleGroup := make([]int32, len(rules))
+	type span struct{ first, last, n int }
+	runs := make(map[int]span)
 	varGroup := func(v string) (int, bool) {
 		if name, ok := strings.CutPrefix(v, "dev:"); ok {
 			g := part.GroupOf(name)
@@ -272,7 +316,7 @@ func NewHierarchyWithGlobal(g *Global, fsm *policy.FSM, part *Partitioning, envL
 		}
 		return 0, false
 	}
-	for _, r := range fsm.Rules() {
+	for i, r := range rules {
 		g := part.GroupOf(r.Device)
 		local := g >= 0
 		for _, c := range r.Conditions {
@@ -283,27 +327,38 @@ func NewHierarchyWithGlobal(g *Global, fsm *policy.FSM, part *Partitioning, envL
 			}
 		}
 		if local {
-			localRules[g] = append(localRules[g], r)
-			if h.localRuleVars[g] == nil {
-				h.localRuleVars[g] = make(map[string]bool)
+			ruleGroup[i] = int32(g)
+			s, seen := runs[g]
+			if !seen {
+				s.first = i
 			}
-			for _, c := range r.Conditions {
-				h.localRuleVars[g][c.Var] = true
-			}
+			s.last, s.n = i, s.n+1
+			runs[g] = s
 		} else {
+			ruleGroup[i] = -1
 			for _, c := range r.Conditions {
 				h.globalVars[c.Var] = true
 			}
 		}
 	}
+	// A partition whose rules sit contiguously in the policy (one built
+	// device by device, in partition order) shares that stretch of the
+	// policy's own array, capacity-clipped; any other gets one copy.
+	contiguous := func(s span) bool { return s.last-s.first+1 == s.n }
+	for g, s := range runs {
+		if contiguous(s) {
+			h.localRules[g] = rules[s.first : s.last+1 : s.last+1]
+		} else {
+			h.localRules[g] = make([]policy.Rule, 0, s.n)
+		}
+	}
+	for i, g := range ruleGroup {
+		if g >= 0 && !contiguous(runs[int(g)]) {
+			h.localRules[int(g)] = append(h.localRules[int(g)], rules[i])
+		}
+	}
 
-	// Build the local controllers. Each local FSM gets a *scoped*
-	// domain holding only its partition's devices and the env vars its
-	// rules reference: FSM.Lookup walks the whole domain to assign
-	// default postures, so sharing the fleet-wide domain would make
-	// every local reconcile O(fleet) instead of O(shard).
-	h.localRules = localRules
-	for g := range localRules {
+	for g := range h.localRules {
 		h.locals[g] = h.newLocalFor(g)
 	}
 	return h
@@ -311,32 +366,38 @@ func NewHierarchyWithGlobal(g *Global, fsm *policy.FSM, part *Partitioning, envL
 
 // newLocalFor builds a fresh local controller for one partition from
 // its retained rule subset — used both at construction and when a
-// replacement is rebuilt after a failover.
+// replacement is rebuilt after a failover. The local FSM shares the
+// subset and sees a domain restricted to the partition's devices and
+// the env vars its rules reference: FSM.Lookup walks the whole domain
+// to assign default postures, so the fleet-wide domain would make every
+// local reconcile O(fleet) instead of O(shard).
 func (h *Hierarchy) newLocalFor(g int) *Local {
 	rules := h.localRules[g]
-	scoped := policy.NewDomain()
-	if g >= 0 && g < len(h.partitioning.Groups) {
-		for _, dev := range h.partitioning.Groups[g] {
-			scoped.AddDevice(dev, h.fsm.Domain.DeviceContexts(dev)...)
-		}
+	devs, envVars := h.groupDevices(g), ruleEnvVars(rules)
+	scope := h.fsm.Domain.Restrict(devs, envVars)
+	local := &Local{Group: g, reconciler: newReconciler(policy.NewFSM(scope, rules...), h.sink)}
+	local.View.devNames, local.View.envNames = devs, envVars
+	local.View.Observe(func(ctx context.Context, c ViewChange) { local.reconcile(ctx, c.Version) })
+	return local
+}
+
+// ruleEnvVars lists the env vars (without the "env:" prefix) the rules'
+// conditions name, sorted and duplicate-free.
+func ruleEnvVars(rules []policy.Rule) []string {
+	n := 0
+	for _, r := range rules {
+		n += len(r.Conditions)
 	}
+	out := make([]string, 0, n)
 	for _, r := range rules {
 		for _, c := range r.Conditions {
 			if name, ok := strings.CutPrefix(c.Var, "env:"); ok {
-				scoped.AddEnvVar(name, h.fsm.Domain.EnvLevels(name)...)
+				out = append(out, name)
 			}
 		}
 	}
-	lf := policy.NewFSM(scoped)
-	for _, r := range rules {
-		lf.AddRule(r)
-	}
-	local := &Local{
-		Group:      g,
-		reconciler: reconciler{View: NewView(), fsm: lf, sink: h.sink, lastPostures: make(map[string]string)},
-	}
-	local.View.Observe(func(ctx context.Context, c ViewChange) { local.reconcile(ctx, c.Version) })
-	return local
+	slices.Sort(out)
+	return slices.Clip(slices.Compact(out))
 }
 
 // HandleDeviceEvent routes an event: the owning partition's local

@@ -43,19 +43,27 @@ func (p *Partitioning) SameGroup(a, b string) bool {
 
 // Partition greedily merges the heaviest edges first (Kruskal-style
 // with a size cap): devices joined by heavy interaction end up
-// together unless the group would exceed maxGroupSize.
+// together unless the group would exceed maxGroupSize. An edge naming a
+// device not in devices joins nothing.
 func Partition(devices []string, edges []InteractionEdge, maxGroupSize int) *Partitioning {
 	if maxGroupSize <= 0 {
 		maxGroupSize = 8
 	}
-	parent := make(map[string]string, len(devices))
-	size := make(map[string]int, len(devices))
-	for _, d := range devices {
-		parent[d] = d
-		size[d] = 1
+	// The union-find runs over device ordinals: assignment first maps
+	// each device to its ordinal and ends mapping it to its group, so
+	// set-up holds one string-keyed map, not three.
+	p := &Partitioning{assignment: make(map[string]int, len(devices))}
+	parent := make([]int32, len(devices))
+	size := make([]int32, len(devices))
+	for i, d := range devices {
+		parent[i], size[i] = int32(i), 1
+		if first, repeated := p.assignment[d]; repeated {
+			parent[i] = int32(first) // a repeated name is the same device
+			continue
+		}
+		p.assignment[d] = i
 	}
-	var find func(string) string
-	find = func(x string) string {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -63,31 +71,36 @@ func Partition(devices []string, edges []InteractionEdge, maxGroupSize int) *Par
 		return x
 	}
 
-	sorted := append([]InteractionEdge(nil), edges...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Weight > sorted[j].Weight })
+	order := make([]int32, len(edges))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return edges[order[i]].Weight > edges[order[j]].Weight })
 
-	for _, e := range sorted {
-		ra, rb := find(e.A), find(e.B)
-		if ra == rb {
+	for _, i := range order {
+		a, okA := p.assignment[edges[i].A]
+		b, okB := p.assignment[edges[i].B]
+		if !okA || !okB {
 			continue
 		}
-		if size[ra]+size[rb] > maxGroupSize {
+		ra, rb := find(int32(a)), find(int32(b))
+		if ra == rb || int(size[ra]+size[rb]) > maxGroupSize {
 			continue
 		}
 		parent[rb] = ra
 		size[ra] += size[rb]
 	}
 
-	groupIdx := make(map[string]int)
-	p := &Partitioning{assignment: make(map[string]int, len(devices))}
-	for _, d := range devices {
-		root := find(d)
-		idx, ok := groupIdx[root]
-		if !ok {
-			idx = len(p.Groups)
-			groupIdx[root] = idx
+	// Number the groups in order of first appearance, reusing size as
+	// root → group index + 1.
+	clear(size)
+	for i, d := range devices {
+		root := find(int32(i))
+		if size[root] == 0 {
 			p.Groups = append(p.Groups, nil)
+			size[root] = int32(len(p.Groups))
 		}
+		idx := int(size[root] - 1)
 		p.Groups[idx] = append(p.Groups[idx], d)
 		p.assignment[d] = idx
 	}

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -112,12 +113,13 @@ func (h *Hierarchy) rehome(ctx context.Context, group int, failGlobal bool, ck C
 		vars[k] = v
 	}
 	replayed := 0
+	inGroup := h.varInGroup(group)
 	for _, e := range journal.Default.Snapshot(journal.Filter{Type: journal.TypeViewChange}) {
 		if e.Seq <= ck.Seq {
 			continue
 		}
 		c, ok := parseViewChange(e.Detail)
-		if !ok || !h.varInGroup(c.Var, group) {
+		if !ok || !inGroup(c.Var) {
 			continue
 		}
 		vars[c.Var] = c.Value
@@ -219,20 +221,24 @@ func (h *Hierarchy) groupDevices(group int) []string {
 	return h.partitioning.Groups[group]
 }
 
-// varInGroup decides whether a view variable belongs to a partition's
-// recovery scope: its own devices' contexts, env vars its delegated
-// rules reference, and env vars its devices report.
-func (h *Hierarchy) varInGroup(varName string, group int) bool {
-	if name, ok := strings.CutPrefix(varName, "dev:"); ok {
-		return h.partitioning.GroupOf(name) == group
-	}
-	if name, ok := strings.CutPrefix(varName, "env:"); ok {
-		if h.localRuleVars[group][varName] {
-			return true
+// varInGroup returns the test of whether a view variable belongs to a
+// partition's recovery scope: its own devices' contexts, env vars its
+// delegated rules reference, and env vars its devices report. The
+// rule-referenced set is built once, here, from the retained rules.
+func (h *Hierarchy) varInGroup(group int) func(varName string) bool {
+	ruleVars := ruleEnvVars(h.localRules[group])
+	return func(varName string) bool {
+		if name, ok := strings.CutPrefix(varName, "dev:"); ok {
+			return h.partitioning.GroupOf(name) == group
 		}
-		if dev, ok := envVarReporter(name); ok {
-			return h.partitioning.GroupOf(dev) == group
+		if name, ok := strings.CutPrefix(varName, "env:"); ok {
+			if _, found := slices.BinarySearch(ruleVars, name); found {
+				return true
+			}
+			if dev, ok := envVarReporter(name); ok {
+				return h.partitioning.GroupOf(dev) == group
+			}
 		}
+		return false
 	}
-	return false
 }

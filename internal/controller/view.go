@@ -10,6 +10,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,6 +56,13 @@ type View struct {
 	env       map[string]string
 	observers []ViewObserver
 	failures  map[string]int
+
+	// devNames and envNames, when set, are sorted lists of the names the
+	// view expects (a local's partition devices and rule variables). A
+	// commit to a listed name keys the map with the list's string, so the
+	// view keeps no copy of its own. Every commit must: assigning to a
+	// string key stores the caller's string, even over an equal one.
+	devNames, envNames []string
 }
 
 // bruteForceThreshold flips a device to suspicious after this many
@@ -96,17 +104,26 @@ func (v *View) commitLocked(varName, value string) uint64 {
 		if string(v.contexts[name]) == value {
 			return 0
 		}
-		v.contexts[name] = policy.SecurityContext(value)
+		v.contexts[listed(v.devNames, name)] = policy.SecurityContext(value)
 	} else if name, ok := strings.CutPrefix(varName, "env:"); ok {
 		if v.env[name] == value {
 			return 0
 		}
-		v.env[name] = value
+		v.env[listed(v.envNames, name)] = value
 	} else {
 		return 0
 	}
 	v.version++
 	return v.version
+}
+
+// listed returns the sorted list's copy of name, or name itself when
+// the list lacks it.
+func listed(names []string, name string) string {
+	if i, ok := slices.BinarySearch(names, name); ok {
+		return names[i]
+	}
+	return name
 }
 
 // apply commits a change and notifies observers.

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -66,8 +67,13 @@ type FSM struct {
 	rules  []Rule
 }
 
-// NewFSM builds an empty policy over the domain.
-func NewFSM(d *Domain) *FSM { return &FSM{Domain: d} }
+// NewFSM builds a policy over the domain holding rules. It adopts the
+// rules slice rather than copying it, capacity-clipped so AddRule never
+// writes into the caller's array; the caller must not modify the rules
+// afterwards.
+func NewFSM(d *Domain, rules ...Rule) *FSM {
+	return &FSM{Domain: d, rules: slices.Clip(rules)}
+}
 
 // AddRule appends a rule.
 func (f *FSM) AddRule(r Rule) { f.rules = append(f.rules, r) }
@@ -80,7 +86,7 @@ func (f *FSM) Rules() []Rule { return f.rules }
 // winners merge. Devices with no matching rule get the zero (allow)
 // posture.
 func (f *FSM) Lookup(s State) map[string]Posture {
-	out := make(map[string]Posture, len(f.Domain.deviceContexts))
+	out := make(map[string]Posture, f.Domain.deviceCount())
 	type winner struct {
 		priority int
 		posture  Posture
@@ -99,13 +105,13 @@ func (f *FSM) Lookup(s State) map[string]Posture {
 			w.posture = w.posture.Merge(r.Posture)
 		}
 	}
-	for dev := range f.Domain.deviceContexts {
+	f.Domain.eachDevice(func(dev string) {
 		if w := best[dev]; w != nil {
 			out[dev] = w.posture
 		} else {
 			out[dev] = Posture{}
 		}
-	}
+	})
 	return out
 }
 

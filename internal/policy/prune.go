@@ -103,16 +103,15 @@ func (f *FSM) Compile(limit int) (*Compiled, PruneReport) {
 	}
 
 	// Projected domain: only referenced variables.
-	proj := NewDomain()
-	refSet := map[string]bool{}
+	var devs, envVars []string
 	for _, v := range report.ReferencedVars {
-		refSet[v] = true
 		if name, ok := strings.CutPrefix(v, "dev:"); ok {
-			proj.AddDevice(name, f.Domain.DeviceContexts(name)...)
+			devs = append(devs, name)
 		} else if name, ok := strings.CutPrefix(v, "env:"); ok {
-			proj.AddEnvVar(name, f.Domain.EnvLevels(name)...)
+			envVars = append(envVars, name)
 		}
 	}
+	proj := f.Domain.Restrict(devs, envVars)
 	report.IndependentStates = proj.StateCount()
 
 	c := &Compiled{

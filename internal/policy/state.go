@@ -12,7 +12,9 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -32,72 +34,217 @@ const (
 // operational attributes like alarm=on are modeled as environment
 // variables of the state space; they are world state just like
 // temperature.)
+//
+// A domain built by NewDomain owns its declarations. Each name maps to
+// a small index into the distinct context (or level) lists, so a fleet
+// whose devices share one context list stores that list once. A domain
+// built by Restrict owns nothing: it names a subset of its parent's
+// variables and reads their values from the parent.
 type Domain struct {
-	deviceContexts map[string][]SecurityContext
-	envLevels      map[string][]string
+	devices  map[string]uint32 // device → index into contexts
+	envVars  map[string]uint32 // variable → index into levels
+	contexts valueLists[SecurityContext]
+	levels   valueLists[string]
+
+	// parent is set on a restricted domain, which declares exactly
+	// scopeDevices and scopeEnvVars (sorted, duplicate-free, shared with
+	// whoever built them).
+	parent       *Domain
+	scopeDevices []string
+	scopeEnvVars []string
 }
+
+// defaultContexts is what AddDevice declares when given no contexts.
+var defaultContexts = []SecurityContext{ContextNormal, ContextSuspicious, ContextCompromised}
 
 // NewDomain returns an empty domain.
 func NewDomain() *Domain {
 	return &Domain{
-		deviceContexts: make(map[string][]SecurityContext),
-		envLevels:      make(map[string][]string),
+		devices: make(map[string]uint32),
+		envVars: make(map[string]uint32),
 	}
+}
+
+// Restrict returns a read-only domain declaring only the named devices
+// and environment variables, each with the values d gives it. A device
+// d does not declare gets the default contexts, as AddDevice would give
+// it; a variable d does not declare gets no levels. Nothing is copied
+// when a name list is already sorted and duplicate-free: the result
+// keeps that slice, so the caller must not modify it afterwards, and it
+// reads contexts and levels from d on every call. AddDevice and
+// AddEnvVar panic on the result.
+func (d *Domain) Restrict(devices, envVars []string) *Domain {
+	return &Domain{parent: d, scopeDevices: sortedSet(devices), scopeEnvVars: sortedSet(envVars)}
+}
+
+// sortedSet returns names itself, capacity-clipped, when it is sorted
+// and duplicate-free, and a sorted duplicate-free copy otherwise.
+func sortedSet(names []string) []string {
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			sorted := slices.Clone(names)
+			slices.Sort(sorted)
+			return slices.Clip(slices.Compact(sorted))
+		}
+	}
+	return slices.Clip(names)
+}
+
+// inScope reports whether a sorted name list holds name.
+func inScope(names []string, name string) bool {
+	_, ok := slices.BinarySearch(names, name)
+	return ok
 }
 
 // AddDevice declares a device and its possible security contexts
 // (default: normal/suspicious/compromised if none given).
 func (d *Domain) AddDevice(name string, contexts ...SecurityContext) {
-	if len(contexts) == 0 {
-		contexts = []SecurityContext{ContextNormal, ContextSuspicious, ContextCompromised}
+	if d.parent != nil {
+		panic("policy: AddDevice on a restricted domain")
 	}
-	d.deviceContexts[name] = contexts
+	if len(contexts) == 0 {
+		contexts = defaultContexts
+	}
+	d.devices[name] = d.contexts.intern(contexts)
 }
 
 // AddEnvVar declares an environment variable and its levels.
 func (d *Domain) AddEnvVar(name string, levels ...string) {
-	d.envLevels[name] = levels
+	if d.parent != nil {
+		panic("policy: AddEnvVar on a restricted domain")
+	}
+	d.envVars[name] = d.levels.intern(levels)
+}
+
+// eachDevice calls fn with every declared device, in no fixed order.
+func (d *Domain) eachDevice(fn func(name string)) {
+	if d.parent != nil {
+		for _, name := range d.scopeDevices {
+			fn(name)
+		}
+		return
+	}
+	for name := range d.devices {
+		fn(name)
+	}
+}
+
+// eachEnvVar calls fn with every declared environment variable, in no
+// fixed order.
+func (d *Domain) eachEnvVar(fn func(name string)) {
+	if d.parent != nil {
+		for _, name := range d.scopeEnvVars {
+			fn(name)
+		}
+		return
+	}
+	for name := range d.envVars {
+		fn(name)
+	}
+}
+
+// deviceCount reports how many devices the domain declares.
+func (d *Domain) deviceCount() int {
+	if d.parent != nil {
+		return len(d.scopeDevices)
+	}
+	return len(d.devices)
 }
 
 // Devices lists declared devices, sorted.
 func (d *Domain) Devices() []string {
-	out := make([]string, 0, len(d.deviceContexts))
-	for k := range d.deviceContexts {
-		out = append(out, k)
-	}
+	out := make([]string, 0, d.deviceCount())
+	d.eachDevice(func(name string) { out = append(out, name) })
 	sort.Strings(out)
 	return out
 }
 
 // EnvVars lists declared environment variables, sorted.
 func (d *Domain) EnvVars() []string {
-	out := make([]string, 0, len(d.envLevels))
-	for k := range d.envLevels {
-		out = append(out, k)
-	}
+	out := make([]string, 0)
+	d.eachEnvVar(func(name string) { out = append(out, name) })
 	sort.Strings(out)
 	return out
 }
 
-// DeviceContexts returns a device's context domain.
+// DeviceContexts returns a device's context domain (nil when the
+// domain does not declare the device). Devices declared with the same
+// contexts share the returned slice: it is capacity-clipped, so an
+// append copies, and it must not be modified in place.
 func (d *Domain) DeviceContexts(name string) []SecurityContext {
-	return d.deviceContexts[name]
+	if d.parent != nil {
+		if !inScope(d.scopeDevices, name) {
+			return nil
+		}
+		if cs := d.parent.DeviceContexts(name); cs != nil {
+			return cs
+		}
+		return defaultContexts
+	}
+	i, ok := d.devices[name]
+	if !ok {
+		return nil
+	}
+	return d.contexts.lists[i]
 }
 
-// EnvLevels returns a variable's level domain.
-func (d *Domain) EnvLevels(name string) []string { return d.envLevels[name] }
+// EnvLevels returns a variable's level domain (nil when the domain does
+// not declare it). Like DeviceContexts, the slice is shared and
+// capacity-clipped: read it, do not modify it.
+func (d *Domain) EnvLevels(name string) []string {
+	if d.parent != nil {
+		if !inScope(d.scopeEnvVars, name) {
+			return nil
+		}
+		return d.parent.EnvLevels(name)
+	}
+	i, ok := d.envVars[name]
+	if !ok {
+		return nil
+	}
+	return d.levels.lists[i]
+}
 
 // StateCount is the size of the full product space |S| = ∏|Ci|×∏|Ej| —
 // the combinatorial explosion of §3.2.
 func (d *Domain) StateCount() float64 {
 	count := 1.0
-	for _, cs := range d.deviceContexts {
-		count *= float64(len(cs))
-	}
-	for _, ls := range d.envLevels {
-		count *= float64(len(ls))
-	}
+	d.eachDevice(func(name string) { count *= float64(len(d.DeviceContexts(name))) })
+	d.eachEnvVar(func(name string) { count *= float64(len(d.EnvLevels(name))) })
 	return count
+}
+
+// valueLists keeps one backing array per distinct value list, so a
+// domain pays for a list once however many names declare it.
+type valueLists[T ~string] struct {
+	lists [][]T
+	index map[string]uint32 // encoded list → position in lists
+}
+
+// intern returns the position of vals' list, adding a copy of it when
+// it is new.
+func (v *valueLists[T]) intern(vals []T) uint32 {
+	// Declarations come in runs with the same values: check the newest
+	// list before encoding a key.
+	if n := len(v.lists); n > 0 && slices.Equal(v.lists[n-1], vals) {
+		return uint32(n - 1)
+	}
+	var key strings.Builder
+	for _, s := range vals {
+		key.WriteString(strconv.Itoa(len(s)))
+		key.WriteByte(':')
+		key.WriteString(string(s))
+	}
+	if i, ok := v.index[key.String()]; ok {
+		return i
+	}
+	if v.index == nil {
+		v.index = make(map[string]uint32)
+	}
+	i := uint32(len(v.lists))
+	v.lists = append(v.lists, slices.Clip(slices.Clone(vals)))
+	v.index[key.String()] = i
+	return i
 }
 
 // State is one point of the product space.
@@ -166,16 +313,16 @@ func (d *Domain) DefaultState() State { return d.defaultState() }
 // value, used to complete example states in conflict reports.
 func (d *Domain) defaultState() State {
 	s := NewState()
-	for dev, ctxs := range d.deviceContexts {
-		if len(ctxs) > 0 {
+	d.eachDevice(func(dev string) {
+		if ctxs := d.DeviceContexts(dev); len(ctxs) > 0 {
 			s.Contexts[dev] = ctxs[0]
 		}
-	}
-	for v, levels := range d.envLevels {
-		if len(levels) > 0 {
+	})
+	d.eachEnvVar(func(v string) {
+		if levels := d.EnvLevels(v); len(levels) > 0 {
 			s.Env[v] = levels[0]
 		}
-	}
+	})
 	return s
 }
 
@@ -190,14 +337,15 @@ func (d *Domain) EnumerateStates(limit int, fn func(State) bool) (visited int, c
 	}
 	var vars []variable
 	for _, dev := range d.Devices() {
-		vals := make([]string, len(d.deviceContexts[dev]))
-		for i, c := range d.deviceContexts[dev] {
+		ctxs := d.DeviceContexts(dev)
+		vals := make([]string, len(ctxs))
+		for i, c := range ctxs {
 			vals[i] = string(c)
 		}
 		vars = append(vars, variable{isDevice: true, name: dev, values: vals})
 	}
 	for _, ev := range d.EnvVars() {
-		vars = append(vars, variable{name: ev, values: d.envLevels[ev]})
+		vars = append(vars, variable{name: ev, values: d.EnvLevels(ev)})
 	}
 
 	idx := make([]int, len(vars))

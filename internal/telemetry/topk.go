@@ -17,20 +17,17 @@ import (
 //
 // Offer takes a mutex: TopK sits on shard-local control paths (one
 // lock per device event, uncontended across shards), not the per-
-// packet data path. The maximum Offer cost is an O(K) min scan on
-// eviction; K is small by design (the cardinality budget, default 16).
+// packet data path. The entries live in one slice of at most K, found
+// by a linear scan: K is small by design (the cardinality budget,
+// default 16), and a fleet holds three summaries per shard, so their
+// footprint matters more than a map's constant-time probe.
 type TopK struct {
 	meta
 	k int
 
 	mu      sync.Mutex
-	entries map[string]*topkCount
+	entries []TopKEntry // allocated at capacity k on first Offer
 	offers  uint64
-}
-
-type topkCount struct {
-	count uint64
-	err   uint64
 }
 
 // DefaultTopKCapacity is the cardinality budget used when a
@@ -43,7 +40,7 @@ func NewStandaloneTopK(k int) *TopK {
 	if k <= 0 {
 		k = DefaultTopKCapacity
 	}
-	return &TopK{k: k, entries: make(map[string]*topkCount, k)}
+	return &TopK{k: k}
 }
 
 // NewTopK registers a TopK on Default.
@@ -68,30 +65,31 @@ func (t *TopK) Offer(key string, n uint64) {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.offers += n
-	if e, ok := t.entries[key]; ok {
-		e.count += n
-		t.mu.Unlock()
-		return
+	for i := range t.entries {
+		if t.entries[i].Key == key {
+			t.entries[i].Count += n
+			return
+		}
 	}
 	if len(t.entries) < t.k {
-		t.entries[key] = &topkCount{count: n}
-		t.mu.Unlock()
+		if t.entries == nil {
+			t.entries = make([]TopKEntry, 0, t.k)
+		}
+		t.entries = append(t.entries, TopKEntry{Key: key, Count: n})
 		return
 	}
 	// Space-saving eviction: replace the minimum, inheriting its count
 	// as the newcomer's overestimation bound.
-	var minKey string
-	var minCount uint64
-	first := true
-	for k2, e := range t.entries {
-		if first || e.count < minCount || (e.count == minCount && k2 < minKey) {
-			minKey, minCount, first = k2, e.count, false
+	m := 0
+	for i, e := range t.entries {
+		if e.Count < t.entries[m].Count || (e.Count == t.entries[m].Count && e.Key < t.entries[m].Key) {
+			m = i
 		}
 	}
-	delete(t.entries, minKey)
-	t.entries[key] = &topkCount{count: minCount + n, err: minCount}
-	t.mu.Unlock()
+	minCount := t.entries[m].Count
+	t.entries[m] = TopKEntry{Key: key, Count: minCount + n, Err: minCount}
 }
 
 // Inc records one occurrence of key.
@@ -119,20 +117,23 @@ func (t *TopK) Offers() uint64 {
 func (t *TopK) Decay() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for k, e := range t.entries {
-		e.count /= 2
-		e.err /= 2
-		if e.count == 0 {
-			delete(t.entries, k)
+	kept := t.entries[:0]
+	for _, e := range t.entries {
+		e.Count /= 2
+		e.Err /= 2
+		if e.Count > 0 {
+			kept = append(kept, e)
 		}
 	}
+	clear(t.entries[len(kept):]) // drop the evicted keys' strings
+	t.entries = kept
 }
 
 // Reset forgets everything.
 func (t *TopK) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries = make(map[string]*topkCount, t.k)
+	t.entries = nil
 	t.offers = 0
 }
 
@@ -140,10 +141,7 @@ func (t *TopK) Reset() {
 // ascending on ties, so output is deterministic).
 func (t *TopK) Snapshot() TopKRollup {
 	t.mu.Lock()
-	out := TopKRollup{K: t.k, Offers: t.offers, Entries: make([]TopKEntry, 0, len(t.entries))}
-	for k, e := range t.entries {
-		out.Entries = append(out.Entries, TopKEntry{Key: k, Count: e.count, Err: e.err})
-	}
+	out := TopKRollup{K: t.k, Offers: t.offers, Entries: append(make([]TopKEntry, 0, len(t.entries)), t.entries...)}
 	t.mu.Unlock()
 	sortTopK(out.Entries)
 	return out
@@ -189,23 +187,23 @@ func MergeTopK(k int, ins ...TopKRollup) TopKRollup {
 	if k <= 0 {
 		k = DefaultTopKCapacity
 	}
-	sum := make(map[string]*topkCount)
+	at := make(map[string]int) // key → position in out.Entries
 	out := TopKRollup{K: k}
 	for _, in := range ins {
 		out.Offers += in.Offers
 		for _, e := range in.Entries {
-			c := sum[e.Key]
-			if c == nil {
-				c = &topkCount{}
-				sum[e.Key] = c
+			i, ok := at[e.Key]
+			if !ok {
+				i = len(out.Entries)
+				at[e.Key] = i
+				out.Entries = append(out.Entries, TopKEntry{Key: e.Key})
 			}
-			c.count += e.Count
-			c.err += e.Err
+			out.Entries[i].Count += e.Count
+			out.Entries[i].Err += e.Err
 		}
 	}
-	out.Entries = make([]TopKEntry, 0, len(sum))
-	for key, c := range sum {
-		out.Entries = append(out.Entries, TopKEntry{Key: key, Count: c.count, Err: c.err})
+	if out.Entries == nil {
+		out.Entries = []TopKEntry{}
 	}
 	sortTopK(out.Entries)
 	if len(out.Entries) > k {

@@ -41,8 +41,6 @@ func main() {
 		"southbound heartbeat probe interval (<=0 disables liveness probing)")
 	sbReconnectMax := flag.Duration("sb-reconnect-max", 5*time.Second,
 		"cap on the switch agent's exponential reconnect backoff")
-	sbFailMode := flag.String("sb-fail-mode", "static",
-		"southbound degradation while disconnected: static (serve installed table, buffer events) or closed (drop table-miss traffic)")
 	sigrepoAddr := flag.String("sigrepo-addr", "",
 		"crowdsourced signature repository address (empty = crowd learning disabled)")
 	sigrepoIdentity := flag.String("sigrepo-identity", "gateway",
@@ -61,8 +59,6 @@ func main() {
 		"error-budget multiplier per window: budget = (1-quantile)*factor of chains may miss the objective")
 	sloChainTimeout := flag.Duration("slo-chain-timeout", 5*time.Second,
 		"how long a detect→enforce chain may stay open before it counts as incomplete")
-	sloEscalate := flag.Bool("slo-escalate", false,
-		"on sustained SLO burn, escalate all µmbox pipelines to fail-closed (restored when the burn clears)")
 	ctrlHeartbeat := flag.Duration("ctrl-heartbeat", 0,
 		"supervise partition-local controllers with this deadman heartbeat period (0 = supervision disabled)")
 	ctrlCheckpoint := flag.Duration("ctrl-checkpoint", 2*time.Second,
@@ -88,12 +84,6 @@ func main() {
 	forensicsSegmentBytes := flag.Int64("forensics-segment-bytes", 0,
 		"incident store segment rotation threshold in bytes (0 = default 4MiB)")
 	flag.Parse()
-
-	failMode, err := netsim.ParseFailMode(*sbFailMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotsecd: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *journalCap > 0 {
 		// Replace the process-wide ring before anything journals to it.
@@ -136,32 +126,21 @@ func main() {
 			OnBurn: func(ev slo.Evaluation) {
 				fmt.Fprintf(os.Stderr, "iotsecd: SLO burn: window p%g=%s (%d/%d violating)\n",
 					*sloQuantile*100, ev.Quantile, ev.OverTarget+ev.Incomplete, ev.Total)
-				if *sloEscalate {
-					n := p.EscalateFailMode("SLO burn: " + ev.Quantile.String() + " over objective")
-					fmt.Fprintf(os.Stderr, "iotsecd: escalated %d pipeline(s) to fail-closed\n", n)
-				}
 			},
 			OnRecover: func(ev slo.Evaluation) {
 				fmt.Fprintf(os.Stderr, "iotsecd: SLO burn cleared (window p%g=%s)\n", *sloQuantile*100, ev.Quantile)
-				if *sloEscalate {
-					p.DeescalateFailMode("SLO burn cleared")
-				}
 			},
 		})
 		watchdog.Start()
 		defer watchdog.Stop()
-		fmt.Printf("iotsecd: SLO watchdog armed: %s%s\n",
-			watchdog.Objectives(), map[bool]string{true: " (escalating)", false: ""}[*sloEscalate])
+		fmt.Printf("iotsecd: SLO watchdog armed: %s\n", watchdog.Objectives())
 	}
 
 	if *sbAddr != "" {
 		sb, err := p.AttachSouthbound(core.SouthboundOptions{
 			Addr:              *sbAddr,
 			HeartbeatInterval: *sbHeartbeat,
-			Agent: netsim.AgentOptions{
-				FailMode: failMode,
-				Backoff:  resilience.BackoffOptions{Cap: *sbReconnectMax},
-			},
+			Agent:             netsim.AgentOptions{Backoff: resilience.BackoffOptions{Cap: *sbReconnectMax}},
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "iotsecd: southbound: %v\n", err)
@@ -169,7 +148,7 @@ func main() {
 		}
 		defer sb.Close()
 		sb.RegisterHealth(telemetry.Default.Health())
-		fmt.Printf("iotsecd: southbound on %s (heartbeat %s, fail-%s)\n", sb.Addr, *sbHeartbeat, failMode)
+		fmt.Printf("iotsecd: southbound on %s (heartbeat %s)\n", sb.Addr, *sbHeartbeat)
 	}
 
 	if *sigrepoAddr != "" {
@@ -242,10 +221,7 @@ func main() {
 
 	var plane *core.ProfilePlane
 	if *profileLearnWindow > 0 || *profileEnforce {
-		plane = p.EnableProfiles(core.ProfileOptions{
-			Enforce:  *profileEnforce,
-			Lockdown: *profileEnforce,
-		})
+		plane = p.EnableProfiles(core.ProfileOptions{Enforce: *profileEnforce})
 		plane.RegisterHealth(telemetry.Default.Health())
 		if *profileEnforce {
 			fmt.Println("iotsecd: profile enforcement armed (deny-by-default + rogue lockdown)")

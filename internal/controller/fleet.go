@@ -60,8 +60,7 @@ type ShardStats struct {
 	topViolators *telemetry.TopK
 	topMTTR      *telemetry.TopK
 
-	devices   atomic.Int64
-	unhealthy atomic.Bool
+	devices atomic.Int64
 
 	skuMu      sync.Mutex
 	skuDevices map[string]float64
@@ -91,12 +90,7 @@ func NewShardStats(source string, bounds []float64) *ShardStats {
 		AddTopK(RollupTopViolators, s.topViolators).
 		AddTopK(RollupTopMTTR, s.topMTTR).
 		AddGauge(RollupDevices, func() float64 { return float64(s.devices.Load()) }).
-		AddGauge(RollupHealthy, func() float64 {
-			if s.unhealthy.Load() {
-				return 0
-			}
-			return 1
-		})
+		AddGauge(RollupHealthy, func() float64 { return 1 })
 	return s
 }
 
@@ -148,9 +142,6 @@ func (s *ShardStats) SetSKUDevices(counts map[string]int) {
 	}
 	s.skuMu.Unlock()
 }
-
-// SetHealthy flips the shard's health gauge.
-func (s *ShardStats) SetHealthy(ok bool) { s.unhealthy.Store(!ok) }
 
 // Rollup exports the delta since the previous Rollup (single-consumer;
 // the rollup plane's pusher goroutine is that consumer).
@@ -231,6 +222,27 @@ func NewFleetAggregator(staleAfter time.Duration) *FleetAggregator {
 // SetClock overrides the staleness clock (tests).
 func (f *FleetAggregator) SetClock(now func() time.Time) { f.now = now }
 
+// newShardAgg builds an empty shard row.
+func newShardAgg() *shardAgg {
+	return &shardAgg{
+		counters: make(map[string]uint64),
+		gauges:   make(map[string]float64),
+		hists:    make(map[string]telemetry.HistogramRollup),
+		topk:     make(map[string]telemetry.TopKRollup),
+	}
+}
+
+// shardLocked returns source's row, creating it on first sight.
+// Caller holds f.mu.
+func (f *FleetAggregator) shardLocked(source string) *shardAgg {
+	sh := f.shards[source]
+	if sh == nil {
+		sh = newShardAgg()
+		f.shards[source] = sh
+	}
+	return sh
+}
+
 // Report merges one shard rollup. Rollups must arrive per-source in
 // sequence order; a rollup whose Seq is not greater than the last
 // applied one from the same source is dropped (idempotent re-push). A
@@ -242,16 +254,7 @@ func (f *FleetAggregator) Report(r telemetry.Rollup) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	sh := f.shards[r.Source]
-	if sh == nil {
-		sh = &shardAgg{
-			counters: make(map[string]uint64),
-			gauges:   make(map[string]float64),
-			hists:    make(map[string]telemetry.HistogramRollup),
-			topk:     make(map[string]telemetry.TopKRollup),
-		}
-		f.shards[r.Source] = sh
-	}
+	sh := f.shardLocked(r.Source)
 	if r.Seq <= sh.lastSeq {
 		f.dupReports.Add(1)
 		return nil
@@ -295,16 +298,7 @@ func (f *FleetAggregator) Report(r telemetry.Rollup) error {
 func (f *FleetAggregator) SetShardFailover(source, rehomedTo string, at time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	sh := f.shards[source]
-	if sh == nil {
-		sh = &shardAgg{
-			counters: make(map[string]uint64),
-			gauges:   make(map[string]float64),
-			hists:    make(map[string]telemetry.HistogramRollup),
-			topk:     make(map[string]telemetry.TopKRollup),
-		}
-		f.shards[source] = sh
-	}
+	sh := f.shardLocked(source)
 	sh.failedOver = true
 	sh.rehomedTo = rehomedTo
 	sh.recoveredAt = at

@@ -3,7 +3,6 @@ package controller
 import (
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -133,12 +132,12 @@ type FleetIncidentsJSON struct {
 // trace=<id> the assembled cross-shard timeline.
 func (f *FleetAggregator) IncidentsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if s := req.URL.Query().Get("trace"); s != "" {
-			traceID, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad trace parameter: "+s, http.StatusBadRequest)
-				return
-			}
+		traceID, err := journal.ParseTrace(req.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if traceID != 0 {
 			telemetry.WriteJSON(w, f.AssembleTimeline(traceID))
 			return
 		}

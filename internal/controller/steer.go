@@ -515,17 +515,6 @@ func (s *Steering) RemoveRuleSet(ctx context.Context, name string) {
 	}
 }
 
-// RuleSetNames lists installed rule sets.
-func (s *Steering) RuleSetNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.ruleSets))
-	for name := range s.ruleSets {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Isolated reports whether the named device is currently quarantined.
 func (s *Steering) Isolated(name string) bool {
 	s.mu.Lock()

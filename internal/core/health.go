@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"iotsec/internal/journal"
-	"iotsec/internal/mbox"
 	"iotsec/internal/telemetry"
 )
 
@@ -46,8 +43,8 @@ func (p *Platform) RegisterHealth(h *telemetry.HealthRegistry) {
 // RegisterHealth registers the southbound channel's two halves:
 //
 //   - "southbound" (critical): the switch agent's supervised session.
-//     Degraded while redialing (the switch serves its installed table
-//     per fail mode); Down when the supervisor has given up (reconnect
+//     Degraded while redialing (the switch serves its installed
+//     table); Down when the supervisor has given up (reconnect
 //     budget exhausted) — the link will not heal on its own.
 //   - "controller-steering" (critical): the controller side. Down when
 //     zero switch sessions are connected — a quarantine FLOW_MOD
@@ -71,63 +68,4 @@ func (s *Southbound) RegisterHealth(h *telemetry.HealthRegistry) {
 // advisory, local enforcement works without them).
 func (c *CrowdLink) RegisterHealth(h *telemetry.HealthRegistry, identity string) {
 	c.mc.RegisterHealth(h, identity, false)
-}
-
-// EscalateFailMode forces every launched µmbox pipeline to
-// fail-closed — the SLO watchdog's escalation path: when the
-// detect→enforce loop is demonstrably too slow, an element failure
-// must drop traffic rather than forward it uninspected, because the
-// compensating enforcement may not arrive in time. The per-pipeline
-// stance in effect at escalation time is snapshotted so
-// DeescalateFailMode restores exactly the operator's configuration.
-// Idempotent while escalated. The transition is journaled on a fresh
-// trace so forensic timelines show what the burn changed. Returns how
-// many pipelines switched.
-func (p *Platform) EscalateFailMode(reason string) int {
-	p.mu.Lock()
-	if p.failModeSnapshot == nil {
-		snap := make(map[string]mbox.FailMode)
-		for _, name := range p.Manager.Instances() {
-			if inst, ok := p.Manager.Instance(name); ok {
-				snap[name] = inst.Mbox.Pipeline().FailMode()
-			}
-		}
-		p.failModeSnapshot = snap
-	}
-	p.mu.Unlock()
-	n := p.Manager.SetFailModeAll(mbox.FailClosed)
-	ctx, span := telemetry.StartSpan(context.Background(), "core.escalate_fail_mode")
-	journal.Record(ctx, journal.TypeMboxReconfig, journal.Warn, "",
-		fmt.Sprintf("fail-mode escalated to closed on %d pipeline(s): %s", n, reason))
-	span.End()
-	return n
-}
-
-// DeescalateFailMode restores the fail modes captured at escalation
-// (pipelines launched during the episode keep fail-closed, the safe
-// stance they were born with). No-op when not escalated.
-func (p *Platform) DeescalateFailMode(reason string) int {
-	p.mu.Lock()
-	snap := p.failModeSnapshot
-	p.failModeSnapshot = nil
-	p.mu.Unlock()
-	if snap == nil {
-		return 0
-	}
-	n := 0
-	for name, mode := range snap {
-		inst, ok := p.Manager.Instance(name)
-		if !ok {
-			continue
-		}
-		if pl := inst.Mbox.Pipeline(); pl.FailMode() != mode {
-			pl.SetFailMode(mode)
-			n++
-		}
-	}
-	ctx, span := telemetry.StartSpan(context.Background(), "core.deescalate_fail_mode")
-	journal.Record(ctx, journal.TypeMboxReconfig, journal.Info, "",
-		fmt.Sprintf("fail-mode restored on %d pipeline(s): %s", n, reason))
-	span.End()
-	return n
 }

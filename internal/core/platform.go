@@ -48,8 +48,6 @@ type Options struct {
 	// Policy is the FSM; nil installs an empty (allow-all) policy
 	// over an empty domain.
 	Policy *policy.FSM
-	// Platform selects the µmbox boot model (default micro-VM).
-	Platform mbox.PlatformKind
 	// BootTimeScale compresses modeled boot latency in tests
 	// (default 0.01).
 	BootTimeScale float64
@@ -100,11 +98,6 @@ type Platform struct {
 	envLocality  map[string]int
 	supervisor   *controller.Supervisor
 
-	// failModeSnapshot remembers per-pipeline fail modes captured when
-	// the SLO watchdog escalated, so de-escalation restores exactly
-	// what the operator had configured (nil = not escalated).
-	failModeSnapshot map[string]mbox.FailMode
-
 	// profilePlane, when enabled, drives behavior-profile learning,
 	// enforcement and rogue detection; hostMACs remembers hosts
 	// attached before the plane existed (lockdown whitelist).
@@ -142,9 +135,6 @@ type Managed struct {
 func New(opts Options) (*Platform, error) {
 	if opts.Policy == nil {
 		opts.Policy = policy.NewFSM(policy.NewDomain())
-	}
-	if opts.Platform == "" {
-		opts.Platform = mbox.PlatformMicroVM
 	}
 	if opts.BootTimeScale == 0 {
 		opts.BootTimeScale = 0.01
@@ -256,7 +246,7 @@ func (p *Platform) AddDevice(d *device.Device) (*Managed, error) {
 	d.BindEnvironment(p.Env)
 	d.SetEventSink(func(e device.Event) { p.ReportDeviceEvent(e) })
 
-	inst, err := p.Manager.Launch(context.Background(), "mb-"+d.Name, p.opts.Platform, mbox.NewPipeline(&mbox.Logger{}))
+	inst, err := p.Manager.Launch(context.Background(), "mb-"+d.Name, mbox.PlatformMicroVM, mbox.NewPipeline(&mbox.Logger{}))
 	if err != nil {
 		return nil, fmt.Errorf("core: launching µmbox for %s: %w", d.Name, err)
 	}

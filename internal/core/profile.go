@@ -17,14 +17,10 @@ import (
 type ProfileOptions struct {
 	// Enforce pushes compiled deny-by-default rules automatically:
 	// when a device registers whose SKU already has a profile, and
-	// whenever a profile lands or changes.
+	// whenever a profile lands or changes. Enforcement implies rogue
+	// lockdown: any unregistered MAC that sources traffic is
+	// quarantined.
 	Enforce bool
-	// Lockdown quarantines any unregistered MAC that sources traffic
-	// (rogue device join).
-	Lockdown bool
-	// RateHeadroom tunes the learner's envelope multiplier
-	// (default 4).
-	RateHeadroom float64
 }
 
 // ProfilePlane is the platform-side driver of the profile subsystem:
@@ -63,11 +59,8 @@ func (p *Platform) EnableProfiles(opts ProfileOptions) *ProfilePlane {
 	pl.engine = profile.NewEngine(profile.Options{
 		OnViolation: pl.onViolation,
 		OnRogue:     pl.onRogue,
-		Lockdown:    opts.Lockdown,
+		Lockdown:    opts.Enforce,
 	})
-	if opts.RateHeadroom > 0 {
-		pl.engine.Learner().RateHeadroom = opts.RateHeadroom
-	}
 	p.profilePlane = pl
 	devices := make([]*Managed, 0, len(p.devices))
 	for _, m := range p.devices {

@@ -38,7 +38,7 @@ func profilePlatform(t *testing.T, name, ip string) (*Platform, *ProfilePlane, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane := p.EnableProfiles(ProfileOptions{Enforce: true, Lockdown: true})
+	plane := p.EnableProfiles(ProfileOptions{Enforce: true})
 	cam := device.NewCamera(name, packet.MustParseIPv4(ip))
 	if _, err := p.AddDevice(cam.Device); err != nil {
 		t.Fatal(err)

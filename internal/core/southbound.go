@@ -16,8 +16,8 @@ type SouthboundOptions struct {
 	// HeartbeatInterval is the controller→switch ECHO probe period
 	// (default openflow.DefaultHeartbeatInterval; < 0 disables).
 	HeartbeatInterval time.Duration
-	// Agent tunes the switch-side supervised channel (fail mode,
-	// backoff schedule, degradation buffer).
+	// Agent tunes the switch-side supervised channel (backoff
+	// schedule, degradation buffer).
 	Agent netsim.AgentOptions
 }
 
@@ -46,8 +46,8 @@ func (s *Southbound) Close() {
 // AttachSouthbound stands up the real southbound control channel for
 // the platform's uplink switch: a Steering application listening on
 // opts.Addr, heartbeat-probed sessions, and a supervised SwitchAgent
-// that reconnects with jittered backoff and degrades per
-// opts.Agent.FailMode during outages. The steering app is attached via
+// that reconnects with jittered backoff and, during outages, serves
+// its installed table and buffers events. The steering app is attached via
 // UseSteering, so posture isolations flow to the wire as quarantine
 // FLOW_MODs from then on.
 func (p *Platform) AttachSouthbound(opts SouthboundOptions) (*Southbound, error) {

@@ -25,9 +25,7 @@ const MgmtPort = 80
 
 // Protocol errors.
 var (
-	ErrBadRequest   = errors.New("device: malformed request")
-	ErrUnauthorized = errors.New("device: unauthorized")
-	ErrUnknownCmd   = errors.New("device: unknown command")
+	ErrBadRequest = errors.New("device: malformed request")
 )
 
 // Request is one management command.

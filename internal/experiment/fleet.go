@@ -23,10 +23,6 @@ type FleetOptions struct {
 	ShardSize int
 	// Duration is the event-driving window per size (default 2s).
 	Duration time.Duration
-	// Workers drive events concurrently (default GOMAXPROCS).
-	Workers int
-	// RollupInterval is the shard→fleet push period (default 250ms).
-	RollupInterval time.Duration
 	// Progress, when set, receives one line as each size completes.
 	Progress io.Writer
 }
@@ -56,6 +52,9 @@ type FleetResult struct {
 	View controller.FleetView `json:"view"`
 }
 
+// fleetRollupInterval is the shard→fleet push period.
+const fleetRollupInterval = 250 * time.Millisecond
+
 // fleetSKUs is the synthetic SKU mix assigned round-robin.
 var fleetSKUs = []string{"cam-v1", "plug-v2", "lock-v3", "tv-v4"}
 
@@ -73,12 +72,6 @@ func RunFleet(o FleetOptions) (*Table, []FleetResult, error) {
 	}
 	if o.Duration <= 0 {
 		o.Duration = 2 * time.Second
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.RollupInterval <= 0 {
-		o.RollupInterval = 250 * time.Millisecond
 	}
 
 	t := &Table{
@@ -242,12 +235,12 @@ func runFleetSize(n int, o FleetOptions) (FleetResult, error) {
 	statsByIdx.Store(&idx)
 
 	agg := h.Global.Fleet()
-	plane := h.StartFleetRollups(agg, o.RollupInterval)
+	plane := h.StartFleetRollups(agg, fleetRollupInterval)
 
 	// Drive: each worker owns a contiguous device range and flips its
 	// devices' attr every round ("b" first so round 0 already commits a
-	// posture change).
-	workers := o.Workers
+	// posture change). One worker per GOMAXPROCS.
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

@@ -3,7 +3,6 @@ package ids
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -86,13 +85,6 @@ func (p *Profile) EndTraining() {
 	defer p.mu.Unlock()
 	p.training = false
 	p.closeRateWindowLocked(time.Now())
-}
-
-// Training reports the profile's mode.
-func (p *Profile) Training() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.training
 }
 
 // closeRateWindowLocked folds the current window into the EMA.
@@ -203,16 +195,4 @@ func (p *Profile) Baseline() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.baselineEMA
-}
-
-// KnownPeers lists learned peers, sorted.
-func (p *Profile) KnownPeers() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.peers))
-	for k := range p.peers {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -31,14 +31,10 @@ type SnapshotJSON struct {
 // A malformed value is an error naming the parameter, fit for a 400.
 func ParseFilter(q url.Values, defaultLimit int) (Filter, error) {
 	f := Filter{Device: q.Get("device")}
-	if s := q.Get("trace"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return f, errBadParam{"trace", s}
-		}
-		f.TraceID = v
-	}
 	var err error
+	if f.TraceID, err = ParseTrace(q); err != nil {
+		return f, err
+	}
 	if f.Since, err = parseTimeBound(q, "since"); err != nil {
 		return f, err
 	}
@@ -54,6 +50,19 @@ func ParseFilter(q url.Values, defaultLimit int) (Filter, error) {
 	}
 	f.Limit, err = ParseCount(q, "limit", defaultLimit)
 	return f, err
+}
+
+// ParseTrace reads trace=<id>, 0 (no trace) when absent.
+func ParseTrace(q url.Values) (uint64, error) {
+	s := q.Get("trace")
+	if s == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, errBadParam{"trace", s}
+	}
+	return v, nil
 }
 
 // ParseCount reads a non-negative integer parameter (limit, offset),

@@ -62,7 +62,7 @@ const (
 	// TypeSouthUp is a southbound session (re-)establishment.
 	TypeSouthUp Type = "southbound-up"
 	// TypeSouthReplay is an agent replaying events buffered while
-	// disconnected (fail-static degradation) after a re-handshake.
+	// disconnected after a re-handshake.
 	TypeSouthReplay Type = "southbound-replay"
 	// TypeSigrepoDown is a northbound (signature repository) session
 	// loss on the gateway side.
@@ -74,8 +74,8 @@ const (
 	// outage, and the durable publish/vote outbox draining.
 	TypeSigrepoReplay Type = "sigrepo-replay"
 	// TypeMboxPanic is a µmbox pipeline element panicking on a frame;
-	// the pipeline recovered and applied its fail-mode instead of
-	// crashing the gateway.
+	// the pipeline recovered and dropped the frame instead of crashing
+	// the gateway.
 	TypeMboxPanic Type = "mbox-panic"
 	// TypeSLOBurn is the SLO watchdog detecting sustained burn: the
 	// windowed detect→enforce latency (or incomplete-chain rate)

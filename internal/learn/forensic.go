@@ -69,18 +69,3 @@ func (c *ForensicChain) String() string {
 	}
 	return b.String()
 }
-
-// ForensicReport renders chains for every causal trace a device was
-// involved in — the journal's answer to "show me every attack this
-// camera was part of, in attack-graph terms".
-func ForensicReport(events []journal.Event, device string) string {
-	timelines := journal.ReconstructDevice(events, device)
-	if len(timelines) == 0 {
-		return "no traced events for " + device
-	}
-	parts := make([]string, 0, len(timelines))
-	for _, t := range timelines {
-		parts = append(parts, FromTimeline(t).String())
-	}
-	return strings.Join(parts, "\n")
-}

@@ -132,15 +132,11 @@ func GenerateRule(attack, benign [][]byte, msg string, sid int) (string, error) 
 	return fmt.Sprintf(`block tcp any any -> any 80 (msg:%q; content:"%s"; sid:%d;)`, msg, content, sid), nil
 }
 
-// MgmtPayloads extracts TCP management payloads addressed to the
-// device from a capture — the input GenerateRule wants.
-func MgmtPayloads(frames []netsim.CapturedFrame, deviceIP packet.IPv4Address) [][]byte {
-	return MgmtPayloadsFrom(frames, deviceIP, packet.IPv4Address{})
-}
-
-// MgmtPayloadsFrom is MgmtPayloads restricted to one source address
-// (how a post-incident analysis separates the attacker's traffic from
-// everyone else's; the zero address matches any source).
+// MgmtPayloadsFrom extracts TCP management payloads addressed to the
+// device from a capture — the input GenerateRule wants — restricted to
+// one source address (how a post-incident analysis separates the
+// attacker's traffic from everyone else's; the zero address matches
+// any source).
 func MgmtPayloadsFrom(frames []netsim.CapturedFrame, deviceIP, srcIP packet.IPv4Address) [][]byte {
 	return mgmtPayloads(frames, deviceIP, func(src packet.IPv4Address) bool {
 		return srcIP.IsZero() || src == srcIP

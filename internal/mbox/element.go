@@ -90,30 +90,6 @@ type ElementStats struct {
 	Panics    uint64
 }
 
-// FailMode selects what a pipeline does with the in-flight frame when
-// an element panics on it: a panicking security function must never
-// take the gateway down, so the pipeline recovers and applies one of
-// the paper's two degradation stances instead.
-type FailMode int32
-
-// Fail modes.
-const (
-	// FailClosed drops the frame (default: a broken security function
-	// must not let traffic through uninspected).
-	FailClosed FailMode = iota
-	// FailStatic forwards the frame unmodified (availability-first:
-	// keep the device usable while the element misbehaves).
-	FailStatic
-)
-
-// String renders the mode.
-func (m FailMode) String() string {
-	if m == FailStatic {
-		return "static"
-	}
-	return "closed"
-}
-
 // stage is one precomputed pipeline step: the element plus its
 // per-instance counters and the pre-resolved telemetry vec children.
 // Stages are built once per (re)configuration so the per-packet path
@@ -140,7 +116,6 @@ type Pipeline struct {
 
 	reconfigs  atomic.Uint64
 	instrument atomic.Bool
-	failMode   atomic.Int32
 }
 
 // NewPipeline builds a pipeline from the given stages with telemetry
@@ -207,7 +182,7 @@ func (p *Pipeline) Process(ctx *Context) Verdict {
 			ctx.Packet = packet.Decode(ctx.Frame, packet.LayerTypeEthernet)
 			ctx.Reparse = false
 		}
-		v := p.runStage(st, ctx)
+		v := runStage(st, ctx)
 		st.stats.processed.Add(1)
 		if instr {
 			st.mProcessed.Inc()
@@ -237,33 +212,21 @@ func (p *Pipeline) Process(ctx *Context) Verdict {
 
 // runStage executes one element with fault containment: a panic in
 // an element is recovered, counted (per element), journaled, and
-// converted into the pipeline's fail-mode verdict — fail-closed drops
-// the frame, fail-static forwards it — instead of unwinding the
-// gateway's forwarding goroutine.
-func (p *Pipeline) runStage(st *stage, ctx *Context) (v Verdict) {
+// converted into a Drop — a broken security function must never let
+// the frame through uninspected, nor unwind the gateway's forwarding
+// goroutine.
+func runStage(st *stage, ctx *Context) (v Verdict) {
 	defer func() {
 		if r := recover(); r != nil {
 			st.stats.panics.Add(1)
 			st.mPanics.Inc()
-			mode := FailMode(p.failMode.Load())
 			journal.RecordTrace(0, journal.TypeMboxPanic, journal.Critical, "",
-				fmt.Sprintf("element %s panicked: %v (fail-%s applied)", st.elem.Name(), r, mode))
-			if mode == FailStatic {
-				v = Forward
-			} else {
-				v = Drop
-			}
+				fmt.Sprintf("element %s panicked: %v (fail-closed applied)", st.elem.Name(), r))
+			v = Drop
 		}
 	}()
 	return st.elem.Process(ctx)
 }
-
-// SetFailMode selects the panic-containment stance (default
-// FailClosed).
-func (p *Pipeline) SetFailMode(m FailMode) { p.failMode.Store(int32(m)) }
-
-// FailMode reports the panic-containment stance.
-func (p *Pipeline) FailMode() FailMode { return FailMode(p.failMode.Load()) }
 
 // Elements lists the current stage names in order.
 func (p *Pipeline) Elements() []string {

@@ -236,31 +236,6 @@ func (m *Manager) Capacity() (total, used int) {
 	return total, used
 }
 
-// SetFailModeAll flips every launched instance's pipeline fail mode —
-// the SLO watchdog's escalation lever: sustained detect→enforce burn
-// means enforcement can no longer be trusted to land in time, so the
-// µmboxes drop rather than forward when an element misbehaves.
-// Returns how many pipelines were switched.
-func (m *Manager) SetFailModeAll(mode FailMode) int {
-	m.mu.Lock()
-	insts := make([]*Instance, 0, len(m.instances))
-	for _, inst := range m.instances {
-		if inst != nil {
-			insts = append(insts, inst)
-		}
-	}
-	m.mu.Unlock()
-	n := 0
-	for _, inst := range insts {
-		p := inst.Mbox.Pipeline()
-		if p.FailMode() != mode {
-			p.SetFailMode(mode)
-			n++
-		}
-	}
-	return n
-}
-
 // Instances snapshots the launched instance names (sorted order not
 // guaranteed).
 func (m *Manager) Instances() []string {

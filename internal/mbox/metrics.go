@@ -20,7 +20,7 @@ var (
 		"Frames consumed (answered inline) per pipeline element.", "element")
 	mElemPanics = telemetry.NewCounterVec(
 		"iotsec_mbox_element_panics_total",
-		"Panics recovered per pipeline element (fail-mode applied).", "element")
+		"Panics recovered per pipeline element (frame dropped).", "element")
 	mPipelineSeconds = telemetry.NewHistogram(
 		"iotsec_mbox_pipeline_seconds",
 		"Sampled wall time for one frame through an element chain.",

@@ -15,16 +15,13 @@ func (b *bombElement) Name() string             { return b.name }
 func (b *bombElement) Process(*Context) Verdict { panic("boom: " + b.name) }
 
 // TestPipelinePanicFailClosed: a panicking element is contained and
-// the frame is dropped (the default fail-closed stance), downstream
+// the frame is dropped (the pipeline's only stance), downstream
 // elements never see it, and the panic is counted and journaled.
 func TestPipelinePanicFailClosed(t *testing.T) {
 	journalStart, _ := journal.Default.Stats()
 	bomb := &bombElement{name: "bomb"}
 	after := &staticElement{name: "after", verdict: Forward}
 	p := NewPipeline(bomb, after)
-	if m := p.FailMode(); m != FailClosed {
-		t.Fatalf("default fail mode = %v, want FailClosed", m)
-	}
 	if v := p.Process(testCtx(t, ToDevice, "x", 80)); v != Drop {
 		t.Errorf("verdict = %v, want Drop (fail-closed)", v)
 	}
@@ -45,39 +42,5 @@ func TestPipelinePanicFailClosed(t *testing.T) {
 	}
 	if !found {
 		t.Error("no mbox-panic journal event for fail-closed containment")
-	}
-}
-
-// TestPipelinePanicFailStatic: with the availability-first stance the
-// frame survives the panicking element unmodified and the rest of the
-// chain still runs.
-func TestPipelinePanicFailStatic(t *testing.T) {
-	journalStart, _ := journal.Default.Stats()
-	bomb := &bombElement{name: "bomb2"}
-	after := &staticElement{name: "after", verdict: Forward}
-	p := NewPipeline(bomb, after)
-	p.SetFailMode(FailStatic)
-	if m := p.FailMode(); m != FailStatic {
-		t.Fatalf("fail mode = %v, want FailStatic", m)
-	}
-	for i := 0; i < 3; i++ {
-		if v := p.Process(testCtx(t, ToDevice, "x", 80)); v != Forward {
-			t.Errorf("verdict = %v, want Forward (fail-static)", v)
-		}
-	}
-	if after.callCount() != 3 {
-		t.Errorf("downstream element ran %d times, want 3 (fail-static keeps the chain alive)", after.callCount())
-	}
-	if stats := p.Stats(); stats[0].Panics != 3 {
-		t.Errorf("bomb stats = %+v, want 3 panics", stats[0])
-	}
-	found := false
-	for _, e := range journal.Default.Snapshot(journal.Filter{Type: journal.TypeMboxPanic}) {
-		if e.Seq > journalStart && strings.Contains(e.Detail, "bomb2") && strings.Contains(e.Detail, "fail-static") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no mbox-panic journal event for fail-static containment")
 	}
 }

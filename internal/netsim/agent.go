@@ -13,53 +13,8 @@ import (
 	"iotsec/internal/telemetry"
 )
 
-// FailMode selects how a SwitchAgent degrades while its southbound
-// session is down — the fail-safe policy §5.1 requires the
-// enforcement layer to have.
-type FailMode int
-
-// Degradation policies.
-const (
-	// FailStatic keeps serving the installed flow table (quarantine
-	// drop rules always survive locally, since they live in the table)
-	// and buffers punted PACKET_INs and FLOW_REMOVED notifications in
-	// a bounded ring, replaying them after the re-handshake.
-	FailStatic FailMode = iota
-	// FailClosed drops table-miss traffic while disconnected: punts
-	// are discarded (and counted) instead of buffered. FLOW_REMOVED
-	// notifications are still buffered — they report state the
-	// controller must eventually learn.
-	FailClosed
-)
-
-// String names the mode for logs and flags.
-func (m FailMode) String() string {
-	switch m {
-	case FailStatic:
-		return "static"
-	case FailClosed:
-		return "closed"
-	default:
-		return fmt.Sprintf("failmode(%d)", int(m))
-	}
-}
-
-// ParseFailMode maps a flag value to a FailMode.
-func ParseFailMode(s string) (FailMode, error) {
-	switch s {
-	case "static", "":
-		return FailStatic, nil
-	case "closed":
-		return FailClosed, nil
-	}
-	return FailStatic, fmt.Errorf("netsim: unknown fail mode %q (want static|closed)", s)
-}
-
 // AgentOptions configure the supervised southbound channel.
 type AgentOptions struct {
-	// FailMode selects degradation while disconnected (default
-	// FailStatic).
-	FailMode FailMode
 	// BufferCap bounds the degradation ring (default 1024 events).
 	BufferCap int
 	// Backoff parameterizes the reconnect schedule (full jitter,
@@ -79,20 +34,21 @@ type AgentOptions struct {
 //
 // The connection is a resilience.Session: it redials when the session
 // drops, the (controller-driven) handshake re-runs, and events buffered
-// while disconnected are replayed. Degradation while down follows
-// AgentOptions.FailMode.
+// while disconnected are replayed. There is one degradation path, the
+// fail-safe stance §5.1 requires of the enforcement layer: while down,
+// the switch keeps serving its installed flow table (quarantine drop
+// rules live there, so they always hold locally) and undeliverable
+// messages wait in a bounded ring for exactly-once replay.
 type SwitchAgent struct {
 	sw   *Switch
 	opts AgentOptions
 	sess *resilience.Session[*openflow.Conn]
 
 	// buffer holds events that could not be sent; replayed on
-	// re-handshake (fail-static) or drained-and-dropped (fail-closed
-	// punts are never buffered in the first place).
+	// re-handshake.
 	buffer *resilience.Ring[openflow.Message]
 
-	replayed  atomic.Uint64
-	puntsDrop atomic.Uint64
+	replayed atomic.Uint64
 }
 
 // ConnectAgent dials the controller at addr, runs the handshake
@@ -157,7 +113,7 @@ func newAgent(sw *Switch, addr string, opts AgentOptions) *SwitchAgent {
 		UpEvent:   journal.TypeSouthUp,
 		DownEvent: journal.TypeSouthDown,
 		Detail: func() string {
-			return fmt.Sprintf("fail-%s, %d events buffered", opts.FailMode, a.buffer.Len())
+			return fmt.Sprintf("%d events buffered", a.buffer.Len())
 		},
 		OnStateChange: func(st resilience.State) {
 			if st == resilience.Up && a.sess.Sessions() > 1 {
@@ -172,8 +128,8 @@ func newAgent(sw *Switch, addr string, opts AgentOptions) *SwitchAgent {
 func (a *SwitchAgent) Connected() bool { return a.sess.State() == resilience.Up }
 
 // Health reports the session for /readyz: degraded while redialing
-// (the switch serves its installed table per fail mode), down once the
-// supervisor has given up.
+// (the switch serves its installed table), down once the supervisor
+// has given up.
 func (a *SwitchAgent) Health() (telemetry.HealthState, string) { return a.sess.Health() }
 
 // Reconnects reports how many times the supervisor re-established the
@@ -192,27 +148,21 @@ func (a *SwitchAgent) BufferedEvents() int { return a.buffer.Len() }
 // reconnects.
 func (a *SwitchAgent) Replayed() uint64 { return a.replayed.Load() }
 
-// PuntsDropped reports punts discarded under fail-closed degradation.
-func (a *SwitchAgent) PuntsDropped() uint64 { return a.puntsDrop.Load() }
-
 // onPacketIn relays a punted frame to the controller, routing it into
 // the degradation path when the session is down. Send errors are no
 // longer discarded: a failed send tears the conn down (waking the
-// supervisor) and the event enters the buffer or the drop counter.
+// supervisor) and the event enters the buffer.
 func (a *SwitchAgent) onPacketIn(inPort uint16, reason uint8, frame Frame) {
 	a.deliver(&openflow.PacketIn{
 		DatapathID: a.sw.DatapathID(),
 		InPort:     inPort,
 		Reason:     reason,
 		Data:       frame,
-	}, true)
+	})
 }
 
-// deliver sends m on the live session or degrades. isPunt
-// distinguishes PACKET_IN (droppable under fail-closed) from
-// FLOW_REMOVED (always buffered: the controller must eventually learn
-// about expired state).
-func (a *SwitchAgent) deliver(m openflow.Message, isPunt bool) {
+// deliver sends m on the live session or degrades.
+func (a *SwitchAgent) deliver(m openflow.Message) {
 	if conn, ok := a.sess.Current(); ok {
 		if _, err := conn.Send(m); err == nil {
 			return
@@ -223,22 +173,14 @@ func (a *SwitchAgent) deliver(m openflow.Message, isPunt bool) {
 		mAgentSendErrors.Inc()
 		_ = conn.Close()
 	}
-	a.degrade(m, isPunt)
+	a.degrade(m)
 }
 
-// degrade applies the fail-mode policy to one undeliverable event.
-func (a *SwitchAgent) degrade(m openflow.Message, isPunt bool) {
-	if isPunt && a.opts.FailMode == FailClosed {
-		a.puntsDrop.Add(1)
-		mPuntsDropped.Inc()
-		return
-	}
+// degrade buffers one undeliverable event for replay.
+func (a *SwitchAgent) degrade(m openflow.Message) {
 	if a.buffer.Push(m) {
 		// Ring full: the oldest event was evicted to make room.
 		mBufferEvictions.Inc()
-		if isPunt {
-			mPuntsDropped.Inc()
-		}
 	} else {
 		mReplayDepth.Inc()
 	}
@@ -263,7 +205,7 @@ func (a *SwitchAgent) replay(conn *openflow.Conn) {
 			// a duplicate, dropping it risks a loss — we re-buffer,
 			// preferring at-least-once for security state).
 			for _, rest := range events[i:] {
-				a.degrade(rest, false)
+				a.degrade(rest)
 			}
 			_ = conn.Close()
 			break
@@ -384,7 +326,7 @@ func (a *SwitchAgent) expiryLoop() {
 					Cookie:     e.Cookie,
 					Packets:    pkts,
 					Bytes:      bytes,
-				}, false)
+				})
 			}
 		}
 	}

@@ -152,63 +152,39 @@ drain:
 	}
 }
 
-// TestAgentFailModes drives the degradation policy directly: a
-// supervised agent whose controller never answers buffers punts under
-// fail-static and drops (counting) under fail-closed. FLOW_REMOVED
-// events are buffered in both modes.
+// TestAgentFailModes drives the degradation path directly. The agent
+// has one fail mode left, fail-static: a supervised agent whose
+// controller never answers buffers punts, and FLOW_REMOVED events join
+// them in the ring.
 func TestAgentFailModes(t *testing.T) {
-	cases := []struct {
-		name     string
-		mode     FailMode
-		wantDrop bool
-	}{
-		{"fail-static buffers punts", FailStatic, false},
-		{"fail-closed drops punts", FailClosed, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			n := NewNetwork()
-			sw := NewSwitch("sw-"+tc.mode.String(), 5)
-			sp := sw.AttachPort(n, 1)
-			src := newSink("src")
-			n.Connect(n.NewPort(src, 1), sp, LinkOptions{})
-			n.Start()
-			defer n.Stop()
+	t.Run("fail-static buffers punts", func(t *testing.T) {
+		n := NewNetwork()
+		sw := NewSwitch("sw-buffer", 5)
+		sp := sw.AttachPort(n, 1)
+		src := newSink("src")
+		n.Connect(n.NewPort(src, 1), sp, LinkOptions{})
+		n.Start()
+		defer n.Stop()
 
-			// Nothing listens on this address: the agent stays in the
-			// disconnected/degraded regime for the whole test.
-			agent := SuperviseAgent(sw, "127.0.0.1:1", AgentOptions{
-				FailMode: tc.mode,
-				Backoff:  fastBackoff(),
-			})
-			defer func() { agent.Stop(); agent.Wait() }()
+		// Nothing listens on this address: the agent stays in the
+		// disconnected/degraded regime for the whole test.
+		agent := SuperviseAgent(sw, "127.0.0.1:1", AgentOptions{Backoff: fastBackoff()})
+		defer func() { agent.Stop(); agent.Wait() }()
 
-			frame := buildFrame(t, mac1, mac2, ip1, ip2, 80)
-			sendViaPeer(sp, frame) // table miss → punt → degradation path
-			if tc.wantDrop {
-				waitCond(t, "punt drop counter", func() bool { return agent.PuntsDropped() >= 1 })
-				if got := agent.BufferedEvents(); got != 0 {
-					t.Errorf("fail-closed buffered %d punts, want 0", got)
-				}
-			} else {
-				waitCond(t, "punt to buffer", func() bool { return agent.BufferedEvents() >= 1 })
-				if got := agent.PuntsDropped(); got != 0 {
-					t.Errorf("fail-static dropped %d punts, want 0", got)
-				}
-			}
+		frame := buildFrame(t, mac1, mac2, ip1, ip2, 80)
+		sendViaPeer(sp, frame) // table miss → punt → degradation path
+		waitCond(t, "punt to buffer", func() bool { return agent.BufferedEvents() >= 1 })
 
-			// FLOW_REMOVED is state the controller must learn: buffered
-			// under both modes.
-			before := agent.BufferedEvents()
-			sw.Table().Insert(openflow.FlowEntry{
-				Match:       openflow.MatchAll().WithTpDst(4242),
-				Priority:    3,
-				HardTimeout: time.Millisecond,
-				Cookie:      77,
-			})
-			waitCond(t, "flow-removed to buffer", func() bool { return agent.BufferedEvents() > before })
+		// FLOW_REMOVED is state the controller must learn: buffered too.
+		before := agent.BufferedEvents()
+		sw.Table().Insert(openflow.FlowEntry{
+			Match:       openflow.MatchAll().WithTpDst(4242),
+			Priority:    3,
+			HardTimeout: time.Millisecond,
+			Cookie:      77,
 		})
-	}
+		waitCond(t, "flow-removed to buffer", func() bool { return agent.BufferedEvents() > before })
+	})
 }
 
 // TestAgentBufferEviction verifies the degradation ring is bounded:

@@ -50,9 +50,6 @@ var (
 	mAgentSendErrors = telemetry.NewCounter(
 		"iotsec_southbound_send_errors_total",
 		"Southbound sends that failed on a live session (tears the session down).")
-	mPuntsDropped = telemetry.NewCounter(
-		"iotsec_southbound_punts_dropped_total",
-		"Punted frames dropped while disconnected (fail-closed mode or buffer eviction).")
 	mBufferEvictions = telemetry.NewCounter(
 		"iotsec_southbound_buffer_evictions_total",
 		"Oldest buffered events evicted from full degradation rings.")

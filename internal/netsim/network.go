@@ -164,10 +164,3 @@ func (n *Network) Node(name string) (Node, bool) {
 	node, ok := n.nodes[name]
 	return node, ok
 }
-
-// NodeCount reports how many nodes are registered.
-func (n *Network) NodeCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.nodes)
-}

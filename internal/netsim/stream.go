@@ -144,12 +144,6 @@ func (s *Stream) OnClose(h func(error)) {
 // RemoteIP returns the peer's address.
 func (s *Stream) RemoteIP() packet.IPv4Address { return s.key.remoteIP }
 
-// RemotePort returns the peer's port.
-func (s *Stream) RemotePort() uint16 { return s.key.remotePort }
-
-// LocalPort returns the local port.
-func (s *Stream) LocalPort() uint16 { return s.key.localPort }
-
 // Send transmits one message reliably, blocking until the peer
 // acknowledges it or retransmissions are exhausted.
 func (s *Stream) Send(msg []byte) error {
@@ -271,13 +265,6 @@ func (st *Stack) Listen(port uint16, h StreamHandler) error {
 	}
 	st.listeners[port] = h
 	return nil
-}
-
-// Unlisten removes a listener.
-func (st *Stack) Unlisten(port uint16) {
-	st.streamMu.Lock()
-	defer st.streamMu.Unlock()
-	delete(st.listeners, port)
 }
 
 // Dial opens a stream to dstIP:dstPort, blocking until the handshake

@@ -4,7 +4,7 @@ import "iotsec/internal/telemetry"
 
 // Southbound-channel resilience metrics (controller side), aggregated
 // across every endpoint in the process. The agent-side counterparts
-// (reconnects, punts dropped, replay depth) live in internal/netsim.
+// (reconnects, buffer evictions, replay depth) live in internal/netsim.
 var (
 	mSessions = telemetry.NewGauge(
 		"iotsec_southbound_sessions",

@@ -285,22 +285,6 @@ func (s State) Key() string {
 	return strings.Join(parts, ",")
 }
 
-// ProjectionKey renders the state restricted to the given variables
-// (used by the pruned lookup structure). Variable names use the
-// "dev:<name>" / "env:<name>" prefix convention.
-func (s State) ProjectionKey(vars []string) string {
-	parts := make([]string, 0, len(vars))
-	for _, v := range vars {
-		if name, ok := strings.CutPrefix(v, "dev:"); ok {
-			parts = append(parts, v+"="+string(s.Contexts[name]))
-		} else if name, ok := strings.CutPrefix(v, "env:"); ok {
-			parts = append(parts, v+"="+s.Env[name])
-		}
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
 // String implements fmt.Stringer.
 func (s State) String() string { return s.Key() }
 

@@ -86,14 +86,13 @@ type Engine struct {
 	active atomic.Bool
 
 	mu         sync.Mutex
-	ids        map[string]Identity                // device name → identity
-	deviceMACs map[packet.MACAddress]string       // registered device MACs
-	hostMACs   map[packet.MACAddress]bool         // known benign non-device MACs
-	profiles   map[string]*Profile                // accepted, by SKU
-	enforced   map[string]*enforcedState          // by device name (== node name)
-	rogues     map[packet.MACAddress]bool         // reported rogue MACs
-	violations []Violation                        // bounded recent ring
-	lockdown   bool
+	ids        map[string]Identity          // device name → identity
+	deviceMACs map[packet.MACAddress]string // registered device MACs
+	hostMACs   map[packet.MACAddress]bool   // known benign non-device MACs
+	profiles   map[string]*Profile          // accepted, by SKU
+	enforced   map[string]*enforcedState    // by device name (== node name)
+	rogues     map[packet.MACAddress]bool   // reported rogue MACs
+	violations []Violation                  // bounded recent ring
 	learning   bool
 
 	framesSeen      atomic.Uint64
@@ -116,7 +115,6 @@ func NewEngine(opts Options) *Engine {
 		profiles:   make(map[string]*Profile),
 		enforced:   make(map[string]*enforcedState),
 		rogues:     make(map[packet.MACAddress]bool),
-		lockdown:   opts.Lockdown,
 	}
 	e.refreshActive()
 	return e
@@ -132,7 +130,7 @@ func (e *Engine) now() time.Time {
 // refreshActive recomputes the tap fast-path flag; callers hold e.mu
 // or are in a constructor.
 func (e *Engine) refreshActive() {
-	e.active.Store(e.learning || e.lockdown || len(e.enforced) > 0)
+	e.active.Store(e.learning || e.opts.Lockdown || len(e.enforced) > 0)
 }
 
 // Learner exposes the training-window learner (tuning knobs, counts).
@@ -156,26 +154,6 @@ func (e *Engine) RegisterHostMAC(mac packet.MACAddress) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.hostMACs[mac] = true
-}
-
-// Identities snapshots registered identities sorted by name.
-func (e *Engine) Identities() []Identity {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Identity, 0, len(e.ids))
-	for _, id := range e.ids {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// SetLockdown toggles unknown-MAC rogue detection.
-func (e *Engine) SetLockdown(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.lockdown = on
-	e.refreshActive()
 }
 
 // StartLearning opens a training window: every tapped frame is
@@ -432,7 +410,7 @@ func (e *Engine) Observe(srcNode, dstNode string, frame netsim.Frame) {
 	e.mu.Lock()
 	// Rogue join: an unknown MAC sourcing traffic under lockdown.
 	// Report once per MAC; the multi-hop tap dedupes through e.rogues.
-	if e.lockdown && !e.rogues[eth.SrcMAC] && !eth.SrcMAC.IsBroadcast() {
+	if e.opts.Lockdown && !e.rogues[eth.SrcMAC] && !eth.SrcMAC.IsBroadcast() {
 		if _, dev := e.deviceMACs[eth.SrcMAC]; !dev && !e.hostMACs[eth.SrcMAC] {
 			e.rogues[eth.SrcMAC] = true
 			e.roguesTotal.Add(1)

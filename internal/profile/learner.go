@@ -57,13 +57,6 @@ func (l *Learner) Observe(srcNode, dstNode string, data netsim.Frame, when time.
 	l.mu.Unlock()
 }
 
-// FrameCount reports buffered frames.
-func (l *Learner) FrameCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.frames)
-}
-
 // Reset discards the buffered window.
 func (l *Learner) Reset() {
 	l.mu.Lock()

@@ -2,7 +2,7 @@
 // control plane is built on: the supervised reconnecting Session both
 // wires (switch agent → controller, gateway → signature repository)
 // ride, exponential backoff with full jitter for its redial schedule,
-// a bounded event ring for fail-static degradation buffers, a
+// a bounded event ring for degradation buffers, a
 // pluggable clock so liveness timers can be frozen in tests, and a
 // fault-injection net.Conn wrapper (probabilistic connection kills,
 // latency, one-way partitions) for chaos testing the detect → policy →
@@ -120,7 +120,7 @@ func (b *Backoff) Reset() {
 }
 
 // Ring is a bounded FIFO buffer that evicts the oldest element when
-// full (drop-oldest), counting evictions. It backs the fail-static
+// full (drop-oldest), counting evictions. It backs the switch agent's
 // degradation buffer: while the southbound session is down, punted
 // PACKET_INs and FLOW_REMOVED notifications queue here and are
 // replayed on reconnect. Safe for concurrent use.

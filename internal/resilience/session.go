@@ -57,8 +57,8 @@ type SessionOptions[C io.Closer] struct {
 	Run func(C) error
 	// UpEvent and DownEvent are the wire's journal event types.
 	UpEvent, DownEvent journal.Type
-	// Detail renders the adapter's degradation state ("fail-static, 3
-	// events buffered") for journal lines and health reasons.
+	// Detail renders the adapter's degradation state ("3 events
+	// buffered") for journal lines and health reasons.
 	Detail func() string
 	// OnStateChange (optional) observes every transition. Calls are
 	// serialized and made without any session lock held.

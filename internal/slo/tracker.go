@@ -11,8 +11,7 @@
 // chains as they happen into per-stage and end-to-end MTTR histograms,
 // counts chains that never finish, aggregates the result into the
 // process health registry, and — via the Watchdog — turns sustained
-// SLO burn back into a policy signal (journal event, counter, optional
-// fail-mode escalation).
+// SLO burn back into an operator signal (journal event, counter).
 package slo
 
 import (

@@ -96,8 +96,8 @@ type WatchdogOptions struct {
 	// Clock drives the evaluation ticker (resilience.System when nil).
 	Clock resilience.Clock
 	// OnBurn fires once per burn episode, when a window first
-	// violates the objective (iotsecd wires fail-mode escalation
-	// here). OnRecover fires when a later window clears it.
+	// violates the objective (iotsecd logs it). OnRecover fires when
+	// a later window clears it.
 	OnBurn    func(Evaluation)
 	OnRecover func(Evaluation)
 }

@@ -117,24 +117,6 @@ func (h *HealthRegistry) Register(component string, critical bool, rep HealthRep
 	h.order = append(h.order, component)
 }
 
-// Unregister removes a component (used by tests and by instances that
-// shut down cleanly; a crashed component should keep its reporter so
-// it shows Down rather than vanishing).
-func (h *HealthRegistry) Unregister(component string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.comps[component]; !ok {
-		return
-	}
-	delete(h.comps, component)
-	for i, c := range h.order {
-		if c == component {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Snapshot polls every reporter and returns statuses in registration
 // order, updating per-component transition times.
 func (h *HealthRegistry) Snapshot() []ComponentHealth {
@@ -198,13 +180,12 @@ func (h *HealthRegistry) LivenessHandler() http.Handler {
 func (h *HealthRegistry) ReadinessHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		ready, comps := h.Ready()
-		w.Header().Set("Content-Type", "application/json")
 		if !ready {
+			// The status goes out with the headers, so the type is set first.
+			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(HealthJSON{Ready: ready, TakenAt: time.Now(), Components: comps})
+		WriteJSON(w, HealthJSON{Ready: ready, TakenAt: time.Now(), Components: comps})
 	})
 }
 

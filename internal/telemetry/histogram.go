@@ -40,9 +40,6 @@ var LatencyBuckets = []float64{
 	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1, 4, 16,
 }
 
-// SizeBuckets covers 64B .. 64KB frames in powers of 4 (bytes).
-var SizeBuckets = []float64{64, 256, 1024, 4096, 16384, 65536}
-
 func newHistogram(m meta, bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = LatencyBuckets

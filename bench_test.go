@@ -267,18 +267,10 @@ func BenchmarkPolicyLookup(b *testing.B) {
 		})
 	}
 	state := d.DefaultState()
-	compiled, _ := f.Compile(0)
-
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = f.Lookup(state)
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = compiled.Lookup(state)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = f.Lookup(state)
+	}
 }
 
 // BenchmarkTelemetryOverhead quantifies the cost of the observability

@@ -6,7 +6,6 @@
 //	iotsim                  # run everything
 //	iotsim -exp t1          # one experiment: t1 t2 f1 f2 f3 f4 f5 a1..a6 a12 a13
 //	iotsim -exp t1,f2,a5    # a comma-separated subset
-//	iotsim -fleet 1000,10000,100000   # fleet load sweep (A10)
 //	iotsim -failover 1000,10000       # control-plane failover chaos (A12)
 //	iotsim -replay incident.json      # replay a captured incident (A13)
 package main
@@ -28,10 +27,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiments to run (comma-separated: t1,t2,f1..f5,a1..a6,a12,a13, or all)")
 	seed := flag.Int64("seed", 1, "seed for synthesized corpora")
-	fleet := flag.String("fleet", "", "run the fleet load sweep at these comma-separated sizes (e.g. 1000,10000,100000)")
-	fleetDuration := flag.Duration("fleet-duration", 2*time.Second, "event-driving window per fleet size")
-	fleetShard := flag.Int("fleet-shard", 64, "devices per local controller in the fleet sweep")
-	fleetOut := flag.String("fleet-out", "", "write the final merged fleet snapshot (JSON) to this file")
 	failover := flag.String("failover", "", "run the failover chaos sweep at these comma-separated fleet sizes (A12)")
 	failoverShard := flag.Int("failover-shard", 64, "devices per local controller in the failover sweep")
 	failoverKill := flag.Int("failover-kill", 3, "local controllers killed mid-quarantine per size")
@@ -41,9 +36,6 @@ func main() {
 	replayOut := flag.String("replay-out", "", "write the replay verdict (JSON) to this file")
 	flag.Parse()
 
-	if *fleet != "" {
-		os.Exit(runFleetSweep(*fleet, *fleetDuration, *fleetShard, *fleetOut))
-	}
 	if *failover != "" {
 		os.Exit(runFailoverSweep(*failover, *failoverShard, *failoverKill, *failoverMode, *failoverOut))
 	}
@@ -63,7 +55,9 @@ func main() {
 		{"f4", experiment.RunFigure4},
 		{"f5", experiment.RunFigure5},
 		{"a1", func() (*experiment.Table, error) { return experiment.RunAblationStatePruning(), nil }},
-		{"a2", func() (*experiment.Table, error) { return experiment.RunAblationHierarchy(2*time.Millisecond, *seed), nil }},
+		{"a2", func() (*experiment.Table, error) {
+			return experiment.RunAblationHierarchy(2*time.Millisecond, *seed), nil
+		}},
 		{"a3", experiment.RunAblationMicroMbox},
 		{"a4", func() (*experiment.Table, error) { return experiment.RunAblationFuzzCoverage(*seed), nil }},
 		{"a5", func() (*experiment.Table, error) { return experiment.RunAblationReputation(*seed), nil }},
@@ -127,58 +121,6 @@ func main() {
 		ran++
 	}
 	fmt.Printf("\n%d experiment(s) in %v\n", ran, time.Since(total).Round(time.Millisecond))
-}
-
-// runFleetSweep parses sizes, runs the A10 fleet harness, and
-// optionally writes the last merged fleet snapshot for artifacts.
-func runFleetSweep(sizesCSV string, duration time.Duration, shard int, outPath string) int {
-	var sizes []int
-	for _, s := range strings.Split(sizesCSV, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "iotsim: bad fleet size %q\n", s)
-			return 2
-		}
-		sizes = append(sizes, n)
-	}
-	start := time.Now()
-	tbl, results, err := experiment.RunFleet(experiment.FleetOptions{
-		Sizes:     sizes,
-		ShardSize: shard,
-		Duration:  duration,
-		Progress:  os.Stderr,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotsim: fleet sweep failed: %v\n", err)
-		dumpFleetJournal()
-		return 1
-	}
-	tbl.Print(os.Stdout)
-	fmt.Printf("  (A10 completed in %v)\n", time.Since(start).Round(time.Millisecond))
-	if outPath != "" && len(results) > 0 {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iotsim: %v\n", err)
-			return 1
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "iotsim: write %s: %v\n", outPath, err)
-			f.Close()
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "iotsim: close %s: %v\n", outPath, err)
-			return 1
-		}
-		fmt.Printf("  fleet snapshot: %s\n", outPath)
-	}
-	return 0
 }
 
 // runFailoverSweep parses sizes and runs the A12 control-plane
@@ -310,26 +252,4 @@ func writeJSON(path string, v any) error {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// dumpFleetJournal exports the forensic journal as NDJSON to
-// $IOTSEC_FLEET_JOURNAL when a fleet sweep fails, so the CI fleet
-// stage can upload the timeline as an artifact — same contract as the
-// chaos stage's $IOTSEC_CHAOS_JOURNAL.
-func dumpFleetJournal() {
-	path := os.Getenv("IOTSEC_FLEET_JOURNAL")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotsim: journal dump: %v\n", err)
-		return
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	for _, e := range journal.Default.Snapshot(journal.Filter{}) {
-		_ = enc.Encode(e)
-	}
-	fmt.Fprintf(os.Stderr, "iotsim: forensic journal dumped to %s\n", path)
 }

@@ -57,7 +57,7 @@ func RunAblationStatePruning() *Table {
 			Posture:    policy.Posture{Isolate: true},
 			Priority:   20,
 		})
-		_, report := f.Compile(1 << 16)
+		report := f.Prune(1 << 16)
 		t.AddRow(nDevices,
 			policy.FormatCount(report.FullStates),
 			policy.FormatCount(report.IndependentStates),

@@ -95,3 +95,17 @@ func blockedAllowed(blocked bool) string {
 	}
 	return "allowed"
 }
+
+// fmtSeconds renders a latency compactly (µs/ms/s).
+func fmtSeconds(s float64) string {
+	switch {
+	case s <= 0:
+		return "0"
+	case s < 1e-3:
+		return fmt.Sprintf("%.0fµs", s*1e6)
+	case s < 1:
+		return fmt.Sprintf("%.2fms", s*1e3)
+	default:
+		return fmt.Sprintf("%.2fs", s)
+	}
+}

@@ -23,8 +23,7 @@ func BenchmarkJournalAppendCapturerDetached(b *testing.B) {
 }
 
 // BenchmarkJournalAppendCapturerAttached measures the append hot path
-// with a live capturer draining the tap — the attached-tap budget the
-// issue bounds at ≤5% over baseline. The workload is routine traffic
+// with a live capturer draining the tap. The workload is routine traffic
 // (the overwhelming majority in production): the capturer drains and
 // discards it without opening incidents.
 func BenchmarkJournalAppendCapturerAttached(b *testing.B) {

@@ -127,8 +127,8 @@ func BenchmarkJournalAppendNoTap(b *testing.B) {
 
 // BenchmarkJournalAppendWithTap measures the same append with an
 // attached (undrained) tap: the cost of the SLO plane on the hot path.
-// Budget: ≤5% over the no-tap baseline; still zero allocations (the
-// tap ring is preallocated and evicts in place).
+// Still zero allocations (the tap ring is preallocated and evicts in
+// place).
 func BenchmarkJournalAppendWithTap(b *testing.B) {
 	j := New(8192)
 	sub := j.Subscribe(4096)

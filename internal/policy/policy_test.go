@@ -156,7 +156,7 @@ func TestPruningIndependenceAndEquivalence(t *testing.T) {
 		Priority:   5,
 	})
 
-	compiled, report := f.Compile(0)
+	report := f.Prune(0)
 	if report.FullStates != 4096 { // 2^10 × 2 × 2
 		t.Errorf("full states = %v", report.FullStates)
 	}
@@ -172,33 +172,57 @@ func TestPruningIndependenceAndEquivalence(t *testing.T) {
 		t.Error("projected enumeration incomplete")
 	}
 
-	// Soundness: compiled lookup ≡ direct lookup across the FULL
-	// space (sampled).
-	rng := rand.New(rand.NewSource(1))
+	// Independence: across the FULL space, resetting the variables the
+	// policy never references changes no posture, so the 4 projected
+	// states stand for all 4096.
 	count := 0
 	d.EnumerateStates(0, func(s State) bool {
-		if rng.Float64() < 0.1 {
-			direct := f.Lookup(s)
-			pruned := compiled.Lookup(s)
-			for dev, p := range direct {
-				if !p.Equal(pruned[dev]) {
-					t.Fatalf("pruned lookup diverges at %s for %s: %v vs %v", s, dev, p, pruned[dev])
-				}
-			}
-			count++
+		if dev, ok := lookupIgnoresUnreferenced(f, s); !ok {
+			t.Fatalf("posture of %s at %s depends on an unreferenced variable", dev, s)
 		}
+		count++
 		return true
 	})
-	if count == 0 {
-		t.Fatal("sampled zero states")
+	if count != 4096 {
+		t.Fatalf("walked %d states, want 4096", count)
 	}
+}
+
+// lookupIgnoresUnreferenced reports whether Lookup(s) equals Lookup of
+// s with every variable the policy does not reference reset to its
+// default — the claim behind the "Independent states" column of A1.
+// On a mismatch it names the first device whose posture differs.
+func lookupIgnoresUnreferenced(f *FSM, s State) (string, bool) {
+	ref := map[string]bool{}
+	for _, v := range f.ReferencedVars() {
+		ref[v] = true
+	}
+	def := f.Domain.DefaultState()
+	reset := s.Clone()
+	for dev := range reset.Contexts {
+		if !ref["dev:"+dev] {
+			reset.Contexts[dev] = def.Contexts[dev]
+		}
+	}
+	for v := range reset.Env {
+		if !ref["env:"+v] {
+			reset.Env[v] = def.Env[v]
+		}
+	}
+	got, want := f.Lookup(s), f.Lookup(reset)
+	for _, dev := range f.Domain.Devices() {
+		if !got[dev].Equal(want[dev]) {
+			return dev, false
+		}
+	}
+	return "", true
 }
 
 func deviceName(i int) string { return "device" + string(rune('0'+i)) }
 
 func TestPruningSoundnessProperty(t *testing.T) {
-	// Random small policies: pruned lookup must always equal direct
-	// lookup on every state.
+	// Random small policies: on every state, no posture depends on a
+	// variable the policy does not reference.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
 		d := NewDomain()
@@ -227,14 +251,9 @@ func TestPruningSoundnessProperty(t *testing.T) {
 				Priority:   rng.Intn(3),
 			})
 		}
-		compiled, _ := f.Compile(0)
 		d.EnumerateStates(0, func(s State) bool {
-			direct := f.Lookup(s)
-			pruned := compiled.Lookup(s)
-			for dev, p := range direct {
-				if !p.Equal(pruned[dev]) {
-					t.Fatalf("trial %d: diverged at %s/%s", trial, s, dev)
-				}
+			if dev, ok := lookupIgnoresUnreferenced(f, s); !ok {
+				t.Fatalf("trial %d: diverged at %s/%s", trial, s, dev)
 			}
 			return true
 		})

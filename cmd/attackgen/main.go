@@ -25,18 +25,11 @@ func run() int {
 
 	n := netsim.NewNetwork()
 	sw := netsim.NewSwitch("lan", 1)
-	sw.SetMissBehavior(netsim.MissFlood)
-	nextPort := uint16(1)
-	connect := func(p *netsim.Port) {
-		sp := sw.AttachPort(n, nextPort)
-		nextPort++
-		n.Connect(p, sp, netsim.LinkOptions{})
-	}
 	defer n.Stop()
 
 	attackerIP := packet.MustParseIPv4("10.0.0.66")
 	attackerStack := netsim.NewStack("attacker", device.MACFor(attackerIP), attackerIP)
-	connect(attackerStack.Attach(n))
+	sw.Attach(n, attackerStack.Attach(n), attackerStack.MAC())
 	defer attackerStack.Stop()
 	adversary := attack.NewAttacker(attackerStack)
 
@@ -55,7 +48,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "attackgen: %v\n", err)
 			return 1
 		}
-		connect(port)
+		sw.Attach(n, port, d.MAC())
 		defer d.Stop()
 	}
 	if err := plug.StartDNSResolver(20); err != nil {

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"iotsec/internal/device"
@@ -69,7 +70,13 @@ func main() {
 
 	fmt.Println("\n--- auditing the Figure 3 policy ---")
 	reports := learn.VerifyPolicyStates(search, fsm, []policy.State{normal, alarmSuspicious}, bad)
-	for key, r := range reports {
+	keys := make([]string, 0, len(reports))
+	for key := range reports {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		r := reports[key]
 		if r.Holds {
 			fmt.Printf("SAFE    %s\n", key)
 		} else {
@@ -104,7 +111,6 @@ func main() {
 func extractWindowModel() *learn.Model {
 	n := netsim.NewNetwork()
 	sw := netsim.NewSwitch("sw", 1)
-	sw.SetMissBehavior(netsim.MissFlood)
 	env := envsim.StandardHome()
 
 	win := device.NewWindowActuator("win", packet.MustParseIPv4("10.0.0.10"))
@@ -112,12 +118,12 @@ func extractWindowModel() *learn.Model {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n.Connect(port, sw.AttachPort(n, 1), netsim.LinkOptions{})
+	sw.Attach(n, port, win.MAC())
 	win.BindEnvironment(env)
 
 	probeIP := packet.MustParseIPv4("10.0.0.200")
 	probe := netsim.NewStack("probe", device.MACFor(probeIP), probeIP)
-	n.Connect(probe.Attach(n), sw.AttachPort(n, 2), netsim.LinkOptions{})
+	sw.Attach(n, probe.Attach(n), probe.MAC())
 	n.Start()
 	defer func() {
 		probe.Stop()

@@ -9,26 +9,23 @@ import (
 	"iotsec/internal/packet"
 )
 
-// lab wires devices and an attacker onto one flooding switch.
+// lab wires devices and an attacker onto one switch.
 type lab struct {
 	net      *netsim.Network
 	sw       *netsim.Switch
 	attacker *Attacker
-	nextPort uint16
 	t        *testing.T
 }
 
 func newLab(t *testing.T) *lab {
 	l := &lab{
-		net:      netsim.NewNetwork(),
-		sw:       netsim.NewSwitch("sw", 1),
-		nextPort: 1,
-		t:        t,
+		net: netsim.NewNetwork(),
+		sw:  netsim.NewSwitch("sw", 1),
+		t:   t,
 	}
-	l.sw.SetMissBehavior(netsim.MissFlood)
 	ip := packet.MustParseIPv4("10.0.0.66")
 	st := netsim.NewStack("attacker", device.MACFor(ip), ip)
-	l.connect(st.Attach(l.net))
+	l.sw.Attach(l.net, st.Attach(l.net), st.MAC())
 	l.attacker = NewAttacker(st)
 	t.Cleanup(func() {
 		st.Stop()
@@ -37,18 +34,12 @@ func newLab(t *testing.T) *lab {
 	return l
 }
 
-func (l *lab) connect(p *netsim.Port) {
-	sp := l.sw.AttachPort(l.net, l.nextPort)
-	l.nextPort++
-	l.net.Connect(p, sp, netsim.LinkOptions{})
-}
-
 func (l *lab) add(d *device.Device) {
 	p, err := d.Attach(l.net)
 	if err != nil {
 		l.t.Fatal(err)
 	}
-	l.connect(p)
+	l.sw.Attach(l.net, p, d.MAC())
 	l.t.Cleanup(d.Stop)
 }
 
@@ -133,7 +124,7 @@ func TestDNSAmplificationAttack(t *testing.T) {
 
 	victimIP := packet.MustParseIPv4("10.0.0.99")
 	victimStack := netsim.NewStack("victim", device.MACFor(victimIP), victimIP)
-	l.connect(victimStack.Attach(l.net))
+	l.sw.Attach(l.net, victimStack.Attach(l.net), victimStack.MAC())
 	t.Cleanup(victimStack.Stop)
 	victim, err := NewVictim(victimStack, 7777)
 	if err != nil {

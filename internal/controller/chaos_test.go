@@ -124,9 +124,7 @@ func TestChaosControllerRestart(t *testing.T) {
 	backoff := resilience.BackoffOptions{Base: 5 * time.Millisecond, Cap: 25 * time.Millisecond, Seed: 9}
 
 	sw1 := netsim.NewSwitch("edge1", 61)
-	sw1.SetMissBehavior(netsim.MissDrop)
 	sw2 := netsim.NewSwitch("edge2", 62)
-	sw2.SetMissBehavior(netsim.MissDrop)
 	a1 := netsim.SuperviseAgent(sw1, addr, netsim.AgentOptions{Backoff: backoff, Dial: flakyDialer(plan)})
 	a2 := netsim.SuperviseAgent(sw2, addr, netsim.AgentOptions{Backoff: backoff, Dial: flakyDialer(plan)})
 

@@ -13,70 +13,40 @@ import (
 	"iotsec/internal/telemetry"
 )
 
-// SteeredDevice describes one protected device on a steered switch:
-// where the device hangs and where its µmbox's two legs connect.
-type SteeredDevice struct {
-	Name string
-	MAC  packet.MACAddress
-	// DevicePort is the switch port the device connects to.
-	DevicePort uint16
-	// MboxNorthPort / MboxSouthPort are the switch ports wired to the
-	// µmbox's network-side and device-side legs.
-	MboxNorthPort uint16
-	MboxSouthPort uint16
-}
-
-// Steering is the Figure 2 tunnel fabric: an SDN application that
-// programs switches (over the real southbound protocol) so every
-// frame to or from a protected device traverses its µmbox, while
-// plain hosts talk directly.
+// Steering is the southbound application that enforces posture on the
+// switches: it holds the standing quarantines and rule sets, sends
+// them to every connected switch (over the real southbound protocol),
+// and re-sends them whenever a switch connects or reconnects.
 //
-// Per protected device D with ports (P_dev, A=north, B=south):
-//
-//	prio 220: in_port=B            -> output P_dev   (processed, toward device)
-//	prio 220: in_port=P_dev        -> output B       (device-origin, into µmbox)
-//	prio 200: in_port=A            -> output {host ports}  (processed, outward)
-//	prio 150: eth_dst=D.MAC        -> output A       (device-bound, into µmbox)
-//	prio  50: (default)            -> output {host ports} + {A for broadcast}
-//
-// Beyond tunnel programming, Steering can install per-device
-// quarantine rules (Isolate/Release): priority-400 drop rules keyed
-// by the device MAC, emitted with the trace ID of the causal chain
-// that requested them, so forensic timelines show which anomaly
-// produced which FLOW_MOD.
+// Quarantines (Isolate/Release) are priority-400 drop rules keyed by
+// the device MAC, emitted with the trace ID of the causal chain that
+// requested them, so forensic timelines show which anomaly produced
+// which FLOW_MOD.
 //
 // Who owns which entries on a switch is told by the cookie's top byte
 // (openflow.ClassCookie), and each owner deletes by its own cookies
 // only:
 //
-//	= dpid     the tunnel fabric above (AddDevice), rebuilt from a clean
-//	           table on every reprogram
 //	0x51 'Q'   quarantine drops, prio 400 (Isolate/Release)
 //	0x50 'P'   behavior-profile rule sets, prio 250–310 (profile.Compile,
 //	           installed through InstallRuleSet)
-//	0x54 'T'   core.Platform's tunnel pins, prio 100: written by the
-//	           platform into its own uplink switch, not by Steering, and
-//	           never deleted by it — a platform's switch is driven with
-//	           Isolate/Release and rule sets, not AddDevice
+//	0x54 'T'   tunnel pins, prio 100 (netsim.PinCookieTag): written by
+//	           the switch itself when a host attaches, never sent or
+//	           deleted by Steering
 type Steering struct {
-	mu      sync.Mutex
-	devices []SteeredDevice
-	// pending switches connect before AddDevice in some orders; we
-	// reprogram on every change.
+	mu       sync.Mutex
 	endpoint *openflow.ControllerEndpoint
-	switches map[uint64][]uint16 // dpid → ports
+	switches map[uint64]struct{} // connected dpids
 	// isolated holds the quarantine set (device name → MAC). It is the
 	// source of truth for which drop rules must exist on every switch:
-	// program() re-emits them after any table rebuild, and a switch
-	// that connects (or reconnects) mid-quarantine receives them
-	// immediately — AddDevice or an agent reconnect can never silently
-	// lift a quarantine.
+	// a switch that connects (or reconnects) mid-quarantine receives
+	// them immediately, so an agent reconnect can never silently lift a
+	// quarantine.
 	isolated map[string]packet.MACAddress
 	// ruleSets holds named standing rule sets (e.g. one compiled
 	// behavior profile per enforced device). Like quarantines they are
-	// persisted controller state: program() re-emits every set after a
-	// table rebuild and on every switch (re)connect, so enforcement
-	// survives agent restarts.
+	// persisted controller state: program() re-emits every set on every
+	// switch (re)connect, so enforcement survives agent restarts.
 	ruleSets map[string][]*openflow.FlowMod
 	// connectWaiters are closed (and cleared) when a switch completes
 	// the handshake, so WaitForSwitch blocks without polling.
@@ -85,13 +55,13 @@ type Steering struct {
 }
 
 // NewSteering builds the application and its southbound endpoint.
-// Call Listen, point switch agents at the address, then AddDevice.
+// Call Listen, then point switch agents at the address.
 func NewSteering(logger *log.Logger) *Steering {
 	if logger == nil {
 		logger = log.New(discardWriter{}, "", 0)
 	}
 	s := &Steering{
-		switches: make(map[uint64][]uint16),
+		switches: make(map[uint64]struct{}),
 		isolated: make(map[string]packet.MACAddress),
 		ruleSets: make(map[string][]*openflow.FlowMod),
 		logger:   logger,
@@ -118,10 +88,9 @@ func (s *Steering) SetHeartbeat(interval time.Duration, misses int) {
 }
 
 // Interrupt models a controller crash: every southbound session and
-// the listener drop, but the steering state (devices, standing
-// quarantines) survives, so switches reconnecting after a later
-// Listen are re-programmed and re-quarantined through the normal
-// SwitchConnected path.
+// the listener drop, but the steering state (standing quarantines and
+// rule sets) survives, so switches reconnecting after a later Listen
+// are re-programmed through the normal SwitchConnected path.
 func (s *Steering) Interrupt() { s.endpoint.Interrupt() }
 
 // Close tears down the southbound endpoint.
@@ -131,29 +100,13 @@ func (s *Steering) Close() error { return s.endpoint.Close() }
 // experiments).
 func (s *Steering) Endpoint() *openflow.ControllerEndpoint { return s.endpoint }
 
-// AddDevice registers a protected device and reprograms all connected
-// switches. The context carries the causal trace (if any) into the
-// emitted FLOW_MODs.
-func (s *Steering) AddDevice(ctx context.Context, d SteeredDevice) {
-	s.mu.Lock()
-	s.devices = append(s.devices, d)
-	dpids := make([]uint64, 0, len(s.switches))
-	for dpid := range s.switches {
-		dpids = append(dpids, dpid)
-	}
-	s.mu.Unlock()
-	for _, dpid := range dpids {
-		s.program(ctx, dpid)
-	}
-}
-
 // SwitchConnected implements openflow.SwitchHandler. Programming is
 // asynchronous: this callback runs on the switch's receive goroutine,
 // which must stay free to deliver the barrier replies program waits
 // for.
-func (s *Steering) SwitchConnected(dpid uint64, ports []uint16) {
+func (s *Steering) SwitchConnected(dpid uint64, _ []uint16) {
 	s.mu.Lock()
-	s.switches[dpid] = ports
+	s.switches[dpid] = struct{}{}
 	waiters := s.connectWaiters
 	s.connectWaiters = nil
 	s.mu.Unlock()
@@ -201,24 +154,6 @@ func (s *Steering) HandlePacketIn(pi *openflow.PacketIn) {
 // HandleFlowRemoved implements openflow.SwitchHandler.
 func (s *Steering) HandleFlowRemoved(fr *openflow.FlowRemoved) {}
 
-// hostPorts lists switch ports that belong to neither devices nor
-// µmbox legs.
-func hostPorts(ports []uint16, devices []SteeredDevice) []uint16 {
-	special := map[uint16]bool{}
-	for _, d := range devices {
-		special[d.DevicePort] = true
-		special[d.MboxNorthPort] = true
-		special[d.MboxSouthPort] = true
-	}
-	var hosts []uint16
-	for _, p := range ports {
-		if !special[p] {
-			hosts = append(hosts, p)
-		}
-	}
-	return hosts
-}
-
 // send stamps a FLOW_MOD with the context's trace ID, journals it,
 // and pushes it to one switch.
 func (s *Steering) send(ctx context.Context, dpid uint64, fm *openflow.FlowMod, what string) {
@@ -231,14 +166,14 @@ func (s *Steering) send(ctx context.Context, dpid uint64, fm *openflow.FlowMod, 
 	}
 }
 
-// program pushes the full steering rule set to one switch, fencing
-// with a barrier so enforcement is in place before program returns.
-// With no registered devices it is a no-op: a connected switch keeps
-// its existing table until steering actually has something to steer.
+// program re-emits the standing rule sets and quarantines to one
+// switch, fencing with a barrier so enforcement is in place before
+// program returns. Insert replaces identical match+priority entries,
+// so re-sending what a switch already holds is idempotent; with
+// nothing standing it is a no-op.
 func (s *Steering) program(ctx context.Context, dpid uint64) {
 	s.mu.Lock()
-	ports, connected := s.switches[dpid]
-	devices := append([]SteeredDevice(nil), s.devices...)
+	_, connected := s.switches[dpid]
 	quarantined := make(map[string]packet.MACAddress, len(s.isolated))
 	for name, mac := range s.isolated {
 		quarantined[name] = mac
@@ -248,7 +183,7 @@ func (s *Steering) program(ctx context.Context, dpid uint64) {
 		ruleSets[name] = mods
 	}
 	s.mu.Unlock()
-	if !connected || (len(devices) == 0 && len(quarantined) == 0 && len(ruleSets) == 0) {
+	if !connected || (len(quarantined) == 0 && len(ruleSets) == 0) {
 		return
 	}
 	ctx, span := telemetry.StartSpan(ctx, "controller.steer.program")
@@ -256,23 +191,9 @@ func (s *Steering) program(ctx context.Context, dpid uint64) {
 	defer span.End()
 	defer telemetry.Time(mProgramSeconds)()
 
-	// With steered devices the table is rebuilt from scratch; with only
-	// quarantines the existing table is kept and the drop rules are
-	// (re-)inserted on top (Insert replaces identical match+priority
-	// entries, so this is idempotent).
-	if len(devices) > 0 {
-		s.programSteering(ctx, dpid, ports, devices)
-	}
-
-	// Standing rule sets (profile enforcement) survive the wipe the
-	// same way quarantines do: re-emitted on every reprogram.
 	for name, mods := range ruleSets {
 		s.sendRuleSet(ctx, dpid, name, mods)
 	}
-
-	// Quarantine rules last, so a table wipe above can never leave a
-	// window where they are re-issued "eventually": every reprogram and
-	// every switch (re)connect restores the full quarantine set.
 	for name, mac := range quarantined {
 		s.sendQuarantine(ctx, dpid, name, mac)
 	}
@@ -282,86 +203,9 @@ func (s *Steering) program(ctx context.Context, dpid uint64) {
 	}
 }
 
-// programSteering pushes the tunnel rule set for the registered
-// devices to one switch, starting from a clean table.
-func (s *Steering) programSteering(ctx context.Context, dpid uint64, ports []uint16, devices []SteeredDevice) {
-	hosts := hostPorts(ports, devices)
-
-	// Start from a clean table. Quarantine drop rules are wiped too,
-	// but program() unconditionally re-emits them right after this
-	// returns, before the fencing barrier.
-	s.send(ctx, dpid, &openflow.FlowMod{Command: openflow.FlowDelete, Match: openflow.MatchAll()}, "")
-
-	outputsTo := func(ports []uint16) []openflow.Action {
-		acts := make([]openflow.Action, len(ports))
-		for i, p := range ports {
-			acts[i] = openflow.Output(p)
-		}
-		return acts
-	}
-
-	for _, d := range devices {
-		// Processed traffic exiting the µmbox toward the device.
-		s.send(ctx, dpid, &openflow.FlowMod{
-			Command:  openflow.FlowAdd,
-			Match:    openflow.MatchAll().WithInPort(d.MboxSouthPort),
-			Priority: 220,
-			Actions:  []openflow.Action{openflow.Output(d.DevicePort)},
-			Cookie:   dpid,
-		}, d.Name)
-		// Device-origin traffic enters the µmbox south leg.
-		s.send(ctx, dpid, &openflow.FlowMod{
-			Command:  openflow.FlowAdd,
-			Match:    openflow.MatchAll().WithInPort(d.DevicePort),
-			Priority: 220,
-			Actions:  []openflow.Action{openflow.Output(d.MboxSouthPort)},
-			Cookie:   dpid,
-		}, d.Name)
-		// Processed device-origin traffic exits toward the hosts and
-		// toward other protected devices' tunnels (device-to-device
-		// traffic crosses both µmboxes).
-		northActions := outputsTo(hosts)
-		for _, other := range devices {
-			if other.Name != d.Name {
-				northActions = append(northActions, openflow.Output(other.MboxNorthPort))
-			}
-		}
-		s.send(ctx, dpid, &openflow.FlowMod{
-			Command:  openflow.FlowAdd,
-			Match:    openflow.MatchAll().WithInPort(d.MboxNorthPort),
-			Priority: 200,
-			Actions:  northActions,
-			Cookie:   dpid,
-		}, d.Name)
-		// Device-bound traffic detours into the µmbox north leg.
-		s.send(ctx, dpid, &openflow.FlowMod{
-			Command:  openflow.FlowAdd,
-			Match:    openflow.MatchAll().WithEthDst(d.MAC),
-			Priority: 150,
-			Actions:  []openflow.Action{openflow.Output(d.MboxNorthPort)},
-			Cookie:   dpid,
-		}, d.Name)
-	}
-
-	// Default: host-to-host plus broadcast reach into every µmbox
-	// north leg (so ARP finds the devices through their tunnels).
-	var defaults []openflow.Action
-	defaults = append(defaults, outputsTo(hosts)...)
-	for _, d := range devices {
-		defaults = append(defaults, openflow.Output(d.MboxNorthPort))
-	}
-	s.send(ctx, dpid, &openflow.FlowMod{
-		Command:  openflow.FlowAdd,
-		Match:    openflow.MatchAll(),
-		Priority: 50,
-		Actions:  defaults,
-		Cookie:   dpid,
-	}, "")
-}
-
 // quarantineCookie derives a stable per-device cookie from its MAC so
 // Release can delete exactly the rules Isolate installed. The high
-// byte tags the rule class so steering cookies (= dpid) never collide.
+// byte tags the rule class, so no other owner's cookies collide.
 func quarantineCookie(mac packet.MACAddress) uint64 {
 	return openflow.ClassCookie(0x51, mac) // 'Q'
 }
@@ -386,8 +230,8 @@ func (s *Steering) sendQuarantine(ctx context.Context, dpid uint64, name string,
 
 // Isolate puts one device MAC under quarantine: priority-400 drop
 // rules on every connected switch, fenced by a barrier. The quarantine
-// persists in the steering state, so table reprograms (AddDevice) and
-// switches that connect later re-receive the rules until Release. The
+// persists in the steering state, so switches that connect (or
+// reconnect) later re-receive the rules until Release. The
 // rules carry the context's trace ID, so the forensic journal links
 // them to the anomaly that triggered the posture change.
 func (s *Steering) Isolate(ctx context.Context, name string, mac packet.MACAddress) {
@@ -452,13 +296,12 @@ func ruleSetCookies(mods []*openflow.FlowMod) []uint64 {
 }
 
 // InstallRuleSet installs (or replaces) a named standing rule set on
-// every connected switch, barrier-fenced, and persists it so table
-// reprograms and later switch connects re-receive it — the same
-// durability contract as quarantines. Replacement deletes the prior
-// set's cookies first, so stale rules cannot linger when a set
-// shrinks. Rule cookies should be stable per set (see profile.Cookie)
-// and must not collide with quarantine ('Q'-tagged) or steering
-// (= dpid) cookies.
+// every connected switch, barrier-fenced, and persists it so later
+// switch connects re-receive it — the same durability contract as
+// quarantines. Replacement deletes the prior set's cookies first, so
+// stale rules cannot linger when a set shrinks. Rule cookies should be
+// stable per set (see profile.Cookie) and must not collide with
+// quarantine ('Q') or pin ('T') cookies.
 func (s *Steering) InstallRuleSet(ctx context.Context, name string, mods []*openflow.FlowMod) {
 	ctx, span := telemetry.StartSpan(ctx, "controller.steer.install_rule_set")
 	span.SetAttr("set", name)
@@ -524,8 +367,8 @@ func (s *Steering) Isolated(name string) bool {
 }
 
 // IsolatedDevices snapshots the full quarantine set (device → MAC).
-// Because program() re-emits these rules on every table rebuild and
-// switch (re)connect, this set mirrors exactly the drop rules resident
+// Because program() re-emits these rules on every switch (re)connect,
+// this set mirrors exactly the drop rules resident
 // in connected switches' flow tables — it is the controller-side
 // flow-table readback the failover recovery path rebuilds quarantine
 // state from.
@@ -554,8 +397,8 @@ func (s *Steering) dpids() []uint64 {
 func (s *Steering) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return fmt.Sprintf("steering: %d devices, %d switches, %d quarantined",
-		len(s.devices), len(s.switches), len(s.isolated))
+	return fmt.Sprintf("steering: %d switches, %d quarantined",
+		len(s.switches), len(s.isolated))
 }
 
 // Switches reports how many southbound switch sessions are currently

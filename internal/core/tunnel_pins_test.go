@@ -87,7 +87,7 @@ func TestTunnelPinsIsolateDevices(t *testing.T) {
 	// One pin per attachment (4 µmbox north legs + the client) and the
 	// broadcast entry; nothing else forwards.
 	const pins = 4 + 1 + 1
-	if got := entriesInClass(p, tunnelCookieTag); got != pins || p.Switch.Table().Len() != pins {
+	if got := entriesInClass(p, netsim.PinCookieTag); got != pins || p.Switch.Table().Len() != pins {
 		t.Fatalf("%d tunnel entries of %d in the table, want %d of %d", got, p.Switch.Table().Len(), pins, pins)
 	}
 
@@ -132,17 +132,17 @@ func TestTunnelPinsIsolateDevices(t *testing.T) {
 	}
 
 	// A frame for a MAC nothing attached: no port, one counted drop.
-	_, outBefore, _, _ := p.Switch.Stats()
-	dropsBefore := p.Switch.MissDropped()
+	_, outBefore, missBefore, _ := p.Switch.Stats()
 	stray := tcpSegment(t, client.Stack.MAC(), packet.MACAddress{2, 0xde, 0xad, 0, 0, 1},
 		client.Stack.IP(), packet.IPv4Address{10, 0, 5, 99}, "anyone there?")
 	client.Stack.InjectFrame(stray)
 	quiesce()
-	if _, out, _, _ := p.Switch.Stats(); out != outBefore {
+	_, out, miss, _ := p.Switch.Stats()
+	if out != outBefore {
 		t.Errorf("a frame for an unattached MAC left the switch on %d port(s), want none", out-outBefore)
 	}
-	if got := p.Switch.MissDropped() - dropsBefore; got != 1 {
-		t.Errorf("MissDropped moved by %d, want 1", got)
+	if miss-missBefore != 1 {
+		t.Errorf("table misses moved by %d, want 1", miss-missBefore)
 	}
 
 	// Quarantine camA: its rules sit above the pins, and while they
@@ -161,14 +161,14 @@ func TestTunnelPinsIsolateDevices(t *testing.T) {
 		t.Errorf("quarantined camA: %d frames left the switch, %d reached its µmbox, want 0 and 0",
 			out-outBefore, mboxFrames(camA)-held)
 	}
-	if got := entriesInClass(p, tunnelCookieTag); got != pins {
+	if got := entriesInClass(p, netsim.PinCookieTag); got != pins {
 		t.Errorf("%d tunnel entries under quarantine, want %d", got, pins)
 	}
 
 	// Release removes the quarantine class and only that.
 	p.Global.View.SetDeviceContext(context.Background(), camA.Device.Name, policy.ContextNormal, "test")
 	waitFor(t, "quarantine rules gone", func() bool { return entriesInClass(p, quarantineClass) == 0 })
-	if got := entriesInClass(p, tunnelCookieTag); got != pins || p.Switch.Table().Len() != pins {
+	if got := entriesInClass(p, netsim.PinCookieTag); got != pins || p.Switch.Table().Len() != pins {
 		t.Errorf("after release: %d tunnel entries of %d in the table, want %d of %d", got, p.Switch.Table().Len(), pins, pins)
 	}
 	if entriesInClass(p, profile.CookieTag) != 0 {
@@ -176,6 +176,61 @@ func TestTunnelPinsIsolateDevices(t *testing.T) {
 	}
 	if err := call(); err != nil {
 		t.Fatalf("request to camA after release: %v", err)
+	}
+}
+
+// TestTunnelPinsDeviceToDevice: a call from one managed device to
+// another crosses both tunnels — out through the caller's µmbox and in
+// through the callee's — and a third device's µmbox sees none of the
+// unicast exchange.
+func TestTunnelPinsDeviceToDevice(t *testing.T) {
+	d := policy.NewDomain()
+	p, err := New(Options{Policy: policy.NewFSM(d)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms []*Managed
+	for i, name := range []string{"d1", "d2", "d3"} {
+		d.AddDevice(name, policy.ContextNormal)
+		ip := packet.IPv4Address{10, 0, 6, byte(11 + i)}
+		// Open access, so the call needs no credentials.
+		dev := device.New(name, device.Profile{SKU: "plain-" + name, Class: "test",
+			Vulns: []device.Vulnerability{{Class: device.VulnOpenAccess}}}, device.MACFor(ip), ip)
+		m, err := p.AddDevice(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	p.Start()
+	t.Cleanup(p.Stop)
+	d1, d2, d3 := ms[0], ms[1], ms[2]
+	client := &device.Client{Stack: d1.Device.Stack(), Timeout: 2 * time.Second}
+	call := func() {
+		t.Helper()
+		resp, err := client.Call(d2.Device.IP(), device.Request{Cmd: "STATUS"})
+		if err != nil || !resp.OK {
+			t.Fatalf("d1 → d2 call failed: %v %+v", err, resp)
+		}
+	}
+	call() // resolves ARP through the broadcast entry
+	if !p.Network.Quiesce(2 * time.Second) {
+		t.Fatal("fabric never went idle")
+	}
+	fwd := func(m *Managed) uint64 { f, _ := m.Instance.Mbox.Counters(); return f }
+	b1, b2, b3 := fwd(d1), fwd(d2), mboxFrames(d3)
+	call()
+	if !p.Network.Quiesce(2 * time.Second) {
+		t.Fatal("fabric never went idle")
+	}
+	if fwd(d1) == b1 {
+		t.Error("d1's µmbox forwarded none of its own device's call")
+	}
+	if fwd(d2) == b2 {
+		t.Error("d2's µmbox forwarded none of the call to its device")
+	}
+	if got := mboxFrames(d3) - b3; got != 0 {
+		t.Errorf("d3's µmbox was shown %d frames of the d1 → d2 call, want 0", got)
 	}
 }
 

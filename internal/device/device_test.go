@@ -72,13 +72,12 @@ func TestResponseCodec(t *testing.T) {
 	}
 }
 
-// testbed wires devices and a client stack onto one flooding switch.
+// testbed wires devices and a client stack onto one switch.
 type testbed struct {
 	net    *netsim.Network
 	sw     *netsim.Switch
 	env    *envsim.Environment
 	client *Client
-	nextPt uint16
 }
 
 func newTestbed(t *testing.T) *testbed {
@@ -88,23 +87,15 @@ func newTestbed(t *testing.T) *testbed {
 		sw:  netsim.NewSwitch("sw", 1),
 		env: envsim.StandardHome(),
 	}
-	tb.sw.SetMissBehavior(netsim.MissFlood)
-	tb.nextPt = 1
 
 	clientStack := netsim.NewStack("client", MACFor(packet.MustParseIPv4("10.0.0.250")), packet.MustParseIPv4("10.0.0.250"))
-	tb.connect(clientStack.Attach(tb.net))
+	tb.sw.Attach(tb.net, clientStack.Attach(tb.net), clientStack.MAC())
 	tb.client = &Client{Stack: clientStack}
 	t.Cleanup(func() {
 		clientStack.Stop()
 		tb.net.Stop()
 	})
 	return tb
-}
-
-func (tb *testbed) connect(hostPort *netsim.Port) {
-	sp := tb.sw.AttachPort(tb.net, tb.nextPt)
-	tb.nextPt++
-	tb.net.Connect(hostPort, sp, netsim.LinkOptions{})
 }
 
 // add attaches a device to the fabric and environment.
@@ -114,7 +105,7 @@ func (tb *testbed) add(t *testing.T, d *Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.connect(p)
+	tb.sw.Attach(tb.net, p, d.MAC())
 	d.BindEnvironment(tb.env)
 	t.Cleanup(d.Stop)
 }
@@ -386,7 +377,7 @@ func TestFridgeSpamRelay(t *testing.T) {
 
 	// A victim mail server on the LAN counts arriving spam.
 	victimStack := netsim.NewStack("victim", MACFor(packet.MustParseIPv4("10.0.0.99")), packet.MustParseIPv4("10.0.0.99"))
-	tb.connect(victimStack.Attach(tb.net))
+	tb.sw.Attach(tb.net, victimStack.Attach(tb.net), victimStack.MAC())
 	t.Cleanup(victimStack.Stop)
 	var got sync.WaitGroup
 	got.Add(25)

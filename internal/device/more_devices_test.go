@@ -199,7 +199,7 @@ func newProbeHost(t *testing.T, tb *testbed, ip packet.IPv4Address, ch chan stru
 func NewClientStack(t *testing.T, tb *testbed, ip packet.IPv4Address) *Client {
 	t.Helper()
 	st := netsim.NewStack("host-"+ip.String(), MACFor(ip), ip)
-	tb.connect(st.Attach(tb.net))
+	tb.sw.Attach(tb.net, st.Attach(tb.net), st.MAC())
 	t.Cleanup(st.Stop)
 	return &Client{Stack: st}
 }

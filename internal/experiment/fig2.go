@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"iotsec/internal/controller"
+	"iotsec/internal/core"
 	"iotsec/internal/device"
 	"iotsec/internal/mbox"
-	"iotsec/internal/netsim"
 	"iotsec/internal/packet"
 	"iotsec/internal/policy"
 )
@@ -38,8 +36,7 @@ func RunFigure2() (*Table, error) {
 	t.AddRow("mgmt request latency (via µmbox)", fmt.Sprintf("%.2fms", ms(tunneled)))
 	t.AddRow("tunnel overhead", fmt.Sprintf("%.2fms", ms(tunneled-bare)))
 
-	// --- The same tunnel programmed by real FLOW_MODs over the
-	// southbound wire (SDN steering) ---
+	// --- The same tunnel with the southbound session live ---
 	steered, err := measureSteeredLatency()
 	if err != nil {
 		return nil, err
@@ -109,53 +106,29 @@ func timeCalls(client *device.Client, ip packet.IPv4Address, user, pass string, 
 	return total / time.Duration(samples), nil
 }
 
-// measureSteeredLatency builds the SDN-steered variant of the tunnel:
-// the switch starts empty (drop-on-miss) and the steering controller
-// programs the detour with FLOW_MODs over a real TCP southbound
-// session.
+// measureSteeredLatency times the platform's own tunnel with its
+// southbound session live: the switch agent is connected to the
+// steering controller over a real TCP session while the requests run.
 func measureSteeredLatency() (time.Duration, error) {
-	steering := controller.NewSteering(nil)
-	addr, err := steering.Listen("127.0.0.1:0")
+	prot, err := newProtectedLab(policyFor("cam", device.CameraProfile()))
 	if err != nil {
 		return 0, err
 	}
-	defer steering.Close()
-
-	n := netsim.NewNetwork()
-	sw := netsim.NewSwitch("edge", 7)
-	sw.SetMissBehavior(netsim.MissDrop)
+	defer prot.stop()
 	cam := device.NewCamera("cam", packet.MustParseIPv4("10.0.0.10"))
-	camPort, err := cam.Device.Attach(n)
+	if _, err := prot.platform.AddDevice(cam.Device); err != nil {
+		return 0, err
+	}
+	prot.platform.Start()
+	sb, err := prot.platform.AttachSouthbound(core.SouthboundOptions{})
 	if err != nil {
 		return 0, err
 	}
-	n.Connect(camPort, sw.AttachPort(n, 1), netsim.LinkOptions{})
-	proxy := mbox.NewPasswordProxy("homeadmin", "Str0ng!pass", "admin", "admin")
-	mb := mbox.NewMbox("mb-cam", mbox.NewPipeline(proxy))
-	south, north := mb.AttachInline(n)
-	n.Connect(north, sw.AttachPort(n, 2), netsim.LinkOptions{})
-	n.Connect(south, sw.AttachPort(n, 3), netsim.LinkOptions{})
-	clientIP := packet.MustParseIPv4("10.0.0.100")
-	clientStack := netsimStack("client", clientIP)
-	n.Connect(clientStack.Attach(n), sw.AttachPort(n, 4), netsim.LinkOptions{})
-	n.Start()
-	defer n.Stop()
-	defer cam.Stop()
-	defer clientStack.Stop()
-
-	agent, err := netsim.ConnectAgent(sw, addr)
-	if err != nil {
-		return 0, err
-	}
-	defer agent.Stop()
-	if !steering.WaitForSwitch(2 * time.Second) {
+	defer sb.Close()
+	if !sb.Steering.WaitForSwitch(2 * time.Second) {
 		return 0, fmt.Errorf("fig2: switch never connected to steering controller")
 	}
-	steering.AddDevice(context.Background(), controller.SteeredDevice{
-		Name: "cam", MAC: cam.MAC(), DevicePort: 1, MboxNorthPort: 2, MboxSouthPort: 3,
-	})
-
-	client := &device.Client{Stack: clientStack, Timeout: time.Second}
+	client := &device.Client{Stack: prot.attacker.Stack, Timeout: time.Second}
 	return timeCalls(client, cam.IP(), "homeadmin", "Str0ng!pass", 20)
 }
 

@@ -15,35 +15,27 @@ import (
 )
 
 // rawLab is an undefended deployment: devices and an attacker on one
-// flooding switch — "the current world" halves of Figures 4 and 5.
+// plain switch, each attachment pinned to its port — "the current
+// world" halves of Figures 4 and 5.
 type rawLab struct {
 	net      *netsim.Network
 	sw       *netsim.Switch
 	attacker *attack.Attacker
 	hosts    []*netsim.Stack
 	devices  []*device.Device
-	nextPort uint16
 }
 
 func newRawLab() *rawLab {
 	l := &rawLab{
-		net:      netsim.NewNetwork(),
-		sw:       netsim.NewSwitch("uplink", 1),
-		nextPort: 1,
+		net: netsim.NewNetwork(),
+		sw:  netsim.NewSwitch("uplink", 1),
 	}
-	l.sw.SetMissBehavior(netsim.MissFlood)
 	ip := packet.MustParseIPv4("10.0.0.66")
 	st := netsim.NewStack("attacker", device.MACFor(ip), ip)
-	l.connect(st.Attach(l.net))
+	l.sw.Attach(l.net, st.Attach(l.net), st.MAC())
 	l.hosts = append(l.hosts, st)
 	l.attacker = attack.NewAttacker(st)
 	return l
-}
-
-func (l *rawLab) connect(p *netsim.Port) {
-	sp := l.sw.AttachPort(l.net, l.nextPort)
-	l.nextPort++
-	l.net.Connect(p, sp, netsim.LinkOptions{})
 }
 
 func (l *rawLab) add(d *device.Device) error {
@@ -51,7 +43,7 @@ func (l *rawLab) add(d *device.Device) error {
 	if err != nil {
 		return err
 	}
-	l.connect(p)
+	l.sw.Attach(l.net, p, d.MAC())
 	l.devices = append(l.devices, d)
 	return nil
 }
@@ -60,7 +52,7 @@ func (l *rawLab) add(d *device.Device) error {
 func (l *rawLab) addHost(ip string) *netsim.Stack {
 	addr := packet.MustParseIPv4(ip)
 	st := netsim.NewStack("host-"+ip, device.MACFor(addr), addr)
-	l.connect(st.Attach(l.net))
+	l.sw.Attach(l.net, st.Attach(l.net), st.MAC())
 	l.hosts = append(l.hosts, st)
 	return st
 }

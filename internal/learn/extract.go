@@ -118,6 +118,7 @@ func ExtractModel(tb *Testbed, class string, commands []string) (*Model, error) 
 	for s := range states {
 		m.States = append(m.States, s)
 	}
+	sort.Strings(m.States)
 	for state, vars := range effectSeen {
 		for varName, level := range vars {
 			m.Effects[state] = append(m.Effects[state], Effect{Var: varName, Level: level})

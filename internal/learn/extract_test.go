@@ -10,25 +10,24 @@ import (
 	"iotsec/internal/packet"
 )
 
-// extractionTestbed wires one device and a client on a flooding
-// switch with a standard home environment.
+// extractionTestbed wires one device and a client on a switch with a
+// standard home environment.
 func extractionTestbed(t *testing.T, d *device.Device, stateKey, user, pass string) *Testbed {
 	t.Helper()
 	n := netsim.NewNetwork()
 	sw := netsim.NewSwitch("sw", 1)
-	sw.SetMissBehavior(netsim.MissFlood)
 	env := envsim.StandardHome()
 
 	port, err := d.Attach(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Connect(port, sw.AttachPort(n, 1), netsim.LinkOptions{})
+	sw.Attach(n, port, d.MAC())
 	d.BindEnvironment(env)
 
 	clientIP := packet.MustParseIPv4("10.0.0.200")
 	st := netsim.NewStack("probe", device.MACFor(clientIP), clientIP)
-	n.Connect(st.Attach(n), sw.AttachPort(n, 2), netsim.LinkOptions{})
+	sw.Attach(n, st.Attach(n), st.MAC())
 	n.Start()
 	t.Cleanup(func() {
 		st.Stop()

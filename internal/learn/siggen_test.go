@@ -111,24 +111,23 @@ func TestCaptureToSignaturePipeline(t *testing.T) {
 	rec := netsim.NewRecorder()
 	n.AddTap(rec.Tap())
 	sw := netsim.NewSwitch("sw", 1)
-	sw.SetMissBehavior(netsim.MissFlood)
 
 	plug := device.NewSmartPlug("wemo", packet.MustParseIPv4("10.0.0.10"), device.Appliance{Name: "lamp"})
 	plugPort, err := plug.Device.Attach(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Connect(plugPort, sw.AttachPort(n, 1), netsim.LinkOptions{})
+	sw.Attach(n, plugPort, plug.MAC())
 
-	mkHost := func(ip string, swPort uint16) *netsim.Stack {
+	mkHost := func(ip string) *netsim.Stack {
 		addr := packet.MustParseIPv4(ip)
 		st := netsim.NewStack("h"+ip, device.MACFor(addr), addr)
-		n.Connect(st.Attach(n), sw.AttachPort(n, swPort), netsim.LinkOptions{})
+		sw.Attach(n, st.Attach(n), st.MAC())
 		t.Cleanup(st.Stop)
 		return st
 	}
-	owner := mkHost("10.0.0.2", 2)
-	attacker := mkHost("10.0.0.66", 3)
+	owner := mkHost("10.0.0.2")
+	attacker := mkHost("10.0.0.66")
 	n.Start()
 	t.Cleanup(func() { plug.Stop(); n.Stop() })
 

@@ -28,9 +28,10 @@ type AgentOptions struct {
 }
 
 // SwitchAgent connects a Switch to a controller over the southbound
-// wire protocol: it punts table misses as PACKET_IN, applies FLOW_MOD
-// and PACKET_OUT, answers FEATURES/ECHO/BARRIER/STATS, and reports
-// expired entries as FLOW_REMOVED.
+// wire protocol: it sends what a ToController action punts as
+// PACKET_IN, applies FLOW_MOD and PACKET_OUT, answers
+// FEATURES/ECHO/BARRIER/STATS, and reports expired entries as
+// FLOW_REMOVED.
 //
 // The connection is a resilience.Session: it redials when the session
 // drops, the (controller-driven) handshake re-runs, and events buffered

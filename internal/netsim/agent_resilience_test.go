@@ -160,6 +160,7 @@ func TestAgentFailModes(t *testing.T) {
 	t.Run("fail-static buffers punts", func(t *testing.T) {
 		n := NewNetwork()
 		sw := NewSwitch("sw-buffer", 5)
+		tableMiss(sw, openflow.ToController())
 		sp := sw.AttachPort(n, 1)
 		src := newSink("src")
 		n.Connect(n.NewPort(src, 1), sp, LinkOptions{})
@@ -172,7 +173,7 @@ func TestAgentFailModes(t *testing.T) {
 		defer func() { agent.Stop(); agent.Wait() }()
 
 		frame := buildFrame(t, mac1, mac2, ip1, ip2, 80)
-		sendViaPeer(sp, frame) // table miss → punt → degradation path
+		sendViaPeer(sp, frame) // table-miss entry → punt → degradation path
 		waitCond(t, "punt to buffer", func() bool { return agent.BufferedEvents() >= 1 })
 
 		// FLOW_REMOVED is state the controller must learn: buffered too.
@@ -192,6 +193,7 @@ func TestAgentFailModes(t *testing.T) {
 func TestAgentBufferEviction(t *testing.T) {
 	n := NewNetwork()
 	sw := NewSwitch("sw-evict", 6)
+	tableMiss(sw, openflow.ToController())
 	sp := sw.AttachPort(n, 1)
 	src := newSink("src")
 	n.Connect(n.NewPort(src, 1), sp, LinkOptions{})

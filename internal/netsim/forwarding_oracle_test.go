@@ -9,18 +9,33 @@ import (
 	"iotsec/internal/packet"
 )
 
-// rig is a switch with n unwired ports: Port.Send counts a frame on an
-// unwired port and drops it, so TxFrames says exactly which ports a
-// frame was handed to, synchronously and without a running fabric.
+// rig is a switch with n ports. Port.Send counts every frame it is
+// handed and the fabric never starts, so TxFrames says exactly which
+// ports a frame was handed to, synchronously and without a running
+// fabric.
 type rig struct {
 	sw    *Switch
 	ports []*Port // ports[i] has ID i+1
 }
 
-func newRig(n int, miss MissBehavior) *rig {
+// newPinnedRig plugs n hosts in with Attach, the shipped way: port i
+// pins macOf(i).
+func newPinnedRig(n int, macOf func(uint16) packet.MACAddress) *rig {
 	net := NewNetwork()
 	r := &rig{sw: NewSwitch("sw", 1)}
-	r.sw.SetMissBehavior(miss)
+	for i := 1; i <= n; i++ {
+		host := net.NewPort(newSink(fmt.Sprintf("h%d", i)), 1)
+		r.ports = append(r.ports, r.sw.Attach(net, host, macOf(uint16(i))))
+	}
+	return r
+}
+
+// newFloodingRig is the oracle: n unwired ports and a priority-0
+// MatchAll → Flood entry, so every frame reaches every other port.
+func newFloodingRig(n int) *rig {
+	net := NewNetwork()
+	r := &rig{sw: NewSwitch("sw", 1)}
+	tableMiss(r.sw, openflow.Flood())
 	for i := 1; i <= n; i++ {
 		r.ports = append(r.ports, r.sw.AttachPort(net, uint16(i)))
 	}
@@ -48,10 +63,10 @@ func (r *rig) deliver(ingress uint16, f Frame) map[uint16]bool {
 	return out
 }
 
-// TestPinnedForwardingOracle checks the platform's forwarding model —
+// TestPinnedForwardingOracle checks the switch's forwarding model —
 // one eth_dst=<MAC> → output:<port> pin per attachment, broadcast →
-// flood, everything else a dropped miss — against what it replaces, a
-// switch that floods every miss: for random frames among N pinned MACs
+// flood, everything else a dropped miss — against a switch that floods
+// every frame: for random frames among N pinned MACs
 // the pinned switch delivers to exactly the owner (known unicast), to
 // everyone but the sender (broadcast), or to no one (unknown), and
 // never to a port the flooding switch would not also have reached.
@@ -59,20 +74,8 @@ func TestPinnedForwardingOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for round := 0; round < 50; round++ {
 		n := 2 + rng.Intn(14)
-		pinned, flooding := newRig(n, MissDrop), newRig(n, MissFlood)
 		macOf := func(port uint16) packet.MACAddress { return packet.MACAddress{2, 0, 0, byte(round), 0, byte(port)} }
-		for port := uint16(1); port <= uint16(n); port++ {
-			pinned.sw.Table().Insert(openflow.FlowEntry{
-				Match:    openflow.MatchAll().WithEthDst(macOf(port)),
-				Priority: 100,
-				Actions:  []openflow.Action{openflow.Output(port)},
-			})
-		}
-		pinned.sw.Table().Insert(openflow.FlowEntry{
-			Match:    openflow.MatchAll().WithEthDst(packet.BroadcastMAC),
-			Priority: 100,
-			Actions:  []openflow.Action{openflow.Flood()},
-		})
+		pinned, flooding := newPinnedRig(n, macOf), newFloodingRig(n)
 		dropped := uint64(0)
 		for i := 0; i < 200; i++ {
 			ingress := uint16(1 + rng.Intn(n))
@@ -116,11 +119,11 @@ func TestPinnedForwardingOracle(t *testing.T) {
 				}
 			}
 		}
-		if got := pinned.sw.MissDropped(); got != dropped {
-			t.Fatalf("round %d: MissDropped = %d, want %d (one per unknown destination)", round, got, dropped)
+		if _, _, got, _ := pinned.sw.Stats(); got != dropped {
+			t.Fatalf("round %d: %d table misses, want %d (one per unknown destination)", round, got, dropped)
 		}
-		if got := flooding.sw.MissDropped(); got != 0 {
-			t.Fatalf("round %d: a flooding switch counted %d dropped misses", round, got)
+		if _, _, got, _ := flooding.sw.Stats(); got != 0 {
+			t.Fatalf("round %d: a flooding switch counted %d table misses", round, got)
 		}
 	}
 }

@@ -32,10 +32,7 @@ var (
 		"Frames forwarded by SDN switches (unicast + flood copies).")
 	mSwitchTableMiss = telemetry.NewCounter(
 		"iotsec_netsim_switch_table_miss_total",
-		"Frames that matched no flow entry.")
-	mSwitchMissDropped = telemetry.NewCounter(
-		"iotsec_netsim_switch_miss_dropped_total",
-		"Table misses discarded by a fail-closed (MissDrop) switch: delivered to no port.")
+		"Frames that matched no flow entry: each was dropped, delivered to no port.")
 	mPortsOpen = telemetry.NewGauge(
 		"iotsec_netsim_ports_open",
 		"Ports currently attached to fabrics (delivery goroutines).")

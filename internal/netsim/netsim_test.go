@@ -189,7 +189,6 @@ func TestSwitchForwardByFlowEntry(t *testing.T) {
 		Priority: 10,
 		Actions:  []openflow.Action{openflow.Output(2)},
 	})
-	sw.SetMissBehavior(MissDrop)
 
 	hp1 := h1.gotPort(n)
 	_ = hp1
@@ -214,6 +213,84 @@ func sendViaPeer(switchPort *Port, f Frame) {
 	switchPort.Peer().Send(f)
 }
 
+// tableMissCookie marks the entry tableMiss installs.
+const tableMissCookie = 0xfeed
+
+// tableMiss installs what OpenFlow 1.3 calls the table-miss entry, a
+// priority-0 MatchAll entry: without one, a frame that matches nothing
+// is dropped.
+func tableMiss(sw *Switch, a openflow.Action) {
+	sw.Table().Insert(openflow.FlowEntry{
+		Match:   openflow.MatchAll(),
+		Actions: []openflow.Action{a},
+		Cookie:  tableMissCookie,
+	})
+}
+
+// TestSwitchAttachPinsHosts: Attach takes the next free port, links
+// it, and pins the host's MAC behind it, so a unicast frame reaches its
+// owner only, and a broadcast reaches everyone but the sender.
+func TestSwitchAttachPinsHosts(t *testing.T) {
+	n := NewNetwork()
+	sw := NewSwitch("sw", 1)
+	mac3 := packet.MACAddress{2, 0, 0, 0, 0, 3}
+	h1, h2, h3 := newSink("h1"), newSink("h2"), newSink("h3")
+	sp1 := sw.Attach(n, n.NewPort(h1, 1), mac1)
+	sw.AttachPort(n, 2) // taken by hand: Attach skips it
+	sp3 := sw.Attach(n, n.NewPort(h2, 1), mac2)
+	sp4 := sw.Attach(n, n.NewPort(h3, 1), mac3)
+	if sp1.ID != 1 || sp3.ID != 3 || sp4.ID != 4 {
+		t.Fatalf("Attach took ports %d, %d, %d, want 1, 3, 4", sp1.ID, sp3.ID, sp4.ID)
+	}
+	// Three pins and the broadcast entry, all in the pin class.
+	entries := sw.Table().Entries()
+	if len(entries) != 4 {
+		t.Fatalf("%d entries, want 4: %v", len(entries), entries)
+	}
+	for _, e := range entries {
+		if uint8(e.Cookie>>48) != PinCookieTag || e.Priority != pinPriority {
+			t.Errorf("entry %v: cookie %#x prio %d, want class %#x prio %d", e, e.Cookie, e.Priority, PinCookieTag, pinPriority)
+		}
+	}
+	n.Start()
+	defer n.Stop()
+
+	sendViaPeer(sp1, buildFrame(t, mac1, mac2, ip1, ip2, 80))
+	h2.waitFrame(t)
+	sendViaPeer(sp1, buildFrame(t, mac1, packet.BroadcastMAC, ip1, ip2, 81))
+	h2.waitFrame(t)
+	h3.waitFrame(t)
+	time.Sleep(20 * time.Millisecond)
+	if h1.count() != 0 || h2.count() != 2 || h3.count() != 1 {
+		t.Errorf("h1/h2/h3 got %d/%d/%d frames, want 0/2/1", h1.count(), h2.count(), h3.count())
+	}
+}
+
+// TestSwitchAttachConcurrent: hosts plugged in from several goroutines
+// at once each get a port of their own and one pin.
+func TestSwitchAttachConcurrent(t *testing.T) {
+	const hosts = 16
+	n := NewNetwork()
+	sw := NewSwitch("sw", 1)
+	var wg sync.WaitGroup
+	for i := 0; i < hosts; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sw.Attach(n, n.NewPort(newSink("h"), 1), packet.MACAddress{2, 0, 0, 0, 1, byte(i)})
+		}(i)
+	}
+	wg.Wait()
+	if got := len(sw.PortIDs()); got != hosts {
+		t.Fatalf("%d ports for %d hosts", got, hosts)
+	}
+	if got := sw.Table().Len(); got != hosts+1 {
+		t.Fatalf("%d entries, want %d pins and the broadcast entry", got, hosts)
+	}
+}
+
+// TestSwitchFloodAndDropBehavior: a frame floods only because an entry
+// says so, and a frame no entry matches is dropped and counted.
 func TestSwitchFloodAndDropBehavior(t *testing.T) {
 	n := NewNetwork()
 	sw := NewSwitch("sw", 1)
@@ -227,7 +304,7 @@ func TestSwitchFloodAndDropBehavior(t *testing.T) {
 
 	frame := buildFrame(t, mac1, mac2, ip1, ip2, 80)
 
-	sw.SetMissBehavior(MissFlood)
+	tableMiss(sw, openflow.Flood())
 	sendViaPeer(sp1, frame)
 	h2.waitFrame(t)
 	h3.waitFrame(t)
@@ -236,11 +313,14 @@ func TestSwitchFloodAndDropBehavior(t *testing.T) {
 		t.Error("flood must exclude ingress port")
 	}
 
-	sw.SetMissBehavior(MissDrop)
+	sw.Table().DeleteByCookie(tableMissCookie)
 	sendViaPeer(sp1, frame)
 	time.Sleep(20 * time.Millisecond)
 	if h2.count() != 1 || h3.count() != 1 {
-		t.Error("drop behavior forwarded a frame")
+		t.Error("a frame no entry matches was forwarded")
+	}
+	if _, out, miss, _ := sw.Stats(); out != 2 || miss != 1 {
+		t.Errorf("switch forwarded %d copies and counted %d misses, want 2 and 1", out, miss)
 	}
 }
 
@@ -257,7 +337,7 @@ func TestSwitchPuntsToHandler(t *testing.T) {
 	sw.SetPacketInHandler(func(inPort uint16, reason uint8, frame Frame) {
 		punted <- inPort
 	})
-	sw.SetMissBehavior(MissPunt)
+	tableMiss(sw, openflow.ToController())
 	sendViaPeer(sp1, buildFrame(t, mac1, mac2, ip1, ip2, 80))
 	select {
 	case port := <-punted:
@@ -368,6 +448,7 @@ func TestAgentControllerIntegration(t *testing.T) {
 
 	n := NewNetwork()
 	sw := NewSwitch("sw", 77)
+	tableMiss(sw, openflow.ToController())
 	sp1, sp2 := sw.AttachPort(n, 1), sw.AttachPort(n, 2)
 	h1, h2 := newSink("h1"), newSink("h2")
 	n.Connect(n.NewPort(h1, 1), sp1, LinkOptions{})
@@ -390,7 +471,7 @@ func TestAgentControllerIntegration(t *testing.T) {
 		t.Fatal("switch never connected")
 	}
 
-	// Miss → PACKET_IN at the controller.
+	// Table-miss entry → PACKET_IN at the controller.
 	frame := buildFrame(t, mac1, mac2, ip1, ip2, 80)
 	sendViaPeer(sp1, frame)
 	select {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsec/internal/openflow"
 	"iotsec/internal/packet"
 )
 
@@ -17,12 +18,13 @@ func lanPair(t *testing.T, opts LinkOptions) (*Stack, *Stack, func()) {
 	return stacks[0], stacks[1], cleanup
 }
 
-// lan builds count stacks on one flooding switch.
+// lan builds count stacks on one switch that floods every frame (a
+// table-miss entry, so the links can carry any LinkOptions).
 func lan(t *testing.T, opts LinkOptions, count int) ([]*Stack, func()) {
 	t.Helper()
 	n := NewNetwork()
 	sw := NewSwitch("sw", 1)
-	sw.SetMissBehavior(MissFlood)
+	tableMiss(sw, openflow.Flood())
 	stacks := make([]*Stack, count)
 	for i := 0; i < count; i++ {
 		mac := packet.MACAddress{2, 0, 0, 0, 1, byte(i + 1)}

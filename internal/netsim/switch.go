@@ -9,53 +9,62 @@ import (
 	"iotsec/internal/packet"
 )
 
-// MissBehavior selects what an SDN switch does with a frame that
-// matches no flow entry.
-type MissBehavior int
+// PinCookieTag ('T') is the cookie class of the entries Attach writes
+// (openflow.ClassCookie), beside the profile plane's 'P' and the
+// quarantine plane's 'Q'.
+const PinCookieTag = 0x54
 
-// Miss behaviors.
-const (
-	// MissPunt sends the frame to the controller (normal SDN mode).
-	MissPunt MissBehavior = iota
-	// MissFlood floods the frame (learning-switch bootstrap mode): for
-	// stand-alone rigs that install no forwarding entries. Every port
-	// sees every frame, so nothing that isolates devices runs on it.
-	MissFlood
-	// MissDrop discards the frame and counts it (fail-closed): only
-	// what the table names is reachable.
-	MissDrop
-)
+// pinPriority is the pins' priority: below everything the controller
+// installs (profile rules 250–310, quarantine drops 400), so a pin
+// forwards only what no policy rule has claimed.
+const pinPriority uint16 = 100
 
 // PacketInFunc receives punted frames from a Switch; the agent wires
 // this to the southbound connection.
 type PacketInFunc func(inPort uint16, reason uint8, frame Frame)
 
-// Switch is an OpenFlow-programmable virtual switch node.
+// Switch is an OpenFlow-programmable virtual switch node. It forwards
+// by table only: a frame that matches no entry is dropped and counted
+// (as an OpenFlow 1.3 table with no table-miss entry does). A rig that
+// wants misses flooded or punted installs a priority-0 MatchAll entry
+// saying so.
 type Switch struct {
 	name string
 	dpid uint64
 
 	table *openflow.FlowTable
-	miss  atomic.Int32
 
 	mu       sync.RWMutex
 	ports    map[uint16]*Port
 	packetIn PacketInFunc
 
-	packetsIn   atomic.Uint64 // frames received
-	packetsOut  atomic.Uint64 // frames forwarded
-	missDropped atomic.Uint64 // table misses discarded under MissDrop
+	packetsIn  atomic.Uint64 // frames received
+	packetsOut atomic.Uint64 // frames forwarded
 }
 
-// NewSwitch creates a switch with the given datapath ID. Ports are
-// attached afterwards with AttachPort.
+// NewSwitch creates a switch with the given datapath ID. Its table
+// starts with one entry, broadcast → flood, because ARP has to find its
+// target before there is a unicast MAC to pin. Hosts are plugged in
+// afterwards with Attach.
 func NewSwitch(name string, dpid uint64) *Switch {
-	return &Switch{
+	s := &Switch{
 		name:  name,
 		dpid:  dpid,
 		table: openflow.NewFlowTable(),
 		ports: make(map[uint16]*Port),
 	}
+	s.pin(packet.BroadcastMAC, openflow.Flood())
+	return s
+}
+
+// pin writes the PinCookieTag entry eth_dst=<mac> → action.
+func (s *Switch) pin(mac packet.MACAddress, action openflow.Action) {
+	s.table.Insert(openflow.FlowEntry{
+		Match:    openflow.MatchAll().WithEthDst(mac),
+		Priority: pinPriority,
+		Actions:  []openflow.Action{action},
+		Cookie:   openflow.ClassCookie(PinCookieTag, mac),
+	})
 }
 
 // NodeName implements Node.
@@ -67,9 +76,6 @@ func (s *Switch) DatapathID() uint64 { return s.dpid }
 // Table exposes the flow table (the agent programs it via FLOW_MOD).
 func (s *Switch) Table() *openflow.FlowTable { return s.table }
 
-// SetMissBehavior configures table-miss handling.
-func (s *Switch) SetMissBehavior(m MissBehavior) { s.miss.Store(int32(m)) }
-
 // SetPacketInHandler wires punted frames to the southbound agent.
 func (s *Switch) SetPacketInHandler(fn PacketInFunc) {
 	s.mu.Lock()
@@ -78,13 +84,34 @@ func (s *Switch) SetPacketInHandler(fn PacketInFunc) {
 }
 
 // AttachPort creates and registers a new port with the given ID on the
-// network fabric.
+// network fabric. It writes no pin, so a host wired to it receives
+// broadcast only; Attach is how a host is plugged in.
 func (s *Switch) AttachPort(n *Network, id uint16) *Port {
 	p := n.NewPort(s, id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ports[id] = p
 	return p
+}
+
+// Attach plugs a host in: it takes the next free switch port, links it
+// to the host-side port, and pins the host's MAC behind it
+// (eth_dst=<mac> → output:<port>). The switch is the one place that
+// knows port ↔ MAC for every attachment, so the pin goes straight into
+// the local table, southbound session or not. A frame then reaches its
+// owner's port only.
+func (s *Switch) Attach(n *Network, host *Port, mac packet.MACAddress) *Port {
+	s.mu.Lock()
+	id := uint16(len(s.ports) + 1)
+	for s.ports[id] != nil {
+		id++
+	}
+	sp := n.NewPort(s, id)
+	s.ports[id] = sp
+	s.mu.Unlock()
+	n.Connect(host, sp, LinkOptions{})
+	s.pin(mac, openflow.Output(id))
+	return sp
 }
 
 // PortIDs lists the attached port numbers.
@@ -111,15 +138,6 @@ func (s *Switch) HandleFrame(ingress *Port, frame Frame) {
 	packet.PutDecoder(dec)
 	if !ok {
 		mSwitchTableMiss.Inc()
-		switch MissBehavior(s.miss.Load()) {
-		case MissFlood:
-			s.flood(ingress.ID, frame)
-		case MissPunt:
-			s.punt(ingress.ID, 0, frame)
-		case MissDrop:
-			s.missDropped.Add(1)
-			mSwitchMissDropped.Inc()
-		}
 		return
 	}
 	s.ApplyActions(entry.Actions, ingress.ID, frame)
@@ -191,11 +209,7 @@ func (s *Switch) ExpireFlows(now time.Time) []openflow.FlowEntry {
 	return s.table.Expire(now)
 }
 
-// MissDropped reports how many table misses MissDrop discarded: frames
-// for a destination nothing on this switch was told how to reach.
-func (s *Switch) MissDropped() uint64 { return s.missDropped.Load() }
-
-// Stats reports aggregate counters.
+// Stats reports aggregate counters. Every table miss was dropped.
 func (s *Switch) Stats() (packetsIn, packetsOut, tableMiss uint64, flows int) {
 	return s.packetsIn.Load(), s.packetsOut.Load(), s.table.Misses(), s.table.Len()
 }

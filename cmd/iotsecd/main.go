@@ -152,7 +152,7 @@ func main() {
 	}
 
 	if *sigrepoAddr != "" {
-		link, err := p.ConnectSigrepoOpts(*sigrepoAddr, *sigrepoIdentity, sigrepo.ManagedOptions{
+		link, err := p.ConnectSigrepo(*sigrepoAddr, *sigrepoIdentity, sigrepo.ManagedOptions{
 			Backoff:    resilience.BackoffOptions{Cap: *sigrepoReconnectMax},
 			OutboxPath: *sigrepoOutbox,
 			OnStateChange: func(s resilience.State) {

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -136,4 +137,109 @@ func TestAbstractPlanBlockedByDerivedMitigation(t *testing.T) {
 	if p.Env.Get(envsim.VarTemperature) > 27 {
 		t.Errorf("room heated to %.1f despite blocked plug", p.Env.Get(envsim.VarTemperature))
 	}
+}
+
+// TargetInfo tells the executor how to reach and exploit one device
+// named in an abstract attack plan.
+type TargetInfo struct {
+	IP packet.IPv4Address
+	// Exploit yields credentials/args that make commands succeed
+	// after StepExploit: either a backdoor token appended to args, or
+	// a user/pass pair.
+	BackdoorToken string
+	User, Pass    string
+}
+
+// Executor carries an abstract attack path (from learn.AttackSearch)
+// out against the live emulated deployment: exploit steps establish
+// access, command steps become real management requests, wait steps
+// advance the physical environment. This is the adversary the paper's
+// §4.2 wants to predict — and the one IoTSec must stop.
+type Executor struct {
+	Attacker *Attacker
+	// Targets maps abstract device names to concrete reach info.
+	Targets map[string]TargetInfo
+	// Env advances on wait steps.
+	Env *envsim.Environment
+	// WaitTicks is environment steps per wait (default 120 —
+	// enough simulated time for thermal effects).
+	WaitTicks int
+}
+
+// ExecutionResult reports how far the plan got.
+type ExecutionResult struct {
+	StepsAttempted int
+	StepsSucceeded int
+	// FailedStep describes the first failing step ("" if all
+	// succeeded).
+	FailedStep string
+}
+
+// Succeeded reports whether the whole plan executed.
+func (r ExecutionResult) Succeeded() bool { return r.FailedStep == "" }
+
+// Execute runs the plan step by step, stopping at the first failure
+// (a blocked command means the defense held).
+func (e *Executor) Execute(path []learn.AttackStep) ExecutionResult {
+	waitTicks := e.WaitTicks
+	if waitTicks <= 0 {
+		waitTicks = 120
+	}
+	res := ExecutionResult{}
+	// compromised tracks which devices the attacker has "shelled";
+	// for emulated devices this means its exploit primitive worked
+	// once.
+	compromised := map[string]bool{}
+
+	for _, step := range path {
+		res.StepsAttempted++
+		switch step.Kind {
+		case learn.StepExploit:
+			target, ok := e.Targets[step.Device]
+			if !ok {
+				res.FailedStep = fmt.Sprintf("exploit(%s): unknown target", step.Device)
+				return res
+			}
+			// Probe access with a harmless STATUS through the exploit
+			// primitive.
+			probe := e.authedRequest(step.Device, target, "STATUS", nil)
+			resp, err := e.Attacker.call(target.IP, probe)
+			if err != nil || !resp.OK {
+				res.FailedStep = fmt.Sprintf("exploit(%s): %v / %s", step.Device, err, resp.Data)
+				return res
+			}
+			compromised[step.Device] = true
+		case learn.StepCommand:
+			target, ok := e.Targets[step.Device]
+			if !ok {
+				res.FailedStep = fmt.Sprintf("%s.%s: unknown target", step.Device, step.Cmd)
+				return res
+			}
+			if !compromised[step.Device] && target.BackdoorToken == "" && target.User == "" {
+				res.FailedStep = fmt.Sprintf("%s.%s: no access", step.Device, step.Cmd)
+				return res
+			}
+			req := e.authedRequest(step.Device, target, step.Cmd, nil)
+			resp, err := e.Attacker.call(target.IP, req)
+			if err != nil || !resp.OK {
+				res.FailedStep = fmt.Sprintf("%s.%s: %v / %s", step.Device, step.Cmd, err, resp.Data)
+				return res
+			}
+		case learn.StepWait:
+			if e.Env != nil {
+				e.Env.Run(waitTicks)
+			}
+		}
+		res.StepsSucceeded++
+	}
+	return res
+}
+
+// authedRequest builds a request using the target's exploit primitive.
+func (e *Executor) authedRequest(_ string, target TargetInfo, cmd string, args []string) device.Request {
+	req := device.Request{Cmd: cmd, Args: args, User: target.User, Pass: target.Pass}
+	if target.BackdoorToken != "" {
+		req.Args = append(append([]string{}, args...), target.BackdoorToken)
+	}
+	return req
 }

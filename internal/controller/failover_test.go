@@ -332,7 +332,13 @@ func runDeterminismScenario(t *testing.T) ([]RehomeTarget, []FailoverRecord, []s
 	for _, e := range j.Snapshot(journal.Filter{}) {
 		lines = append(lines, string(e.Type)+"|"+e.Device+"|"+ckptSeqRe.ReplaceAllString(e.Detail, "seq #"))
 	}
-	return fx.h.RehomedAll(), recs, lines
+	var rehomed []RehomeTarget
+	for g := range fx.part.Groups {
+		if rt, ok := fx.h.Rehomed(g); ok {
+			rehomed = append(rehomed, rt)
+		}
+	}
+	return rehomed, recs, lines
 }
 
 // TestRehomingDeterminism: the same partitioning and failure sequence

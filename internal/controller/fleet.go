@@ -53,17 +53,12 @@ type ShardStats struct {
 
 	events      telemetry.Counter
 	escalations telemetry.Counter
-	violations  telemetry.Counter
 	e2e         *telemetry.Histogram
 
 	topProducers *telemetry.TopK
-	topViolators *telemetry.TopK
 	topMTTR      *telemetry.TopK
 
 	devices atomic.Int64
-
-	skuMu      sync.Mutex
-	skuDevices map[string]float64
 
 	builder *telemetry.RollupBuilder
 }
@@ -77,17 +72,13 @@ func NewShardStats(source string, bounds []float64) *ShardStats {
 		source:       source,
 		e2e:          telemetry.NewStandaloneHistogram(bounds),
 		topProducers: telemetry.NewStandaloneTopK(FleetTopKCapacity),
-		topViolators: telemetry.NewStandaloneTopK(FleetTopKCapacity),
 		topMTTR:      telemetry.NewStandaloneTopK(FleetTopKCapacity),
-		skuDevices:   make(map[string]float64),
 	}
 	s.builder = telemetry.NewRollupBuilder(source).
 		AddCounter(RollupEvents, &s.events).
 		AddCounter(RollupEscalations, &s.escalations).
-		AddCounter(RollupViolations, &s.violations).
 		AddHistogram(RollupMTTR, s.e2e).
 		AddTopK(RollupTopProducers, s.topProducers).
-		AddTopK(RollupTopViolators, s.topViolators).
 		AddTopK(RollupTopMTTR, s.topMTTR).
 		AddGauge(RollupDevices, func() float64 { return float64(s.devices.Load()) }).
 		AddGauge(RollupHealthy, func() float64 { return 1 })
@@ -108,13 +99,6 @@ func (s *ShardStats) RecordEvent(device string) {
 // controller.
 func (s *ShardStats) RecordEscalation() { s.escalations.Inc() }
 
-// RecordViolation counts a policy/profile violation attributed to a
-// device.
-func (s *ShardStats) RecordViolation(device string) {
-	s.violations.Inc()
-	s.topViolators.Inc(device)
-}
-
 // ObserveE2E records one detect→enforce latency and credits the
 // device as an MTTR contributor (weight = microseconds, so slow
 // devices float to the top regardless of event volume).
@@ -132,31 +116,9 @@ func (s *ShardStats) E2E() *telemetry.Histogram { return s.e2e }
 // SetDevices records the shard's device count.
 func (s *ShardStats) SetDevices(n int) { s.devices.Store(int64(n)) }
 
-// SetSKUDevices records the shard's per-SKU device counts (replaces
-// the previous map).
-func (s *ShardStats) SetSKUDevices(counts map[string]int) {
-	s.skuMu.Lock()
-	s.skuDevices = make(map[string]float64, len(counts))
-	for sku, n := range counts {
-		s.skuDevices[sku] = float64(n)
-	}
-	s.skuMu.Unlock()
-}
-
 // Rollup exports the delta since the previous Rollup (single-consumer;
 // the rollup plane's pusher goroutine is that consumer).
-func (s *ShardStats) Rollup(now time.Time) telemetry.Rollup {
-	r := s.builder.Take(now)
-	s.skuMu.Lock()
-	for sku, n := range s.skuDevices {
-		if r.Gauges == nil {
-			r.Gauges = make(map[string]float64, len(s.skuDevices))
-		}
-		r.Gauges[RollupSKUPrefix+sku] = n
-	}
-	s.skuMu.Unlock()
-	return r
-}
+func (s *ShardStats) Rollup(now time.Time) telemetry.Rollup { return s.builder.Take(now) }
 
 // --- fleet aggregation ---
 
@@ -218,9 +180,6 @@ func NewFleetAggregator(staleAfter time.Duration) *FleetAggregator {
 		shards:     make(map[string]*shardAgg),
 	}
 }
-
-// SetClock overrides the staleness clock (tests).
-func (f *FleetAggregator) SetClock(now func() time.Time) { f.now = now }
 
 // newShardAgg builds an empty shard row.
 func newShardAgg() *shardAgg {
@@ -471,20 +430,6 @@ func MergeTopKEntries(ins []telemetry.TopKRollup) []telemetry.TopKEntry {
 	return m.Entries
 }
 
-// MergedMTTR returns the fleet-wide merged MTTR histogram rollup
-// (harness and tests re-derive quantiles from it).
-func (f *FleetAggregator) MergedMTTR() telemetry.HistogramRollup {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var merged telemetry.HistogramRollup
-	for _, sh := range f.shards {
-		if h, ok := sh.hists[RollupMTTR]; ok {
-			_ = merged.Merge(h)
-		}
-	}
-	return merged
-}
-
 // Stats reports aggregator-level accounting.
 func (f *FleetAggregator) Stats() (reports, dups, mergeErrors uint64) {
 	return f.reports.Load(), f.dupReports.Load(), f.mergeErrors.Load()
@@ -567,14 +512,6 @@ func (h *Hierarchy) EnableFleetStats() map[int]*ShardStats {
 		return h.fleetStats.Load().byGroup
 	}
 	return byGroup
-}
-
-// FleetStats returns the attached shard stats (nil when detached).
-func (h *Hierarchy) FleetStats() map[int]*ShardStats {
-	if set := h.fleetStats.Load(); set != nil {
-		return set.byGroup
-	}
-	return nil
 }
 
 // recordShardEvent feeds the owning shard's stats if attached.

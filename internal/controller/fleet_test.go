@@ -60,27 +60,33 @@ func buildFleetHierarchy(n, shardSize int, sink PostureSink, extra ...policy.Rul
 func TestFleetAggregatorMergeAndStaleness(t *testing.T) {
 	agg := NewFleetAggregator(10 * time.Second)
 	now := time.Unix(1000, 0)
-	agg.SetClock(func() time.Time { return now })
+	agg.now = func() time.Time { return now }
 
 	a := NewShardStats("shard-a", nil)
 	b := NewShardStats("shard-b", nil)
 	a.SetDevices(3)
-	a.SetSKUDevices(map[string]int{"cam-v1": 2, "plug-v2": 1})
 	b.SetDevices(2)
-	b.SetSKUDevices(map[string]int{"cam-v1": 2})
 	for i := 0; i < 10; i++ {
 		a.RecordEvent("dev-a1")
 		a.ObserveE2E("dev-a1", 0.002)
 	}
 	a.RecordEscalation()
 	b.RecordEvent("dev-b1")
-	b.RecordViolation("dev-b1")
 	b.ObserveE2E("dev-b1", 0.5)
 
-	if err := agg.Report(a.Rollup(now)); err != nil {
+	// Per-SKU gauges and violations come from other producers (the
+	// platform's self-report); the aggregator merges them from any
+	// rollup.
+	ra, rb := a.Rollup(now), b.Rollup(now)
+	ra.Gauges[RollupSKUPrefix+"cam-v1"], ra.Gauges[RollupSKUPrefix+"plug-v2"] = 2, 1
+	rb.Gauges[RollupSKUPrefix+"cam-v1"] = 2
+	rb.Counters[RollupViolations] = 1
+	rb.TopK[RollupTopViolators] = telemetry.TopKRollup{K: FleetTopKCapacity, Offers: 1,
+		Entries: []telemetry.TopKEntry{{Key: "dev-b1", Count: 1}}}
+	if err := agg.Report(ra); err != nil {
 		t.Fatalf("report a: %v", err)
 	}
-	if err := agg.Report(b.Rollup(now)); err != nil {
+	if err := agg.Report(rb); err != nil {
 		t.Fatalf("report b: %v", err)
 	}
 
@@ -180,7 +186,7 @@ func TestFleetAggregatorBoundsMismatchSurfaces(t *testing.T) {
 	if mergeErrs != 1 {
 		t.Fatalf("merge errors = %d, want 1", mergeErrs)
 	}
-	if got := agg.MergedMTTR().Count; got != 1 {
+	if got := agg.View().Fleet.MTTR.Count; got != 1 {
 		t.Fatalf("merged count after rejected push = %d, want 1", got)
 	}
 }
@@ -208,12 +214,12 @@ func TestFleetMergedQuantilesMatchDirect(t *testing.T) {
 			t.Fatalf("report: %v", err)
 		}
 	}
-	merged := agg.MergedMTTR()
+	merged := agg.View().Fleet.MTTR
 	if merged.Count != direct.Count() {
 		t.Fatalf("merged count = %d, direct = %d", merged.Count, direct.Count())
 	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := merged.Quantile(q), direct.Quantile(q); got != want {
+	for q, got := range map[float64]float64{0.5: merged.P50, 0.95: merged.P95, 0.99: merged.P99} {
+		if want := direct.Quantile(q); got != want {
 			t.Fatalf("q%.2f: merged %v, direct %v", q, got, want)
 		}
 	}
@@ -230,7 +236,7 @@ func TestHierarchyFleetRollups(t *testing.T) {
 	}
 	agg := h.Global.Fleet()
 	plane := h.StartFleetRollups(agg, time.Hour) // Stop() flushes; no tick needed
-	stats := h.FleetStats()
+	stats := h.EnableFleetStats()                // the set StartFleetRollups attached
 	if len(stats) != 4 {
 		t.Fatalf("fleet stats for %d shards, want 4", len(stats))
 	}
@@ -285,7 +291,6 @@ func TestHierarchyFleetRollups(t *testing.T) {
 // exactly.
 func TestHierarchyFleetRollupsUnderLoad(t *testing.T) {
 	const n, shardSize = 256, 8
-	skus := []string{"cam-v1", "plug-v2", "lock-v3", "tv-v4"}
 
 	epoch := time.Now()
 	inject := make([]int64, n)
@@ -327,17 +332,8 @@ func TestHierarchyFleetRollupsUnderLoad(t *testing.T) {
 
 	byGroup := h.EnableFleetStats()
 	idx := make([]*ShardStats, n)
-	skuByShard := make(map[int]map[string]int)
 	for i, dev := range devs {
-		g := h.partitioning.GroupOf(dev)
-		idx[i] = byGroup[g]
-		if skuByShard[g] == nil {
-			skuByShard[g] = make(map[string]int)
-		}
-		skuByShard[g][skus[i%len(skus)]]++
-	}
-	for g, counts := range skuByShard {
-		byGroup[g].SetSKUDevices(counts)
+		idx[i] = byGroup[h.partitioning.GroupOf(dev)]
 	}
 	statsByIdx.Store(&idx)
 
@@ -391,21 +387,12 @@ func TestHierarchyFleetRollupsUnderLoad(t *testing.T) {
 	if _, escalated := h.Metrics(); escalated == 0 || v.Fleet.Escalations == 0 {
 		t.Fatalf("escalation path never exercised: hierarchy %d, fleet view %d", escalated, v.Fleet.Escalations)
 	}
-	// Each shard reports its own SKU counts; the fleet view sums them.
-	if len(v.Fleet.SKUDevices) != len(skus) {
-		t.Fatalf("SKU gauges %+v, want %d SKUs", v.Fleet.SKUDevices, len(skus))
-	}
-	for _, sku := range skus {
-		if got := v.Fleet.SKUDevices[sku]; got != float64(n/len(skus)) {
-			t.Fatalf("SKU %s: %v devices, want %d (%+v)", sku, got, n/len(skus), v.Fleet.SKUDevices)
-		}
-	}
-	merged := agg.MergedMTTR()
+	merged := v.Fleet.MTTR
 	if merged.Count == 0 || merged.Count != direct.Count() {
 		t.Fatalf("merged count %d, direct %d", merged.Count, direct.Count())
 	}
-	for _, q := range []float64{0.50, 0.99} {
-		if got, want := merged.Quantile(q), direct.Quantile(q); got != want {
+	for q, got := range map[float64]float64{0.50: merged.P50, 0.99: merged.P99} {
+		if want := direct.Quantile(q); got != want {
 			t.Fatalf("p%.0f: merged %v, direct %v", q*100, got, want)
 		}
 	}

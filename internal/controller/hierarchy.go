@@ -416,17 +416,6 @@ func (h *Hierarchy) HandleDeviceEvent(ctx context.Context, e device.Event) {
 		func(ctx context.Context) { h.Global.View.fold(ctx, e, varName, value) })
 }
 
-// HandleEnv routes an environment reading to the owning partition (if
-// local) and to the global view when globally referenced.
-func (h *Hierarchy) HandleEnv(ctx context.Context, envVar, level string, group int, reason string) {
-	local, failGlobal := h.routeFor(group)
-	if local != nil {
-		local.View.SetEnv(ctx, envVar, level, reason)
-	}
-	h.settle(ctx, group, "env", envVar, failGlobal || h.globalVars["env:"+envVar],
-		func(ctx context.Context) { h.Global.View.SetEnv(ctx, envVar, level, reason) })
-}
-
 // settle books an event its partition's controller has seen (or, for a
 // partition re-homed to global, could not): absorbed locally, or
 // escalated — the global round trip is paid and commit runs against the

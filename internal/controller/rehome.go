@@ -53,20 +53,6 @@ func (h *Hierarchy) Rehomed(group int) (RehomeTarget, bool) {
 	return RehomeTarget{Group: group, Target: rehomeTargetName(ent.host), At: ent.at}, true
 }
 
-// RehomedAll lists every failed-over partition, sorted by group.
-func (h *Hierarchy) RehomedAll() []RehomeTarget {
-	rt := h.rehomes.Load()
-	if rt == nil {
-		return nil
-	}
-	out := make([]RehomeTarget, 0, len(rt.targets))
-	for g, ent := range rt.targets {
-		out = append(out, RehomeTarget{Group: g, Target: rehomeTargetName(ent.host), At: ent.at})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
-	return out
-}
-
 // rehomeTargetName renders a host group as the operator-facing name,
 // matching the fleet rollup's shard naming.
 func rehomeTargetName(host int) string {

@@ -91,10 +91,3 @@ func (r *Replica) Get(key string) (value string, version uint64, ok bool) {
 	u, ok := r.values[key]
 	return u.Value, u.Version, ok
 }
-
-// Staleness reports how many updates are known but not yet visible.
-func (r *Replica) Staleness() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.pending)
-}

@@ -15,8 +15,8 @@ func TestReplicaLagVisibility(t *testing.T) {
 	if _, _, ok := r.Get("occupancy"); ok {
 		t.Fatal("update visible before lag")
 	}
-	if r.Staleness() != 1 {
-		t.Errorf("staleness = %d", r.Staleness())
+	if len(r.pending) != 1 {
+		t.Errorf("pending updates = %d, want 1", len(r.pending))
 	}
 	// After the lag it appears.
 	r.AdvanceTo(base.Add(100 * time.Millisecond))
@@ -66,8 +66,8 @@ func TestReplicaInOrderOffersStayOrdered(t *testing.T) {
 	if ver != 100 {
 		t.Fatalf("full advance: v%d, want v100", ver)
 	}
-	if r.Staleness() != 0 {
-		t.Fatalf("staleness = %d after full drain", r.Staleness())
+	if len(r.pending) != 0 {
+		t.Fatalf("pending updates = %d after full drain", len(r.pending))
 	}
 }
 

@@ -96,10 +96,6 @@ func (s *Steering) Interrupt() { s.endpoint.Interrupt() }
 // Close tears down the southbound endpoint.
 func (s *Steering) Close() error { return s.endpoint.Close() }
 
-// Endpoint exposes the raw southbound endpoint (for stats requests in
-// experiments).
-func (s *Steering) Endpoint() *openflow.ControllerEndpoint { return s.endpoint }
-
 // SwitchConnected implements openflow.SwitchHandler. Programming is
 // asynchronous: this callback runs on the switch's receive goroutine,
 // which must stay free to deliver the barrier replies program waits
@@ -325,33 +321,6 @@ func (s *Steering) InstallRuleSet(ctx context.Context, name string, mods []*open
 			}, name)
 		}
 		s.sendRuleSet(ctx, dpid, name, kept)
-		if err := s.endpoint.Barrier(dpid, 2*time.Second); err != nil {
-			s.logger.Printf("steering: rule-set barrier to %d: %v", dpid, err)
-		}
-	}
-}
-
-// RemoveRuleSet drops a named rule set from the persisted state and
-// deletes its rules (by cookie) from every connected switch.
-func (s *Steering) RemoveRuleSet(ctx context.Context, name string) {
-	ctx, span := telemetry.StartSpan(ctx, "controller.steer.remove_rule_set")
-	span.SetAttr("set", name)
-	defer span.End()
-	s.mu.Lock()
-	mods, ok := s.ruleSets[name]
-	delete(s.ruleSets, name)
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	for _, dpid := range s.dpids() {
-		for _, cookie := range ruleSetCookies(mods) {
-			s.send(ctx, dpid, &openflow.FlowMod{
-				Command: openflow.FlowDeleteByCookie,
-				Match:   openflow.MatchAll(),
-				Cookie:  cookie,
-			}, name)
-		}
 		if err := s.endpoint.Barrier(dpid, 2*time.Second); err != nil {
 			s.logger.Printf("steering: rule-set barrier to %d: %v", dpid, err)
 		}

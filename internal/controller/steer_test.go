@@ -57,7 +57,7 @@ func TestQuarantinePersistsAcrossReprogramAndReconnect(t *testing.T) {
 	}
 	defer agent.Stop()
 	deadline := time.Now().Add(2 * time.Second)
-	for len(steering.Endpoint().Switches()) == 0 {
+	for len(steering.endpoint.Switches()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("switch never connected")
 		}

@@ -224,12 +224,11 @@ func (s *Supervisor) Tick() {
 				Base: s.opts.Heartbeat, Cap: 4 * s.opts.Heartbeat, NoJitter: true,
 			})
 		}
-		delay, ok := gs.probe.Next()
-		if gs.misses >= s.opts.Misses || !ok {
+		if gs.misses >= s.opts.Misses {
 			s.failoverLocked(now, g, gs)
 			continue
 		}
-		gs.nextProbe = now.Add(delay)
+		gs.nextProbe = now.Add(gs.probe.Next())
 	}
 	if s.opts.CheckpointEvery > 0 && now.Sub(s.lastCkpt) >= s.opts.CheckpointEvery {
 		s.checkpointLocked(now)

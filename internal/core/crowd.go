@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"iotsec/internal/learn"
-	"iotsec/internal/packet"
 	"iotsec/internal/profile"
 	"iotsec/internal/sigrepo"
 	"iotsec/internal/telemetry"
@@ -25,18 +23,12 @@ type CrowdLink struct {
 }
 
 // ConnectSigrepo dials the repository as the given identity and
-// subscribes to every SKU currently under management, with default
-// resilience options. Pushed and replayed signatures are installed
-// live and idempotently.
-func (p *Platform) ConnectSigrepo(addr, identity string) (*CrowdLink, error) {
-	return p.ConnectSigrepoOpts(addr, identity, sigrepo.ManagedOptions{})
-}
-
-// ConnectSigrepoOpts is ConnectSigrepo with explicit resilience
-// options (backoff schedule, outbox capacity/path, custom dialer for
-// fault injection). The platform fills SKUs and OnInstall unless the
-// caller overrides them.
-func (p *Platform) ConnectSigrepoOpts(addr, identity string, opts sigrepo.ManagedOptions) (*CrowdLink, error) {
+// subscribes to every SKU currently under management. Pushed and
+// replayed signatures are installed live and idempotently. opts sets
+// the resilience options (backoff schedule, outbox path, custom dialer
+// for fault injection); the platform fills SKUs and OnInstall unless
+// the caller overrides them.
+func (p *Platform) ConnectSigrepo(addr, identity string, opts sigrepo.ManagedOptions) (*CrowdLink, error) {
 	if opts.SKUs == nil {
 		opts.SKUs = p.managedSKUs
 	}
@@ -83,28 +75,6 @@ func (p *Platform) managedSKUs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DistillSignature runs the §4.1 post-incident analysis against the
-// platform's capture: the attacker's management traffic toward the
-// device is contrasted with everyone else's, and the distinguishing
-// token becomes an ids-dialect block rule ready to Publish. Requires
-// Options.Capture.
-func (p *Platform) DistillSignature(deviceName string, attackerIP packet.IPv4Address, msg string, sid int) (string, error) {
-	if p.recorder == nil {
-		return "", fmt.Errorf("core: DistillSignature requires Options.Capture")
-	}
-	m, ok := p.Device(deviceName)
-	if !ok {
-		return "", fmt.Errorf("core: unknown device %s", deviceName)
-	}
-	frames := p.recorder.Frames()
-	attack := learn.MgmtPayloadsFrom(frames, m.Device.IP(), attackerIP)
-	benign := learn.MgmtPayloadsExcluding(frames, m.Device.IP(), attackerIP)
-	if len(attack) == 0 {
-		return "", fmt.Errorf("core: no captured traffic from %s to %s", attackerIP, deviceName)
-	}
-	return learn.GenerateRule(attack, benign, msg, sid)
 }
 
 // Publish shares a locally observed signature with the community.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func TestCrowdLinkResubscribeCoversNewSKUs(t *testing.T) {
 	var mu sync.Mutex
 	skus := []string{"sku-a"}
 	plan := resilience.NewFaultPlan(21)
-	link, err := p.ConnectSigrepoOpts(addr, "gw", sigrepo.ManagedOptions{
+	link, err := p.ConnectSigrepo(addr, "gw", sigrepo.ManagedOptions{
 		Backoff: resilience.BackoffOptions{Base: 5 * time.Millisecond, Cap: 25 * time.Millisecond, Seed: 4},
 		Dial: func(a string) (net.Conn, error) {
 			c, err := net.DialTimeout("tcp", a, time.Second)
@@ -136,7 +137,7 @@ func TestCrowdLinkCloseDuringBackfillNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		p := minimalPlatform(t)
-		link, err := p.ConnectSigrepoOpts(addr, fmt.Sprintf("gw-%d", i), sigrepo.ManagedOptions{
+		link, err := p.ConnectSigrepo(addr, fmt.Sprintf("gw-%d", i), sigrepo.ManagedOptions{
 			Backoff: resilience.BackoffOptions{Base: 5 * time.Millisecond, Cap: 25 * time.Millisecond, Seed: 6},
 			SKUs:    func() []string { return []string{"sku-a"} },
 		})
@@ -170,4 +171,18 @@ func TestAddSignatureRuleIdempotent(t *testing.T) {
 	if got := p.SignatureRules("sku-a"); len(got) != 2 {
 		t.Fatalf("rules = %v, want two distinct", got)
 	}
+}
+
+// SignatureRules reports the normalized rule texts installed for a
+// SKU, sorted (diagnostics and convergence tests).
+func (p *Platform) SignatureRules(sku string) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	texts := p.sku(sku).texts
+	out := make([]string, 0, len(texts))
+	for text := range texts {
+		out = append(out, text)
+	}
+	sort.Strings(out)
+	return out
 }

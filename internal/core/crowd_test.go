@@ -46,7 +46,7 @@ func TestCrowdsourcedSignatureEndToEnd(t *testing.T) {
 	p.Start()
 	defer p.Stop()
 
-	link, err := p.ConnectSigrepo(addr, "our-home")
+	link, err := p.ConnectSigrepo(addr, "our-home", sigrepo.ManagedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"iotsec/internal/device"
+	"iotsec/internal/learn"
 	"iotsec/internal/netsim"
 	"iotsec/internal/packet"
 	"iotsec/internal/policy"
@@ -28,10 +29,10 @@ func wemoIDSPolicy() *policy.FSM {
 
 // deployWemoHome builds one smart home with a Wemo, an owner host and
 // an attacker host.
-func deployWemoHome(t *testing.T, capture bool) (p *Platform, plug *device.SmartPlug, owner, attacker *device.Client) {
+func deployWemoHome(t *testing.T) (p *Platform, plug *device.SmartPlug, owner, attacker *device.Client) {
 	t.Helper()
 	var err error
-	p, err = New(Options{Policy: wemoIDSPolicy(), Capture: capture})
+	p, err = New(Options{Policy: wemoIDSPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +54,23 @@ func deployWemoHome(t *testing.T, capture bool) (p *Platform, plug *device.Smart
 	return p, plug, owner, attacker
 }
 
+// distill is the §4.1 post-incident analysis over a fabric capture: the
+// attacker's management traffic toward the device is contrasted with
+// everyone else's, and the distinguishing token becomes an ids-dialect
+// block rule ready to Publish.
+func distill(t *testing.T, frames []netsim.CapturedFrame, deviceIP, attackerIP packet.IPv4Address, msg string, sid int) string {
+	t.Helper()
+	attack := learn.MgmtPayloadsFrom(frames, deviceIP, attackerIP)
+	if len(attack) == 0 {
+		t.Fatalf("no captured traffic from %s to %s", attackerIP, deviceIP)
+	}
+	rule, err := learn.GenerateRule(attack, learn.MgmtPayloadsExcluding(frames, deviceIP, attackerIP), msg, sid)
+	if err != nil {
+		t.Fatalf("distill: %v", err)
+	}
+	return rule
+}
+
 // TestDistillPublishProtectFleet is the full §4.1 story on live
 // systems: deployment A is exploited, distills a signature from its
 // own capture, publishes it; the community confirms; deployment B —
@@ -68,7 +86,9 @@ func TestDistillPublishProtectFleet(t *testing.T) {
 	defer srv.Close()
 
 	// --- Deployment A: the first victim (capture on) ---
-	pA, plugA, ownerA, attackerA := deployWemoHome(t, true)
+	pA, plugA, ownerA, attackerA := deployWemoHome(t)
+	rec := netsim.NewRecorder()
+	pA.Network.AddTap(rec.Tap())
 	for i := 0; i < 4; i++ {
 		if _, err := ownerA.Call(plugA.IP(), device.Request{Cmd: "STATUS", User: "owner", Pass: "wemo123"}); err != nil {
 			t.Fatal(err)
@@ -78,11 +98,8 @@ func TestDistillPublishProtectFleet(t *testing.T) {
 		}
 	}
 	// Post-incident: distill and publish.
-	rule, err := pA.DistillSignature("wemo", packet.MustParseIPv4("10.0.0.66"), "auto: wemo backdoor", 9300)
-	if err != nil {
-		t.Fatalf("distill: %v", err)
-	}
-	linkA, err := pA.ConnectSigrepo(addr, "home-a")
+	rule := distill(t, rec.Frames(), plugA.IP(), packet.MustParseIPv4("10.0.0.66"), "auto: wemo backdoor", 9300)
+	linkA, err := pA.ConnectSigrepo(addr, "home-a", sigrepo.ManagedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +110,8 @@ func TestDistillPublishProtectFleet(t *testing.T) {
 	}
 
 	// --- Deployment B subscribes before the signature clears ---
-	pB, plugB, ownerB, attackerB := deployWemoHome(t, false)
-	linkB, err := pB.ConnectSigrepo(addr, "home-b")
+	pB, plugB, ownerB, attackerB := deployWemoHome(t)
+	linkB, err := pB.ConnectSigrepo(addr, "home-b", sigrepo.ManagedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +145,5 @@ func TestDistillPublishProtectFleet(t *testing.T) {
 	resp, err := ownerB.Call(plugB.IP(), device.Request{Cmd: "STATUS", User: "owner", Pass: "wemo123"})
 	if err != nil || !resp.OK {
 		t.Fatalf("owner collateral damage: %v %+v", err, resp)
-	}
-}
-
-func TestDistillRequiresCapture(t *testing.T) {
-	p, _, _, _ := deployWemoHome(t, false)
-	if _, err := p.DistillSignature("wemo", packet.MustParseIPv4("10.0.0.66"), "x", 1); err == nil {
-		t.Error("distillation without capture should fail")
 	}
 }

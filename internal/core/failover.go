@@ -18,17 +18,6 @@ import (
 
 // SupervisionOptions configure SuperviseControllers.
 type SupervisionOptions struct {
-	// Partitioning overrides the interaction partitioning; when nil one
-	// is computed over the currently managed devices from Edges.
-	Partitioning *controller.Partitioning
-	// Edges weight device interactions for the computed partitioning.
-	Edges []controller.InteractionEdge
-	// MaxGroupSize caps computed partition sizes (default 8).
-	MaxGroupSize int
-	// EnvLocality declares which partition privately owns an env
-	// variable; unlisted variables stay on the Global-only path.
-	EnvLocality map[string]int
-
 	// Heartbeat / Misses / CheckpointEvery / FailMode / Clock tune the
 	// supervisor (see controller.SupervisorOptions).
 	Heartbeat       time.Duration
@@ -63,18 +52,17 @@ func (p *Platform) SuperviseControllers(opts SupervisionOptions) (*controller.Hi
 		p.mu.Unlock()
 		return h, sup
 	}
-	part := opts.Partitioning
-	if part == nil {
-		names := make([]string, 0, len(p.devices))
-		for name := range p.devices {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		part = controller.Partition(names, opts.Edges, opts.MaxGroupSize)
+	names := make([]string, 0, len(p.devices))
+	for name := range p.devices {
+		names = append(names, name)
 	}
+	sort.Strings(names)
 	p.mu.Unlock()
+	// No interaction edges: every managed device is its own partition,
+	// and every environment variable stays on the Global-only path.
+	part := controller.Partition(names, nil, 0)
 
-	h := controller.NewHierarchyWithGlobal(p.Global, p.fsm, part, opts.EnvLocality, p.applyPartitionPosture)
+	h := controller.NewHierarchyWithGlobal(p.Global, p.fsm, part, nil, p.applyPartitionPosture)
 	sup := h.Supervise(controller.SupervisorOptions{
 		Clock:           opts.Clock,
 		Heartbeat:       opts.Heartbeat,
@@ -99,18 +87,9 @@ func (p *Platform) SuperviseControllers(opts SupervisionOptions) (*controller.Hi
 	p.mu.Lock()
 	p.hierarchy = h
 	p.partitioning = part
-	p.envLocality = opts.EnvLocality
 	p.supervisor = sup
 	p.mu.Unlock()
 	return h, sup
-}
-
-// Supervision returns the attached hierarchy and supervisor (nil, nil
-// before SuperviseControllers).
-func (p *Platform) Supervision() (*controller.Hierarchy, *controller.Supervisor) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hierarchy, p.supervisor
 }
 
 // quarantinedIn lists a partition's devices whose current posture

@@ -14,20 +14,19 @@ import (
 )
 
 // TestSuperviseControllersRecoversQuarantine proves the platform-level
-// wiring: a partitioned platform puts its locals under supervision, a
-// quarantine posture lands in the checkpoint via QuarantinedOf, the
-// crashed partition re-homes, and the replacement keeps serving the
-// partition's devices.
+// wiring: a partitioned platform (one partition per device) puts its
+// locals under supervision, a quarantine posture lands in the
+// checkpoint via QuarantinedOf, the crashed partition re-homes, and the
+// replacement keeps serving the partition's devices.
 func TestSuperviseControllersRecoversQuarantine(t *testing.T) {
 	names := []string{"sa0", "sa1", "sb0", "sb1"}
 	d := policy.NewDomain()
 	f := policy.NewFSM(d)
 	for _, name := range names {
 		d.AddDevice(name, policy.ContextNormal, policy.ContextSuspicious)
-		d.AddEnvVar(name+"_attr", "a", "q")
 		f.AddRule(policy.Rule{
 			Name:       "quar-" + name,
-			Conditions: []policy.Condition{policy.EnvIs(name+"_attr", "q")},
+			Conditions: []policy.Condition{policy.DeviceIs(name, policy.ContextSuspicious)},
 			Device:     name,
 			Posture:    policy.Posture{Isolate: true},
 			Priority:   9,
@@ -47,17 +46,10 @@ func TestSuperviseControllersRecoversQuarantine(t *testing.T) {
 	defer p.Stop()
 
 	clock := resilience.NewFakeClock(time.Unix(1_700_000_000, 0))
-	envLocality := map[string]int{}
 	var mu sync.Mutex
 	failovers := 0
 	var rec controller.FailoverRecord
 	opts := SupervisionOptions{
-		Edges: []controller.InteractionEdge{
-			{A: "sa0", B: "sa1", Weight: 10},
-			{A: "sb0", B: "sb1", Weight: 10},
-		},
-		MaxGroupSize:    2,
-		EnvLocality:     envLocality,
 		Heartbeat:       100 * time.Millisecond,
 		Misses:          2,
 		CheckpointEvery: -1,
@@ -69,17 +61,9 @@ func TestSuperviseControllersRecoversQuarantine(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	// Env locality must reference the groups the platform will compute;
-	// pre-compute the same partitioning to fill it.
-	part := controller.Partition(names, opts.Edges, opts.MaxGroupSize)
-	for _, name := range names {
-		envLocality[name+"_attr"] = part.GroupOf(name)
-	}
-	opts.Partitioning = part
-
 	h, sup := p.SuperviseControllers(opts)
-	if h.Locals() != 2 {
-		t.Fatalf("locals = %d, want 2", h.Locals())
+	if h.Locals() != len(names) {
+		t.Fatalf("locals = %d, want %d", h.Locals(), len(names))
 	}
 	if h2, sup2 := p.SuperviseControllers(opts); h2 != h || sup2 != sup {
 		t.Fatal("SuperviseControllers is not idempotent")
@@ -90,12 +74,12 @@ func TestSuperviseControllersRecoversQuarantine(t *testing.T) {
 	// the unrelated commit the global view made under the same number.
 	p.Global.View.SetEnv(context.Background(), "unrelated", "x", "test")
 	timed := mEnforceSeconds.Count()
-	p.ReportDeviceEvent(device.Event{Device: "sa0", Kind: device.EventStateChange, Detail: "attr=q"})
+	p.ReportDeviceEvent(device.Event{Device: "sa0", Kind: device.EventBackdoorAccess, Detail: "telnet"})
 	if got := mEnforceSeconds.Count(); got != timed {
 		t.Fatalf("partition-tier posture added %d event→enforcement samples from the global view's commit times", got-timed)
 	}
 	sup.Checkpoint()
-	g := part.GroupOf("sa0")
+	g := p.partitioning.GroupOf("sa0")
 	ck, ok := sup.Checkpoints().Latest(g)
 	if !ok {
 		t.Fatal("no checkpoint for sa0's partition")
@@ -103,8 +87,8 @@ func TestSuperviseControllersRecoversQuarantine(t *testing.T) {
 	if len(ck.Quarantined) != 1 || ck.Quarantined[0] != "sa0" {
 		t.Fatalf("checkpoint quarantined = %v, want [sa0]", ck.Quarantined)
 	}
-	if ck.Vars["env:sa0_attr"] != "q" {
-		t.Fatalf("checkpoint vars = %v, missing sa0_attr=q", ck.Vars)
+	if ck.Vars["dev:sa0"] != string(policy.ContextSuspicious) {
+		t.Fatalf("checkpoint vars = %v, missing dev:sa0=suspicious", ck.Vars)
 	}
 
 	// Crash the partition's controller and let the deadman find it.
@@ -132,19 +116,21 @@ func TestSuperviseControllersRecoversQuarantine(t *testing.T) {
 	if r.Target == "global" || r.Target == "" {
 		t.Fatalf("target = %q, want the surviving shard", r.Target)
 	}
-	if _, ok := p.Supervision(); ok == nil {
-		t.Fatal("Supervision() lost the supervisor")
-	}
 
-	// The replacement serves the partition: releasing the quarantine
-	// through the platform path clears it from the next checkpoint.
-	p.ReportDeviceEvent(device.Event{Device: "sa0", Kind: device.EventStateChange, Detail: "attr=a"})
+	// The replacement serves the partition: a fresh event on sa0 is
+	// absorbed by a local, not escalated, and the next checkpoint still
+	// holds the quarantine.
+	local, escalated := h.Metrics()
+	p.ReportDeviceEvent(device.Event{Device: "sa0", Kind: device.EventBackdoorAccess, Detail: "telnet"})
+	if l, e := h.Metrics(); l != local+1 || e != escalated {
+		t.Fatalf("post-recovery event: local %d→%d, escalated %d→%d; want it absorbed locally", local, l, escalated, e)
+	}
 	sup.Checkpoint()
 	ck, ok = sup.Checkpoints().Latest(g)
 	if !ok {
 		t.Fatal("no post-recovery checkpoint")
 	}
-	if len(ck.Quarantined) != 0 {
-		t.Fatalf("post-release checkpoint quarantined = %v, want empty", ck.Quarantined)
+	if len(ck.Quarantined) != 1 || ck.Quarantined[0] != "sa0" {
+		t.Fatalf("post-recovery checkpoint quarantined = %v, want [sa0]", ck.Quarantined)
 	}
 }

@@ -53,9 +53,6 @@ type Options struct {
 	BootTimeScale float64
 	// ChallengeSolution is the robot-check answer a human supplies.
 	ChallengeSolution string
-	// Capture attaches a fabric-wide recorder (needed by
-	// DistillSignature).
-	Capture bool
 }
 
 // Platform is a running IoTSec deployment.
@@ -90,11 +87,10 @@ type Platform struct {
 	steering *controller.Steering
 
 	// hierarchy + supervision (SuperviseControllers): when attached,
-	// device events and scoped env readings route through the partition
-	// tier instead of straight into the global view.
+	// device events route through the partition tier instead of
+	// straight into the global view.
 	hierarchy    *controller.Hierarchy
 	partitioning *controller.Partitioning
-	envLocality  map[string]int
 	supervisor   *controller.Supervisor
 
 	// profilePlane, when enabled, drives behavior-profile learning,
@@ -108,8 +104,6 @@ type Platform struct {
 	// forensicsCap, when enabled, pins incident chains out of the
 	// journal ring into the durable store (EnableForensics).
 	forensicsCap *forensics.Capturer
-
-	recorder *netsim.Recorder
 }
 
 // Managed is one device under IoTSec protection.
@@ -155,10 +149,6 @@ func New(opts Options) (*Platform, error) {
 		profiles:   make(map[string]*ids.Profile),
 	}
 	p.Manager.TimeScale = opts.BootTimeScale
-	if opts.Capture {
-		p.recorder = netsim.NewRecorder()
-		p.Network.AddTap(p.recorder.Tap())
-	}
 	if err := p.Network.AddNode(p.Switch); err != nil {
 		return nil, err
 	}
@@ -170,7 +160,7 @@ func New(opts Options) (*Platform, error) {
 	p.Env.AddObserver(func(s envsim.Snapshot, _ map[string]float64) {
 		ctx, span := telemetry.StartSpan(context.Background(), "core.env_tick")
 		for _, v := range p.disc.Variables() {
-			p.reportEnv(ctx, v, p.disc.Value(v, s.Get(v)))
+			p.Global.View.SetEnv(ctx, v, p.disc.Value(v, s.Get(v)), "environment")
 		}
 		span.End()
 	})
@@ -444,26 +434,6 @@ func (p *Platform) ReportDeviceEvent(e device.Event) {
 	span.End()
 }
 
-// reportEnv routes one discretized environment level: through the
-// partition tier when the variable has declared locality, otherwise
-// straight into the global view (pre-hierarchy semantics).
-func (p *Platform) reportEnv(ctx context.Context, envVar, level string) {
-	p.mu.Lock()
-	h := p.hierarchy
-	group, scoped := -1, false
-	if h != nil && p.envLocality != nil {
-		if g, ok := p.envLocality[envVar]; ok {
-			group, scoped = g, true
-		}
-	}
-	p.mu.Unlock()
-	if h != nil && scoped {
-		h.HandleEnv(ctx, envVar, level, group, "environment")
-		return
-	}
-	p.Global.View.SetEnv(ctx, envVar, level, "environment")
-}
-
 // ReportAnomaly feeds one behavioral anomaly into the view as a fresh
 // causal chain. µmbox anomaly elements call this; tests inject
 // synthetic anomalies through it and then follow the resulting trace
@@ -576,9 +546,6 @@ func splitCreds(s string) (user, pass string) {
 	}
 	return s, ""
 }
-
-// Recorder exposes the capture (nil unless Options.Capture).
-func (p *Platform) Recorder() *netsim.Recorder { return p.recorder }
 
 // Metrics reports enforcement activity.
 func (p *Platform) Metrics() (reconfigures uint64, lastVersion uint64) {

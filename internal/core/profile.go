@@ -282,23 +282,6 @@ func (pl *ProfilePlane) EnforceDevice(ctx context.Context, name string) error {
 	return nil
 }
 
-// UnenforceDevice lifts profile enforcement for one device.
-func (pl *ProfilePlane) UnenforceDevice(ctx context.Context, name string) {
-	if !pl.engine.Unenforce(name) {
-		return
-	}
-	pl.mu.Lock()
-	delete(pl.pending, name)
-	pl.mu.Unlock()
-	pl.p.mu.Lock()
-	steering := pl.p.steering
-	pl.p.mu.Unlock()
-	if steering != nil {
-		steering.RemoveRuleSet(ctx, "profile:"+name)
-	}
-	journal.Record(ctx, journal.TypeProfileEnforced, journal.Info, name, "enforcement lifted")
-}
-
 // steeringAttached is called by Platform.UseSteering: parked
 // enforcement requests are replayed now that rules have somewhere to
 // go.

@@ -67,7 +67,7 @@ func TestProfileCrowdRoundTrip(t *testing.T) {
 	// Deployment A: learn and publish.
 	pa, planeA, camA := crowdCamPlatform(t, "crtcam", "10.0.5.10", ProfileOptions{})
 	sku := camA.Device.Profile.SKU
-	linkA, err := pa.ConnectSigrepo(addr, "gwA")
+	linkA, err := pa.ConnectSigrepo(addr, "gwA", sigrepo.ManagedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestProfileCrowdRoundTrip(t *testing.T) {
 	pb.UseSteering(s)
 	waitFor(t, "deployment B switch", func() bool { return strings.Contains(s.String(), "1 switches") })
 
-	linkB, err := pb.ConnectSigrepo(addr, "gwB")
+	linkB, err := pb.ConnectSigrepo(addr, "gwB", sigrepo.ManagedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestProfilePublishSurvivesLinkLoss(t *testing.T) {
 	p, plane, cam := crowdCamPlatform(t, "chcam", "10.0.7.10", ProfileOptions{})
 	sku := cam.Device.Profile.SKU
 	plan := resilience.NewFaultPlan(33)
-	link, err := p.ConnectSigrepoOpts(addr, "gw-chaos", sigrepo.ManagedOptions{
+	link, err := p.ConnectSigrepo(addr, "gw-chaos", sigrepo.ManagedOptions{
 		Backoff: resilience.BackoffOptions{Base: 5 * time.Millisecond, Cap: 25 * time.Millisecond, Seed: 9},
 		Dial: func(a string) (net.Conn, error) {
 			c, err := net.DialTimeout("tcp", a, time.Second)

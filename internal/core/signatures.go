@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -98,18 +97,4 @@ func (p *Platform) AddSignatureRule(sku, ruleText string) error {
 		p.enforce(context.Background(), name, reapply, policy.Posture{}, 0)
 	}
 	return nil
-}
-
-// SignatureRules reports the normalized rule texts installed for a
-// SKU, sorted (diagnostics and convergence tests).
-func (p *Platform) SignatureRules(sku string) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	texts := p.sku(sku).texts
-	out := make([]string, 0, len(texts))
-	for text := range texts {
-		out = append(out, text)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -14,7 +14,6 @@ import (
 	"iotsec/internal/device"
 	"iotsec/internal/ids"
 	"iotsec/internal/journal"
-	"iotsec/internal/learn"
 	"iotsec/internal/netsim"
 	"iotsec/internal/packet"
 	"iotsec/internal/policy"
@@ -145,15 +144,6 @@ func TestAnomalyTraceClosesFigure2Loop(t *testing.T) {
 				traceID, timeline.Render())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The forensic chain adapter sees the loop as closed.
-	chain := learn.FromTimeline(timeline)
-	if !chain.Complete {
-		t.Errorf("forensic chain not complete: %s", chain)
-	}
-	if len(chain.Observed) == 0 || len(chain.Applied) == 0 {
-		t.Errorf("forensic chain missing steps: %+v", chain)
 	}
 }
 

@@ -135,58 +135,3 @@ func NewSmartFridge(name string, ip packet.IPv4Address) *SmartFridge {
 	f.Set("spam_sent", "0")
 	return f
 }
-
-// SpamSent reports how many messages the fridge has relayed.
-func (f *SmartFridge) SpamSent() int {
-	n, _ := strconv.Atoi(f.Get("spam_sent"))
-	return n
-}
-
-// HandheldScanner is the §1 logistics-firm entry point: a warehouse
-// barcode scanner whose firmware update channel is unauthenticated, so
-// it can be turned into a pivot for scanning the internal network.
-type HandheldScanner struct {
-	*Device
-}
-
-// HandheldScannerProfile is the SKU.
-func HandheldScannerProfile() Profile {
-	return Profile{
-		SKU:    "logiscan-hh5",
-		Class:  "handheld-scanner",
-		Vendor: "LogiScan",
-		Vulns: []Vulnerability{
-			{Class: VulnOpenAccess, Detail: "firmware update unauthenticated"},
-		},
-	}
-}
-
-// NewHandheldScanner builds the scanner.
-func NewHandheldScanner(name string, ip packet.IPv4Address) *HandheldScanner {
-	h := &HandheldScanner{Device: New(name, HandheldScannerProfile(), MACFor(ip), ip)}
-	h.Set("firmware", "1.0")
-	h.Handle("UPDATE", func(d *Device, req Request) Response {
-		if len(req.Args) != 1 {
-			return Response{OK: false, Data: "usage: UPDATE <version>"}
-		}
-		d.Set("firmware", req.Args[0])
-		return Response{OK: true, Data: "firmware=" + req.Args[0]}
-	})
-	h.Handle("SCAN_NET", func(d *Device, req Request) Response {
-		// A malicious firmware would probe the internal network; we
-		// model the capability as a command that probes a /24.
-		if len(req.Args) != 1 {
-			return Response{OK: false, Data: "usage: SCAN_NET <prefix>"}
-		}
-		base, ok := packet.ParseIPv4(req.Args[0])
-		if !ok {
-			return Response{OK: false, Data: "bad prefix"}
-		}
-		for host := 1; host <= 32; host++ {
-			dst := packet.IPv4Address{base[0], base[1], base[2], byte(host)}
-			_ = d.Stack().SendUDP(dst, 7, 7, []byte("probe"))
-		}
-		return Response{OK: true, Data: "probed=32"}
-	})
-	return h
-}

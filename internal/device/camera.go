@@ -71,7 +71,6 @@ func NewCamera(name string, ip packet.IPv4Address) *Camera {
 // them.
 type CCTV struct {
 	*Device
-	privateKey string
 }
 
 // CCTVProfile is the shared-firmware SKU.
@@ -88,10 +87,7 @@ func CCTVProfile(privateKey string) Profile {
 
 // NewCCTV builds a CCTV unit; every unit of the SKU shares privateKey.
 func NewCCTV(name string, ip packet.IPv4Address, privateKey string) *CCTV {
-	c := &CCTV{
-		Device:     New(name, CCTVProfile(privateKey), MACFor(ip), ip),
-		privateKey: privateKey,
-	}
+	c := &CCTV{Device: New(name, CCTVProfile(privateKey), MACFor(ip), ip)}
 	c.Set("recording", "on")
 	// Key-based admin auth: present the firmware key as password.
 	c.creds["fwadmin"] = privateKey
@@ -105,11 +101,4 @@ func NewCCTV(name string, ip packet.IPv4Address, privateKey string) *CCTV {
 		return Response{OK: true, Data: "jpeg:" + strings.Repeat("c", 64)}
 	})
 	return c
-}
-
-// Firmware returns what an unauthenticated download yields; the
-// FIRMWARE command path allows it even without credentials, so mark
-// the profile accordingly in attack tooling.
-func (c *CCTV) Firmware() string {
-	return fmt.Sprintf("blob:v3.0;rsa_private=%s", c.privateKey)
 }

@@ -270,13 +270,6 @@ func (d *Device) authorize(src packet.IPv4Address, req Request) bool {
 	return false
 }
 
-// FailedLogins reports consecutive auth failures from one source.
-func (d *Device) FailedLogins(src packet.IPv4Address) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.failedLogins[src]
-}
-
 // execute runs the handler for an authorized request.
 func (d *Device) execute(req Request) Response {
 	d.mu.RLock()

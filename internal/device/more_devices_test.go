@@ -3,7 +3,6 @@ package device
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"iotsec/internal/envsim"
 	"iotsec/internal/netsim"
@@ -103,83 +102,6 @@ func TestSmartOvenHeatsRoom(t *testing.T) {
 	}
 }
 
-func TestMotionSensorTracksOccupancy(t *testing.T) {
-	tb := newTestbed(t)
-	ms := NewMotionSensor("ms1", packet.MustParseIPv4("10.0.0.64"))
-	tb.add(t, ms.Device)
-	tb.net.Start()
-
-	events := make(chan Event, 8)
-	ms.SetEventSink(func(e Event) {
-		select {
-		case events <- e:
-		default:
-		}
-	})
-	tb.env.Set(envsim.VarOccupancy, 1)
-	tb.env.Run(1)
-	if ms.Get("presence") != "home" {
-		t.Errorf("presence = %q", ms.Get("presence"))
-	}
-	tb.env.Set(envsim.VarOccupancy, 0)
-	tb.env.Run(1)
-	if ms.Get("presence") != "away" {
-		t.Errorf("presence = %q", ms.Get("presence"))
-	}
-	// The transition emitted sensor events.
-	var sawPresence bool
-	for {
-		select {
-		case e := <-events:
-			if e.Kind == EventSensor && strings.HasPrefix(e.Detail, "presence=") {
-				sawPresence = true
-			}
-			continue
-		default:
-		}
-		break
-	}
-	if !sawPresence {
-		t.Error("no presence events emitted")
-	}
-}
-
-func TestHandheldScannerPivot(t *testing.T) {
-	tb := newTestbed(t)
-	hh := NewHandheldScanner("hh1", packet.MustParseIPv4("10.0.0.65"))
-	tb.add(t, hh.Device)
-
-	// A probe listener on the LAN counts the scanner's sweep.
-	probeIP := packet.MustParseIPv4("10.0.0.7")
-	probed := make(chan struct{}, 64)
-	victim := newProbeHost(t, tb, probeIP, probed)
-	_ = victim
-	tb.net.Start()
-
-	// The unauthenticated firmware update (the logistics-firm entry
-	// point).
-	resp, err := tb.client.Call(hh.IP(), Request{Cmd: "UPDATE", Args: []string{"6.6-evil"}})
-	if err != nil || !resp.OK {
-		t.Fatalf("update: %v %+v", err, resp)
-	}
-	if hh.Get("firmware") != "6.6-evil" {
-		t.Errorf("firmware = %q", hh.Get("firmware"))
-	}
-	// The implanted firmware scans the internal network.
-	resp, err = tb.client.Call(hh.IP(), Request{Cmd: "SCAN_NET", Args: []string{"10.0.0.0"}})
-	if err != nil || !resp.OK {
-		t.Fatalf("scan: %v %+v", err, resp)
-	}
-	select {
-	case <-probed:
-	case <-time.After(2 * time.Second):
-		t.Fatal("scan probes never reached the LAN host")
-	}
-	if resp, _ := tb.client.Call(hh.IP(), Request{Cmd: "SCAN_NET", Args: []string{"not-an-ip"}}); resp.OK {
-		t.Error("bad prefix accepted")
-	}
-}
-
 // newProbeHost attaches a host that signals on UDP/7 probes.
 func newProbeHost(t *testing.T, tb *testbed, ip packet.IPv4Address, ch chan struct{}) *Client {
 	t.Helper()
@@ -206,8 +128,10 @@ func NewClientStack(t *testing.T, tb *testbed, ip packet.IPv4Address) *Client {
 
 func TestCCTVFirmwareHelper(t *testing.T) {
 	c := NewCCTV("c", packet.MustParseIPv4("10.0.0.70"), "KEY")
-	if !strings.Contains(c.Firmware(), "rsa_private=KEY") {
-		t.Errorf("firmware = %q", c.Firmware())
+	// No credentials: the firmware download is public on this SKU.
+	resp := c.dispatch(packet.MustParseIPv4("10.0.0.66"), Request{Cmd: "FIRMWARE"}.Encode())
+	if !resp.OK || !strings.Contains(resp.Data, "rsa_private=KEY") {
+		t.Errorf("firmware = %+v", resp)
 	}
 	c.Stop()
 }

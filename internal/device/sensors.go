@@ -181,81 +181,3 @@ func NewLightSensor(name string, ip packet.IPv4Address) *LightSensor {
 	})
 	return l
 }
-
-// MotionSensor reports room occupancy (what the Figure 5 policy keys
-// on, via the camera's person detection or this sensor).
-type MotionSensor struct {
-	*Device
-}
-
-// MotionSensorProfile is the SKU.
-func MotionSensorProfile() Profile {
-	return Profile{
-		SKU:    "scout-motion-2",
-		Class:  "motion-sensor",
-		Vendor: "Scout",
-		Vulns:  nil,
-	}
-}
-
-// NewMotionSensor builds the sensor.
-func NewMotionSensor(name string, ip packet.IPv4Address) *MotionSensor {
-	m := &MotionSensor{Device: New(name, MotionSensorProfile(), MACFor(ip), ip)}
-	m.creds["scout"] = "scout-strong-pw"
-	m.Set("presence", "unknown")
-	m.OnTick(func(s envsim.Snapshot) {
-		presence := "away"
-		if s.Get(envsim.VarOccupancy) >= 0.5 {
-			presence = "home"
-		}
-		if m.Get("presence") != presence {
-			m.Emit(EventSensor, "presence="+presence)
-		}
-		m.Set("presence", presence)
-	})
-	return m
-}
-
-// SmartMeter emulates the hacked-to-lower-bills meter of §1: its
-// calibration interface is fully open, so anyone can scale the
-// readings down.
-type SmartMeter struct {
-	*Device
-}
-
-// SmartMeterProfile is the SKU.
-func SmartMeterProfile() Profile {
-	return Profile{
-		SKU:    "gridmeter-e350",
-		Class:  "smart-meter",
-		Vendor: "GridCo",
-		Vulns: []Vulnerability{
-			{Class: VulnOpenAccess, Detail: "calibration interface unauthenticated"},
-		},
-	}
-}
-
-// NewSmartMeter builds a meter with calibration 1.0.
-func NewSmartMeter(name string, ip packet.IPv4Address) *SmartMeter {
-	m := &SmartMeter{Device: New(name, SmartMeterProfile(), MACFor(ip), ip)}
-	m.Set("calibration", "1.0")
-	m.Handle("READ", func(d *Device, _ Request) Response {
-		power := 0.0
-		if env := d.Env(); env != nil {
-			power = env.Get(envsim.VarPower)
-		}
-		cal, _ := strconv.ParseFloat(d.Get("calibration"), 64)
-		return Response{OK: true, Data: fmt.Sprintf("watts=%.0f", power*cal)}
-	})
-	m.Handle("SET_CALIBRATION", func(d *Device, req Request) Response {
-		if len(req.Args) != 1 {
-			return Response{OK: false, Data: "usage: SET_CALIBRATION <factor>"}
-		}
-		if _, err := strconv.ParseFloat(req.Args[0], 64); err != nil {
-			return Response{OK: false, Data: "bad factor"}
-		}
-		d.Set("calibration", req.Args[0])
-		return Response{OK: true, Data: "calibration=" + req.Args[0]}
-	})
-	return m
-}

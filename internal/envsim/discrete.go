@@ -57,16 +57,6 @@ func (d *Discretizer) Variables() []string {
 	return out
 }
 
-// Levels returns the level names defined for a variable.
-func (d *Discretizer) Levels(varName string) []string {
-	levels := d.bands[varName]
-	out := make([]string, len(levels))
-	for i, l := range levels {
-		out[i] = l.Name
-	}
-	return out
-}
-
 // Discretize maps a snapshot to discrete variable values for every
 // variable with defined bands.
 func (d *Discretizer) Discretize(s Snapshot) map[string]string {

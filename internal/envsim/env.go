@@ -23,7 +23,6 @@ const (
 	VarLight       = "light"     // lux-ish, 0..1000
 	VarOccupancy   = "occupancy" // people present, 0/1
 	VarWindowOpen  = "window_open"
-	VarHumidity    = "humidity"
 	VarPower       = "power_draw" // watts drawn in the home
 )
 
@@ -92,13 +91,6 @@ func (e *Environment) Set(name string, v float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.vars[name] = v
-}
-
-// Adjust adds a delta to a variable.
-func (e *Environment) Adjust(name string, delta float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.vars[name] += delta
 }
 
 // Get reads a variable.

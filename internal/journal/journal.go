@@ -351,19 +351,24 @@ func (f Filter) Matches(e Event) bool {
 // matches are kept (still oldest-first).
 func (j *Journal) Snapshot(f Filter) []Event {
 	j.mu.Lock()
-	size := j.pos
+	size, start := j.pos, 0
 	if j.full {
-		size = len(j.ring)
+		size, start = len(j.ring), j.pos
 	}
-	out := make([]Event, 0, size)
+	// Sized by the matches, not the ring: a filtered snapshot of a full
+	// ring is usually a handful of events. The scan collects ring
+	// indices (4 B each) so that a filter matching most of the ring
+	// copies its events once, not once per doubling, under the lock
+	// every append takes.
+	var hits []int32
 	for i := 0; i < size; i++ {
-		idx := i
-		if j.full {
-			idx = (j.pos + i) % len(j.ring)
+		if idx := (start + i) % len(j.ring); f.Matches(j.ring[idx]) {
+			hits = append(hits, int32(idx))
 		}
-		if e := j.ring[idx]; f.Matches(e) {
-			out = append(out, e)
-		}
+	}
+	out := make([]Event, len(hits))
+	for k, idx := range hits {
+		out[k] = j.ring[idx]
 	}
 	j.mu.Unlock()
 	if f.Limit > 0 && len(out) > f.Limit {

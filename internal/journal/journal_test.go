@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -120,6 +121,30 @@ func TestFilters(t *testing.T) {
 	}
 	if got := j.Snapshot(Filter{Limit: 2}); len(got) != 2 || got[1].Detail != "d" {
 		t.Fatalf("limit filter wrong: %+v", got)
+	}
+}
+
+// TestFilteredSnapshotSizedByMatches: a filtered snapshot of a full
+// ring allocates for the events it returns, not for the whole ring
+// (8,192 events of ~100 B each would be ~800 KiB).
+func TestFilteredSnapshotSizedByMatches(t *testing.T) {
+	j := New(8192)
+	for i := 0; i < 8192; i++ {
+		trace := uint64(0)
+		if i%3000 == 0 {
+			trace = 42
+		}
+		j.RecordTrace(trace, TypeDeviceEvent, Debug, "cam", "e")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := j.Snapshot(Filter{TraceID: 42})
+	runtime.ReadMemStats(&after)
+	if len(got) != 3 {
+		t.Fatalf("snapshot matched %d events, want 3", len(got))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Fatalf("filtered snapshot allocated %d B, want < 64 KiB", alloc)
 	}
 }
 
@@ -298,23 +323,6 @@ func TestTimelineReconstructAndRender(t *testing.T) {
 	partial := Reconstruct(events, 8)
 	if partial.Complete() {
 		t.Fatal("single-anomaly timeline should be incomplete")
-	}
-}
-
-func TestReconstructDevice(t *testing.T) {
-	events := []Event{
-		{Seq: 1, TraceID: 1, Type: TypeAnomaly, Device: "cam"},
-		{Seq: 2, TraceID: 1, Type: TypePosture, Device: "cam"},
-		{Seq: 3, TraceID: 2, Type: TypeAlert, Device: "cam"},
-		{Seq: 4, TraceID: 3, Type: TypeAnomaly, Device: "wemo"},
-		{Seq: 5, TraceID: 0, Type: TypeDeviceEvent, Device: "cam"}, // untraced → skipped
-	}
-	tls := ReconstructDevice(events, "cam")
-	if len(tls) != 2 {
-		t.Fatalf("got %d timelines, want 2", len(tls))
-	}
-	if tls[0].TraceID != 1 || tls[1].TraceID != 2 {
-		t.Fatalf("timelines out of order: %d, %d", tls[0].TraceID, tls[1].TraceID)
 	}
 }
 

@@ -28,33 +28,6 @@ func Reconstruct(events []Event, traceID uint64) *Timeline {
 	return t
 }
 
-// ReconstructDevice groups a device's events by trace and returns one
-// timeline per causal chain, ordered by first occurrence — the
-// "everything that ever happened to this camera" forensic view.
-func ReconstructDevice(events []Event, device string) []*Timeline {
-	byTrace := make(map[uint64]*Timeline)
-	var order []uint64
-	for _, e := range events {
-		if e.Device != device || e.TraceID == 0 {
-			continue
-		}
-		t, ok := byTrace[e.TraceID]
-		if !ok {
-			t = &Timeline{TraceID: e.TraceID}
-			byTrace[e.TraceID] = t
-			order = append(order, e.TraceID)
-		}
-		t.Events = append(t.Events, e)
-	}
-	out := make([]*Timeline, 0, len(order))
-	for _, id := range order {
-		t := byTrace[id]
-		sort.Slice(t.Events, func(i, j int) bool { return t.Events[i].Seq < t.Events[j].Seq })
-		out = append(out, t)
-	}
-	return out
-}
-
 // Stage buckets event types into the Figure 2 loop stages used for
 // chain rendering and completeness checks.
 func Stage(t Type) string {

@@ -105,16 +105,6 @@ func (l *Library) Get(class string) (*Model, bool) {
 	return m, ok
 }
 
-// Classes lists registered classes, sorted.
-func (l *Library) Classes() []string {
-	out := make([]string, 0, len(l.models))
-	for c := range l.models {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // StandardLibrary builds models for the smart-home classes the
 // paper's scenarios use.
 func StandardLibrary() *Library {

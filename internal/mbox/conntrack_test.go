@@ -62,7 +62,7 @@ func TestConntrackForgetsClosedFlows(t *testing.T) {
 		} else {
 			pass("reset", segment(t, ToDevice, port, 443, packet.TCPRst))
 		}
-		if got := fw.Tracked(); got != 0 {
+		if got := tracked(fw); got != 0 {
 			t.Fatalf("session %d left %d flows tracked, want 0", i, got)
 		}
 	}
@@ -90,7 +90,7 @@ func TestConntrackBoundedWhenFlowsNeverClose(t *testing.T) {
 		if v := fw.Process(segment(t, FromDevice, d, r, packet.TCPSyn)); v != Forward {
 			t.Fatalf("outbound syn %d: %v", i, v)
 		}
-		if got := fw.Tracked(); got > conntrackCap {
+		if got := tracked(fw); got > conntrackCap {
 			t.Fatalf("%d flows tracked after %d sessions, want ≤ %d", got, i+1, conntrackCap)
 		}
 	}
@@ -134,11 +134,18 @@ func TestConntrackSkipsOpenPorts(t *testing.T) {
 			}
 		}
 	}
-	if got := fw.Tracked(); got != 0 {
+	if got := tracked(fw); got != 0 {
 		t.Fatalf("%d flows tracked for sessions on an open port, want 0", got)
 	}
 	// The open port does not open the rest of the device.
 	if v := fw.Process(segment(t, ToDevice, 8080, 40000, packet.TCPSyn)); v != Drop {
 		t.Fatalf("unsolicited inbound on a closed port: %v, want drop", v)
 	}
+}
+
+// tracked reports how many flows the connection table holds.
+func tracked(f *StatefulFirewall) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.flows.Len()
 }

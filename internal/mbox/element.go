@@ -292,9 +292,6 @@ func (p *Pipeline) Remove(name string) bool {
 	return false
 }
 
-// Reconfigs counts live reconfigurations.
-func (p *Pipeline) Reconfigs() uint64 { return p.reconfigs.Load() }
-
 // Stats snapshots all element counters.
 func (p *Pipeline) Stats() []ElementStats {
 	chain := *p.chain.Load()

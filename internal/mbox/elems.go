@@ -8,20 +8,16 @@ import (
 	"iotsec/internal/ids"
 	"iotsec/internal/packet"
 	"iotsec/internal/resilience"
-	"iotsec/internal/telemetry"
 )
 
 // --- Logger ---
 
-// Logger counts traffic and optionally reports each frame; always
-// forwards. Counting is lock-free telemetry counters: the per-instance
-// counters back Totals, and package-level aggregates feed /metrics.
+// Logger counts traffic into the package-level /metrics aggregates and
+// optionally reports each frame; always forwards.
 type Logger struct {
 	// Report, if set, receives a one-line summary per frame. Set it
 	// before traffic flows; it is read without synchronization.
 	Report func(line string)
-
-	frames, bytes telemetry.Counter
 }
 
 // Name implements Element.
@@ -29,19 +25,12 @@ func (l *Logger) Name() string { return "logger" }
 
 // Process implements Element.
 func (l *Logger) Process(ctx *Context) Verdict {
-	l.frames.Inc()
-	l.bytes.Add(uint64(len(ctx.Frame)))
 	mLoggerFrames.Inc()
 	mLoggerBytes.Add(uint64(len(ctx.Frame)))
 	if l.Report != nil {
 		l.Report(ctx.Packet.String())
 	}
 	return Forward
-}
-
-// Totals reports frames and bytes seen.
-func (l *Logger) Totals() (frames, bytes uint64) {
-	return l.frames.Value(), l.bytes.Value()
 }
 
 // --- Header filter (ACL) ---
@@ -98,9 +87,8 @@ func (r ACLRule) matches(ctx *Context) bool {
 }
 
 // HeaderFilter applies the first matching ACL rule; unmatched frames
-// get the default action.
+// get the default action. The rules are fixed at construction.
 type HeaderFilter struct {
-	mu      sync.RWMutex
 	rules   []ACLRule
 	defAct  ACLAction
 	nameTag string
@@ -116,8 +104,6 @@ func (f *HeaderFilter) Name() string { return f.nameTag }
 
 // Process implements Element.
 func (f *HeaderFilter) Process(ctx *Context) Verdict {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	for _, r := range f.rules {
 		if r.matches(ctx) {
 			if r.Action == Allow {
@@ -131,20 +117,6 @@ func (f *HeaderFilter) Process(ctx *Context) Verdict {
 	}
 	return Drop
 }
-
-// SetRules replaces the ACL live.
-func (f *HeaderFilter) SetRules(defaultAction ACLAction, rules ...ACLRule) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rules = rules
-	f.defAct = defaultAction
-}
-
-// Ptr helpers for terse ACL construction.
-func IPPtr(ip packet.IPv4Address) *packet.IPv4Address { return &ip }
-func ProtoPtr(p packet.IPProtocol) *packet.IPProtocol { return &p }
-func PortPtr(p uint16) *uint16                        { return &p }
-func DirPtr(d Direction) *Direction                   { return &d }
 
 // --- Rate limiter ---
 
@@ -273,13 +245,6 @@ func NewStatefulFirewall(openPorts ...uint16) *StatefulFirewall {
 
 // Name implements Element.
 func (f *StatefulFirewall) Name() string { return "stateful-fw" }
-
-// Tracked reports how many flows the connection table holds.
-func (f *StatefulFirewall) Tracked() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.flows.Len()
-}
 
 // Process implements Element.
 func (f *StatefulFirewall) Process(ctx *Context) Verdict {

@@ -108,13 +108,3 @@ func (m *Mbox) HandleFrame(ingress *netsim.Port, frame netsim.Frame) {
 func (m *Mbox) Counters() (forwarded, dropped uint64) {
 	return m.forwarded.Load(), m.dropped.Load()
 }
-
-// InsertInline splices the µmbox into the link between a device-side
-// port and a network-side port: the original link (if any) is ignored;
-// callers normally build topology with the µmbox from the start or use
-// the switch to steer traffic through it.
-func InsertInline(n *netsim.Network, m *Mbox, deviceSide, networkSide *netsim.Port, opts netsim.LinkOptions) {
-	south, north := m.AttachInline(n)
-	n.Connect(deviceSide, south, opts)
-	n.Connect(north, networkSide, opts)
-}

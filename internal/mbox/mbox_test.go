@@ -95,8 +95,8 @@ func TestPipelineLiveReconfiguration(t *testing.T) {
 	if got := p.Elements(); len(got) != 2 || got[0] != "a" {
 		t.Fatalf("after replace: %v", got)
 	}
-	if p.Reconfigs() != 3 {
-		t.Errorf("reconfigs = %d", p.Reconfigs())
+	if p.reconfigs.Load() != 3 {
+		t.Errorf("reconfigs = %d", p.reconfigs.Load())
 	}
 }
 
@@ -109,8 +109,7 @@ func TestHeaderFilter(t *testing.T) {
 	if v := f.Process(testCtx(t, ToDevice, "x", 81)); v != Forward {
 		t.Error("non-matching frame should use default allow")
 	}
-	f.SetRules(Deny) // default-deny, no rules
-	if v := f.Process(testCtx(t, ToDevice, "x", 9)); v != Drop {
+	if v := NewHeaderFilter(Deny).Process(testCtx(t, ToDevice, "x", 9)); v != Drop {
 		t.Error("default deny should drop")
 	}
 }
@@ -296,15 +295,6 @@ func TestPasswordProxyEndToEnd(t *testing.T) {
 	if accepted != 1 || rejected != 1 {
 		t.Errorf("proxy counters = %d accepted %d rejected", accepted, rejected)
 	}
-
-	// Live rotation.
-	proxy.SetCredentials("homeadmin", "newpass")
-	if _, err := client.Call(cam.IP(), device.Request{Cmd: "SNAPSHOT", User: "homeadmin", Pass: "str0ng!"}); err == nil {
-		t.Error("old credentials survived rotation")
-	}
-	if resp, err := client.Call(cam.IP(), device.Request{Cmd: "SNAPSHOT", User: "homeadmin", Pass: "newpass"}); err != nil || !resp.OK {
-		t.Errorf("rotated credentials failed: %v %+v", err, resp)
-	}
 }
 
 func TestContextGateEndToEnd(t *testing.T) {
@@ -329,7 +319,7 @@ func TestContextGateEndToEnd(t *testing.T) {
 	if plug.Get("power") == "on" {
 		t.Fatal("plug turned on despite gate")
 	}
-	if gate.Blocked() == 0 {
+	if blocked(gate) == 0 {
 		t.Error("gate did not count the block")
 	}
 

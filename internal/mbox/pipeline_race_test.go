@@ -15,7 +15,7 @@ type countElem struct {
 	hits atomic.Uint64
 }
 
-func (c *countElem) Name() string               { return c.name }
+func (c *countElem) Name() string                 { return c.name }
 func (c *countElem) Process(ctx *Context) Verdict { c.hits.Add(1); return Forward }
 
 // TestPipelineReconfigureUnderTraffic hammers Process from several
@@ -69,8 +69,8 @@ func TestPipelineReconfigureUnderTraffic(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if p.Reconfigs() != 300 {
-		t.Fatalf("reconfigs = %d, want 300", p.Reconfigs())
+	if p.reconfigs.Load() != 300 {
+		t.Fatalf("reconfigs = %d, want 300", p.reconfigs.Load())
 	}
 	if totalProcessed(p) == 0 {
 		t.Fatal("no element saw traffic")

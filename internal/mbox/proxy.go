@@ -38,13 +38,6 @@ func NewPasswordProxy(requiredUser, requiredPass, factoryUser, factoryPass strin
 // Name implements Element.
 func (p *PasswordProxy) Name() string { return "password-proxy" }
 
-// SetCredentials rotates the administrator credentials live.
-func (p *PasswordProxy) SetCredentials(user, pass string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.requiredUser, p.requiredPass = user, pass
-}
-
 // Counters reports accepted and rejected requests.
 func (p *PasswordProxy) Counters() (accepted, rejected uint64) {
 	p.mu.RLock()
@@ -122,20 +115,6 @@ func NewContextGate(allowed func(cmd string) bool, guardedCmds ...string) *Conte
 
 // Name implements Element.
 func (g *ContextGate) Name() string { return "context-gate" }
-
-// SetPredicate swaps the context predicate live.
-func (g *ContextGate) SetPredicate(allowed func(cmd string) bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.allowed = allowed
-}
-
-// Blocked reports enforcement count.
-func (g *ContextGate) Blocked() uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.blocked
-}
 
 // Process implements Element.
 func (g *ContextGate) Process(ctx *Context) Verdict {

@@ -13,14 +13,13 @@ import (
 	"iotsec/internal/telemetry"
 )
 
+// agentBufferCap bounds the degradation ring.
+const agentBufferCap = 1024
+
 // AgentOptions configure the supervised southbound channel.
 type AgentOptions struct {
-	// BufferCap bounds the degradation ring (default 1024 events).
-	BufferCap int
 	// Backoff parameterizes the reconnect schedule (full jitter,
-	// capped; zero fields take resilience defaults). MaxElapsed, if
-	// set, makes the supervisor give up for good once a single outage
-	// exceeds the budget.
+	// capped; zero fields take resilience defaults).
 	Backoff resilience.BackoffOptions
 	// Dial overrides the transport dial (fault-injection hook);
 	// nil uses net.DialTimeout("tcp", addr, 2s).
@@ -87,9 +86,6 @@ func (a *SwitchAgent) start() {
 }
 
 func newAgent(sw *Switch, addr string, opts AgentOptions) *SwitchAgent {
-	if opts.BufferCap < 1 {
-		opts.BufferCap = 1024
-	}
 	if opts.Dial == nil {
 		opts.Dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 2*time.Second)
@@ -98,7 +94,7 @@ func newAgent(sw *Switch, addr string, opts AgentOptions) *SwitchAgent {
 	a := &SwitchAgent{
 		sw:     sw,
 		opts:   opts,
-		buffer: resilience.NewRing[openflow.Message](opts.BufferCap),
+		buffer: resilience.NewRing[openflow.Message](agentBufferCap),
 	}
 	a.sess = resilience.NewSession(resilience.SessionOptions[*openflow.Conn]{
 		Name:    fmt.Sprintf("dpid %d", sw.DatapathID()),

@@ -200,15 +200,21 @@ func TestAgentBufferEviction(t *testing.T) {
 	n.Start()
 	defer n.Stop()
 
-	agent := SuperviseAgent(sw, "127.0.0.1:1", AgentOptions{
-		BufferCap: 4,
-		Backoff:   fastBackoff(),
-	})
+	agent := SuperviseAgent(sw, "127.0.0.1:1", AgentOptions{Backoff: fastBackoff()})
 	defer func() { agent.Stop(); agent.Wait() }()
 
+	// Batches below the port's inbox depth, so every punt reaches the
+	// ring rather than overflowing the inbox.
 	frame := buildFrame(t, mac1, mac2, ip1, ip2, 80)
-	for i := 0; i < 10; i++ {
-		sendViaPeer(sp, frame)
+	for sent := 0; sent < agentBufferCap+100; {
+		for i := 0; i < 100; i++ {
+			sendViaPeer(sp, frame)
+			sent++
+		}
+		want := min(sent, agentBufferCap)
+		waitCond(t, "punts to buffer", func() bool { return agent.BufferedEvents() >= want })
 	}
-	waitCond(t, "ring to saturate", func() bool { return agent.BufferedEvents() == 4 })
+	if got := agent.BufferedEvents(); got != agentBufferCap {
+		t.Errorf("ring holds %d events, want its bound %d", got, agentBufferCap)
+	}
 }

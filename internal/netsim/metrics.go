@@ -14,13 +14,10 @@ import (
 var (
 	mFramesDelivered = telemetry.NewCounter(
 		"iotsec_netsim_frames_delivered_total",
-		"Frames delivered across links (post-loss).")
+		"Frames delivered across links.")
 	mBytesDelivered = telemetry.NewCounter(
 		"iotsec_netsim_bytes_delivered_total",
-		"Bytes delivered across links (post-loss).")
-	mFramesLost = telemetry.NewCounter(
-		"iotsec_netsim_frames_lost_total",
-		"Frames dropped by modeled link loss.")
+		"Bytes delivered across links.")
 	mQueueDrops = telemetry.NewCounter(
 		"iotsec_netsim_queue_drops_total",
 		"Frames dropped on port inbox overflow.")
@@ -100,9 +97,6 @@ func (s *Switch) ExportTelemetry(reg *telemetry.Registry) {
 			emit("iotsec_netsim_port_drops", telemetry.KindGauge,
 				"Frames dropped at a switch port.",
 				append(labels[:2:2], telemetry.Label{Key: "kind", Value: "queue"}), float64(st.DropsQueue))
-			emit("iotsec_netsim_port_drops", telemetry.KindGauge,
-				"Frames dropped at a switch port.",
-				append(labels[:2:2], telemetry.Label{Key: "kind", Value: "loss"}), float64(st.DropsLoss))
 		}
 	})
 }

@@ -72,44 +72,6 @@ func TestFabricDelivery(t *testing.T) {
 	}
 }
 
-func TestFabricLatency(t *testing.T) {
-	n := NewNetwork()
-	a, b := newSink("a"), newSink("b")
-	pa, pb := n.NewPort(a, 1), n.NewPort(b, 1)
-	n.Connect(pa, pb, LinkOptions{Latency: 30 * time.Millisecond})
-	n.Start()
-	defer n.Stop()
-
-	start := time.Now()
-	pa.Send(Frame("x"))
-	b.waitFrame(t)
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("frame arrived after %v, want >= ~30ms", elapsed)
-	}
-}
-
-func TestFabricLoss(t *testing.T) {
-	n := NewNetwork()
-	a, b := newSink("a"), newSink("b")
-	pa, pb := n.NewPort(a, 1), n.NewPort(b, 1)
-	n.Connect(pa, pb, LinkOptions{LossRate: 0.5, Seed: 1})
-	n.Start()
-	defer n.Stop()
-
-	const total = 400
-	for i := 0; i < total; i++ {
-		pa.Send(Frame{byte(i)})
-	}
-	time.Sleep(100 * time.Millisecond)
-	got := b.count()
-	if got == 0 || got == total {
-		t.Errorf("received %d/%d frames; 50%% loss should drop some but not all", got, total)
-	}
-	if st := pa.Stats(); st.DropsLoss == 0 {
-		t.Error("loss drops not counted")
-	}
-}
-
 func TestDuplicateNodeNameRejected(t *testing.T) {
 	n := NewNetwork()
 	if err := n.AddNode(newSink("x")); err != nil {
@@ -528,55 +490,5 @@ func TestAgentControllerIntegration(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no flow-removed")
-	}
-}
-
-func TestFabricBandwidthSerialization(t *testing.T) {
-	n := NewNetwork()
-	a, b := newSink("a"), newSink("b")
-	pa, pb := n.NewPort(a, 1), n.NewPort(b, 1)
-	// 100 KB/s: ten 1000-byte frames need ~100ms of wire time.
-	n.Connect(pa, pb, LinkOptions{BandwidthBps: 100_000})
-	n.Start()
-	defer n.Stop()
-
-	frame := make(Frame, 1000)
-	start := time.Now()
-	for i := 0; i < 10; i++ {
-		pa.Send(frame)
-	}
-	for i := 0; i < 10; i++ {
-		b.waitFrame(t)
-	}
-	elapsed := time.Since(start)
-	if elapsed < 80*time.Millisecond {
-		t.Errorf("10x1000B over 100KB/s arrived in %v, want >= ~100ms", elapsed)
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Errorf("bandwidth model too slow: %v", elapsed)
-	}
-}
-
-func TestFabricBandwidthDirectionsIndependent(t *testing.T) {
-	n := NewNetwork()
-	a, b := newSink("a"), newSink("b")
-	pa, pb := n.NewPort(a, 1), n.NewPort(b, 1)
-	n.Connect(pa, pb, LinkOptions{BandwidthBps: 50_000})
-	n.Start()
-	defer n.Stop()
-
-	// Saturate a→b; a single b→a frame must not queue behind it.
-	big := make(Frame, 5000)
-	for i := 0; i < 10; i++ {
-		pa.Send(big) // 50k bytes total = 1s of a→b wire time
-	}
-	start := time.Now()
-	pb.Send(Frame("reverse"))
-	got := a.waitFrame(t)
-	if string(got) != "reverse" {
-		t.Fatalf("frame = %q", got)
-	}
-	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
-		t.Errorf("reverse direction delayed %v by forward traffic", elapsed)
 	}
 }

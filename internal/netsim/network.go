@@ -8,11 +8,11 @@ import (
 )
 
 // activity counts fabric work in flight: frames queued on port
-// inboxes, frames delayed on link latency/bandwidth timers, and
-// frames currently inside a HandleFrame call. Because every frame a
-// handler emits is counted before the handler's own frame is
-// released, the counter only reaches zero when the whole causal
-// cascade has drained — which is exactly the barrier Quiesce needs.
+// inboxes and frames currently inside a HandleFrame call. Because
+// every frame a handler emits is counted before the handler's own
+// frame is released, the counter only reaches zero when the whole
+// causal cascade has drained — which is exactly the barrier Quiesce
+// needs.
 type activity struct {
 	n atomic.Int64
 }
@@ -20,7 +20,7 @@ type activity struct {
 func (a *activity) add(d int64) { a.n.Add(d) }
 func (a *activity) idle() bool  { return a.n.Load() == 0 }
 
-// Tap observes every frame crossing a link, before loss is applied.
+// Tap observes every frame crossing a link.
 // Taps must be fast and must not modify the frame.
 type Tap func(src, dst *Port, frame Frame)
 
@@ -88,9 +88,9 @@ func (n *Network) newPortOpts(owner Node, id uint16, queueLen int) *Port {
 	return p
 }
 
-// Connect wires two ports with the given link options.
-func (n *Network) Connect(a, b *Port, opts LinkOptions) *Link {
-	l := newLink(a, b, opts, &n.taps, &n.act)
+// Connect wires two ports. LinkOptions is empty; see its comment.
+func (n *Network) Connect(a, b *Port, _ LinkOptions) *Link {
+	l := newLink(a, b, &n.taps)
 	n.mu.Lock()
 	n.links = append(n.links, l)
 	n.mu.Unlock()
@@ -129,14 +129,13 @@ func (n *Network) Stop() {
 }
 
 // Quiesce blocks until the fabric is idle — no frames queued on port
-// inboxes, none pending on link latency/bandwidth timers, and no
-// handler mid-frame — or the timeout expires, reporting whether
-// idleness was reached. It is the explicit drain barrier callers use
-// instead of sleeping "long enough" for in-flight traffic: because a
-// handler's emissions are counted before its own frame is released,
-// Quiesce only returns true once the entire causal cascade has
-// drained. Only meaningful while the network is running (after Stop,
-// undelivered frames may keep the fabric counted as busy).
+// inboxes and no handler mid-frame — or the timeout expires, reporting
+// whether idleness was reached. It is the explicit drain barrier
+// callers use instead of sleeping "long enough" for in-flight traffic:
+// because a handler's emissions are counted before its own frame is
+// released, Quiesce only returns true once the entire causal cascade
+// has drained. Only meaningful while the network is running (after
+// Stop, undelivered frames may keep the fabric counted as busy).
 func (n *Network) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	wait := 50 * time.Microsecond
@@ -155,12 +154,4 @@ func (n *Network) Quiesce(timeout time.Duration) bool {
 			wait *= 2
 		}
 	}
-}
-
-// Node looks a node up by name.
-func (n *Network) Node(name string) (Node, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	node, ok := n.nodes[name]
-	return node, ok
 }

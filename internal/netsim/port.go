@@ -30,9 +30,9 @@ type Node interface {
 
 // PortStats counts traffic through one port.
 type PortStats struct {
-	TxFrames, TxBytes     uint64
-	RxFrames, RxBytes     uint64
-	DropsQueue, DropsLoss uint64
+	TxFrames, TxBytes uint64
+	RxFrames, RxBytes uint64
+	DropsQueue        uint64
 }
 
 // Port is a node's attachment point. A port delivers received frames
@@ -53,9 +53,9 @@ type Port struct {
 
 	inbox chan Frame
 	stats struct {
-		txFrames, txBytes     atomic.Uint64
-		rxFrames, rxBytes     atomic.Uint64
-		dropsQueue, dropsLoss atomic.Uint64
+		txFrames, txBytes atomic.Uint64
+		rxFrames, rxBytes atomic.Uint64
+		dropsQueue        atomic.Uint64
 	}
 
 	closeOnce sync.Once
@@ -175,6 +175,5 @@ func (p *Port) Stats() PortStats {
 		RxFrames:   p.stats.rxFrames.Load(),
 		RxBytes:    p.stats.rxBytes.Load(),
 		DropsQueue: p.stats.dropsQueue.Load(),
-		DropsLoss:  p.stats.dropsLoss.Load(),
 	}
 }

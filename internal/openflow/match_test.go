@@ -128,3 +128,19 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// MatchIPv4 matches all IPv4 traffic to or from nothing in
+// particular; callers narrow it with the With* helpers.
+func MatchIPv4() Match {
+	m := MatchAll()
+	m.Wildcards &^= WEtherType
+	m.EtherType = packet.EtherTypeIPv4
+	return m
+}
+
+// WithInPort narrows the match to one ingress port.
+func (m Match) WithInPort(p uint16) Match {
+	m.Wildcards &^= WInPort
+	m.InPort = p
+	return m
+}

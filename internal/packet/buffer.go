@@ -83,16 +83,6 @@ func (b *SerializeBuffer) Append(n int) ([]byte, error) {
 	return s, nil
 }
 
-// PushBytes appends the given bytes verbatim.
-func (b *SerializeBuffer) PushBytes(p []byte) error {
-	s, err := b.Append(len(p))
-	if err != nil {
-		return err
-	}
-	copy(s, p)
-	return nil
-}
-
 // SerializeLayers clears b and serializes the given layers so that each
 // earlier layer wraps the later ones: SerializeLayers(b, eth, ip, tcp,
 // payload) produces eth(ip(tcp(payload))).

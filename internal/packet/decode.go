@@ -58,12 +58,6 @@ func newLayer(t LayerType) DecodingLayer {
 // Data returns the raw bytes the packet was decoded from.
 func (p *Packet) Data() []byte { return p.data }
 
-// Layers returns all decoded layers, outermost first.
-func (p *Packet) Layers() []Layer {
-	p.materialize()
-	return p.layers
-}
-
 // Layer returns the first layer of the given type, or nil.
 func (p *Packet) Layer(t LayerType) Layer {
 	for _, l := range p.layers {
@@ -131,14 +125,6 @@ func (p *Packet) DNS() *DNS {
 func (p *Packet) ApplicationPayload() []byte {
 	if l := p.Layer(LayerTypePayload); l != nil {
 		return l.(*Payload).Data
-	}
-	return nil
-}
-
-// ErrorLayer returns the DecodeFailure layer if decoding stopped early.
-func (p *Packet) ErrorLayer() *DecodeFailure {
-	if l := p.Layer(LayerTypeDecodeFailure); l != nil {
-		return l.(*DecodeFailure)
 	}
 	return nil
 }

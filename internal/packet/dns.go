@@ -8,7 +8,6 @@ import (
 
 // DNS record types and classes the library understands.
 const (
-	DNSTypeA     uint16 = 1
 	DNSTypeTXT   uint16 = 16
 	DNSTypeANY   uint16 = 255
 	DNSClassIN   uint16 = 1

@@ -10,7 +10,7 @@ type EndpointType uint8
 
 // Endpoint address families.
 const (
-	EndpointInvalid EndpointType = iota
+	_ EndpointType = iota // the zero value: no address
 	EndpointMAC
 	EndpointIPv4
 	EndpointPort
@@ -22,27 +22,6 @@ const (
 type Endpoint struct {
 	Type EndpointType
 	raw  [6]byte
-}
-
-// MACEndpoint wraps a MAC address.
-func MACEndpoint(m MACAddress) Endpoint {
-	e := Endpoint{Type: EndpointMAC}
-	copy(e.raw[:], m[:])
-	return e
-}
-
-// IPv4Endpoint wraps an IPv4 address.
-func IPv4Endpoint(a IPv4Address) Endpoint {
-	e := Endpoint{Type: EndpointIPv4}
-	copy(e.raw[:4], a[:])
-	return e
-}
-
-// PortEndpoint wraps a transport port.
-func PortEndpoint(p uint16) Endpoint {
-	e := Endpoint{Type: EndpointPort}
-	binary.BigEndian.PutUint16(e.raw[:2], p)
-	return e
 }
 
 // IPv4PortEndpoint wraps an (address, port) socket pair.
@@ -132,15 +111,6 @@ func endpointLess(a, b Endpoint) bool {
 
 // String renders "src > dst".
 func (f Flow) String() string { return f.Src.String() + " > " + f.Dst.String() }
-
-// NetworkFlow extracts the IPv4 src/dst flow of a decoded packet.
-func (p *Packet) NetworkFlow() (Flow, bool) {
-	ip := p.IPv4()
-	if ip == nil {
-		return Flow{}, false
-	}
-	return Flow{Src: IPv4Endpoint(ip.SrcIP), Dst: IPv4Endpoint(ip.DstIP)}, true
-}
 
 // TransportFlow extracts the (IP, port) socket-pair flow of a decoded
 // packet, covering both TCP and UDP.

@@ -170,15 +170,6 @@ func (ip *IPv4) SerializeTo(b *SerializeBuffer) error {
 	return nil
 }
 
-// VerifyChecksum recomputes the header checksum over the decoded
-// contents and reports whether it matches.
-func (ip *IPv4) VerifyChecksum() bool {
-	if len(ip.contents) < ipv4MinHeaderLen {
-		return false
-	}
-	return internetChecksum(ip.contents, 0) == 0
-}
-
 // String summarizes the header.
 func (ip *IPv4) String() string {
 	return fmt.Sprintf("IPv4 %s > %s %s ttl=%d len=%d", ip.SrcIP, ip.DstIP, ip.Protocol, ip.TTL, ip.Length)

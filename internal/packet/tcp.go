@@ -121,17 +121,6 @@ func (t *TCP) SerializeTo(b *SerializeBuffer) error {
 	return nil
 }
 
-// VerifyChecksum recomputes the segment checksum over the decoded
-// contents+payload using the given IPv4 addresses.
-func (t *TCP) VerifyChecksum(src, dst IPv4Address) bool {
-	segLen := len(t.contents) + len(t.payload)
-	sum := pseudoHeaderSum(src, dst, uint8(IPProtocolTCP), uint16(segLen))
-	full := make([]byte, 0, segLen)
-	full = append(full, t.contents...)
-	full = append(full, t.payload...)
-	return internetChecksum(full, sum) == 0
-}
-
 // String summarizes the segment header.
 func (t *TCP) String() string {
 	return fmt.Sprintf("TCP %d > %d [%s] seq=%d ack=%d", t.SrcPort, t.DstPort, t.Flags, t.Seq, t.Ack)

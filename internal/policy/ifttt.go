@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -20,39 +19,6 @@ type Recipe struct {
 	// ActionDevice receives ActionCommand when the trigger fires.
 	ActionDevice  string
 	ActionCommand string
-}
-
-// ErrBadRecipe reports a parse failure.
-var ErrBadRecipe = errors.New("policy: malformed recipe")
-
-// ParseRecipe parses "IF device.attr=value THEN device.COMMAND".
-func ParseRecipe(name, text string) (Recipe, error) {
-	r := Recipe{Name: name}
-	rest, ok := strings.CutPrefix(strings.TrimSpace(text), "IF ")
-	if !ok {
-		return r, fmt.Errorf("%w: missing IF in %q", ErrBadRecipe, text)
-	}
-	cond, action, ok := strings.Cut(rest, " THEN ")
-	if !ok {
-		return r, fmt.Errorf("%w: missing THEN in %q", ErrBadRecipe, text)
-	}
-	devAttr, value, ok := strings.Cut(strings.TrimSpace(cond), "=")
-	if !ok {
-		return r, fmt.Errorf("%w: trigger %q", ErrBadRecipe, cond)
-	}
-	dev, attr, ok := strings.Cut(devAttr, ".")
-	if !ok {
-		return r, fmt.Errorf("%w: trigger device %q", ErrBadRecipe, devAttr)
-	}
-	r.TriggerDevice = strings.TrimSpace(dev)
-	r.TriggerState = strings.TrimSpace(attr) + "=" + strings.TrimSpace(value)
-	adev, cmd, ok := strings.Cut(strings.TrimSpace(action), ".")
-	if !ok {
-		return r, fmt.Errorf("%w: action %q", ErrBadRecipe, action)
-	}
-	r.ActionDevice = strings.TrimSpace(adev)
-	r.ActionCommand = strings.ToUpper(strings.TrimSpace(cmd))
-	return r, nil
 }
 
 // String renders the canonical text form.

@@ -343,27 +343,6 @@ func TestConflictDetection(t *testing.T) {
 	}
 }
 
-func TestRecipeParsing(t *testing.T) {
-	r, err := ParseRecipe("r1", "IF nest_protect.smoke=yes THEN hue_lights.on")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TriggerDevice != "nest_protect" || r.TriggerState != "smoke=yes" ||
-		r.ActionDevice != "hue_lights" || r.ActionCommand != "ON" {
-		t.Errorf("parsed = %+v", r)
-	}
-	if r.String() != "IF nest_protect.smoke=yes THEN hue_lights.ON" {
-		t.Errorf("string = %q", r.String())
-	}
-	for _, bad := range []string{
-		"WHEN x THEN y", "IF x=1 y.z", "IF x THEN y.z", "IF x.a=1 THEN z",
-	} {
-		if _, err := ParseRecipe("bad", bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-}
-
 func TestRecipeConflicts(t *testing.T) {
 	recipes := []Recipe{
 		{Name: "lights-on-smoke", TriggerDevice: "nest", TriggerState: "smoke=yes", ActionDevice: "hue", ActionCommand: "ON"},
@@ -390,7 +369,7 @@ func TestRecipeConflicts(t *testing.T) {
 }
 
 func TestRecipeToRule(t *testing.T) {
-	r, _ := ParseRecipe("r1", "IF camera.person=yes THEN wemo.on")
+	r := Recipe{Name: "r1", TriggerDevice: "camera", TriggerState: "person=yes", ActionDevice: "wemo", ActionCommand: "ON"}
 	rule := r.ToRule(7)
 	if rule.Device != "wemo" || rule.Priority != 7 {
 		t.Errorf("rule = %+v", rule)

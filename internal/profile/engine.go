@@ -133,9 +133,6 @@ func (e *Engine) refreshActive() {
 	e.active.Store(e.learning || e.opts.Lockdown || len(e.enforced) > 0)
 }
 
-// Learner exposes the training-window learner (tuning knobs, counts).
-func (e *Engine) Learner() *Learner { return e.learner }
-
 // Register declares a device identity: its name (== netsim node
 // name), SKU, MAC and registered address.
 func (e *Engine) Register(id Identity) {
@@ -291,19 +288,6 @@ func (e *Engine) Enforce(name string) ([]*openflow.FlowMod, *Profile, error) {
 	snapshot := prof.Clone()
 	e.mu.Unlock()
 	return Compile(snapshot, id), snapshot, nil
-}
-
-// Unenforce stops checking a device.
-func (e *Engine) Unenforce(name string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.enforced[name]; !ok {
-		return false
-	}
-	delete(e.enforced, name)
-	mEnforced.Dec()
-	e.refreshActive()
-	return true
 }
 
 // EnforcedDevices lists enforced device names, sorted.

@@ -28,11 +28,6 @@ type BackoffOptions struct {
 	Base time.Duration
 	// Cap bounds any single delay (default 5s).
 	Cap time.Duration
-	// MaxElapsed bounds the cumulative delay handed out since the last
-	// Reset; once exceeded, Next reports done (0 = retry forever).
-	MaxElapsed time.Duration
-	// Multiplier grows the ceiling between attempts (default 2).
-	Multiplier float64
 	// NoJitter disables full jitter, making Next return the raw
 	// exponential ceiling (deterministic schedules for tests).
 	NoJitter bool
@@ -43,14 +38,14 @@ type BackoffOptions struct {
 
 // Backoff produces delays for a supervised retry loop: full-jitter
 // exponential growth (delay drawn uniformly from [0, ceiling], the
-// AWS "full jitter" scheme that decorrelates reconnect stampedes),
-// a per-attempt cap, an optional total budget, and reset-on-success.
+// AWS "full jitter" scheme that decorrelates reconnect stampedes), the
+// ceiling doubling per attempt up to a cap, and reset-on-success.
+// There is no total budget: a supervisor retries until stopped.
 // Not safe for concurrent use; each supervisor owns one.
 type Backoff struct {
 	opts    BackoffOptions
 	rng     *rand.Rand
 	attempt int
-	elapsed time.Duration
 }
 
 // NewBackoff builds a schedule, applying defaults for zero fields.
@@ -60,9 +55,6 @@ func NewBackoff(opts BackoffOptions) *Backoff {
 	}
 	if opts.Cap <= 0 {
 		opts.Cap = 5 * time.Second
-	}
-	if opts.Multiplier < 1 {
-		opts.Multiplier = 2
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -75,7 +67,7 @@ func NewBackoff(opts BackoffOptions) *Backoff {
 func (b *Backoff) Ceiling() time.Duration {
 	c := float64(b.opts.Base)
 	for i := 0; i < b.attempt; i++ {
-		c *= b.opts.Multiplier
+		c *= 2
 		if c >= float64(b.opts.Cap) {
 			return b.opts.Cap
 		}
@@ -86,38 +78,19 @@ func (b *Backoff) Ceiling() time.Duration {
 	return time.Duration(c)
 }
 
-// Next returns the delay to wait before the next attempt and whether
-// the caller should keep retrying. ok=false means the MaxElapsed
-// budget is spent; the returned delay is then zero.
-func (b *Backoff) Next() (delay time.Duration, ok bool) {
-	if b.opts.MaxElapsed > 0 && b.elapsed >= b.opts.MaxElapsed {
-		return 0, false
-	}
-	ceiling := b.Ceiling()
-	delay = ceiling
+// Next returns the delay to wait before the next attempt.
+func (b *Backoff) Next() time.Duration {
+	delay := b.Ceiling()
 	if !b.opts.NoJitter {
-		delay = time.Duration(b.rng.Int63n(int64(ceiling) + 1))
-	}
-	if b.opts.MaxElapsed > 0 && b.elapsed+delay > b.opts.MaxElapsed {
-		// Truncate the final wait to the budget boundary; the attempt
-		// after it reports done.
-		delay = b.opts.MaxElapsed - b.elapsed
+		delay = time.Duration(b.rng.Int63n(int64(delay) + 1))
 	}
 	b.attempt++
-	b.elapsed += delay
-	return delay, true
+	return delay
 }
-
-// Attempt reports how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }
 
 // Reset returns the schedule to its base state; call it after a
 // successful attempt so the next failure restarts from Base.
-func (b *Backoff) Reset() {
-	b.attempt = 0
-	b.elapsed = 0
-}
+func (b *Backoff) Reset() { b.attempt = 0 }
 
 // Ring is a bounded FIFO buffer that evicts the oldest element when
 // full (drop-oldest), counting evictions. It backs the switch agent's

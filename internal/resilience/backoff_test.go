@@ -22,14 +22,6 @@ func TestBackoffScheduleNoJitter(t *testing.T) {
 			},
 		},
 		{
-			name: "custom multiplier",
-			opts: BackoffOptions{Base: 10 * time.Millisecond, Cap: time.Second, Multiplier: 3, NoJitter: true},
-			want: []time.Duration{
-				10 * time.Millisecond, 30 * time.Millisecond, 90 * time.Millisecond, 270 * time.Millisecond,
-				810 * time.Millisecond, time.Second,
-			},
-		},
-		{
 			name: "cap below base clamps immediately",
 			opts: BackoffOptions{Base: 80 * time.Millisecond, Cap: 40 * time.Millisecond, NoJitter: true},
 			want: []time.Duration{40 * time.Millisecond, 40 * time.Millisecond},
@@ -39,11 +31,7 @@ func TestBackoffScheduleNoJitter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bo := NewBackoff(tc.opts)
 			for i, want := range tc.want {
-				got, ok := bo.Next()
-				if !ok {
-					t.Fatalf("attempt %d: unexpectedly done", i)
-				}
-				if got != want {
+				if got := bo.Next(); got != want {
 					t.Fatalf("attempt %d: delay = %v, want %v", i, got, want)
 				}
 			}
@@ -59,17 +47,14 @@ func TestBackoffJitterBounds(t *testing.T) {
 	ref := NewBackoff(opts)
 	for i := 0; i < 32; i++ {
 		ceiling := bo.Ceiling()
-		d, ok := bo.Next()
-		if !ok {
-			t.Fatalf("attempt %d: unexpectedly done", i)
-		}
+		d := bo.Next()
 		if d < 0 || d > ceiling {
 			t.Fatalf("attempt %d: delay %v outside [0, %v]", i, d, ceiling)
 		}
 		if ceiling > opts.Cap {
 			t.Fatalf("attempt %d: ceiling %v exceeds cap %v", i, ceiling, opts.Cap)
 		}
-		rd, _ := ref.Next()
+		rd := ref.Next()
 		if d != rd {
 			t.Fatalf("attempt %d: same seed diverged: %v vs %v", i, d, rd)
 		}
@@ -83,50 +68,12 @@ func TestBackoffResetOnSuccess(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		bo.Next()
 	}
-	if got := bo.Attempt(); got != 5 {
-		t.Fatalf("Attempt = %d, want 5", got)
+	if got := bo.Ceiling(); got != 320*time.Millisecond {
+		t.Fatalf("ceiling after 5 attempts = %v, want 320ms", got)
 	}
 	bo.Reset()
-	if got := bo.Attempt(); got != 0 {
-		t.Fatalf("Attempt after Reset = %d, want 0", got)
-	}
-	d, ok := bo.Next()
-	if !ok || d != 10*time.Millisecond {
-		t.Fatalf("first delay after Reset = (%v, %v), want (10ms, true)", d, ok)
-	}
-}
-
-// TestBackoffMaxElapsed verifies the total budget: the final wait is
-// truncated to the boundary and the attempt after it reports done.
-func TestBackoffMaxElapsed(t *testing.T) {
-	bo := NewBackoff(BackoffOptions{
-		Base: 40 * time.Millisecond, Cap: time.Second,
-		MaxElapsed: 100 * time.Millisecond, NoJitter: true,
-	})
-	var total time.Duration
-	steps := 0
-	for {
-		d, ok := bo.Next()
-		if !ok {
-			break
-		}
-		total += d
-		steps++
-		if steps > 10 {
-			t.Fatal("budget never exhausted")
-		}
-	}
-	if total != 100*time.Millisecond {
-		t.Fatalf("cumulative delay = %v, want exactly the 100ms budget", total)
-	}
-	// 40 + 80→truncated to 60 = 100; third attempt is done.
-	if steps != 2 {
-		t.Fatalf("steps = %d, want 2", steps)
-	}
-	// Reset restores the budget.
-	bo.Reset()
-	if _, ok := bo.Next(); !ok {
-		t.Fatal("Next after Reset reported done; budget should be restored")
+	if d := bo.Next(); d != 10*time.Millisecond {
+		t.Fatalf("first delay after Reset = %v, want 10ms", d)
 	}
 }
 

@@ -53,23 +53,6 @@ func (p *FaultPlan) SetLatency(read, write time.Duration) {
 	p.mu.Unlock()
 }
 
-// PartitionReads blackholes the receive direction: reads block (no
-// data arrives) until the conn is closed. Models a one-way partition
-// where the peer's traffic is lost.
-func (p *FaultPlan) PartitionReads(on bool) {
-	p.mu.Lock()
-	p.dropReads = on
-	p.mu.Unlock()
-}
-
-// PartitionWrites blackholes the send direction: writes report
-// success but never reach the peer.
-func (p *FaultPlan) PartitionWrites(on bool) {
-	p.mu.Lock()
-	p.dropWrites = on
-	p.mu.Unlock()
-}
-
 // sampleKill draws the kill process once.
 func (p *FaultPlan) sampleKill() bool {
 	p.mu.Lock()
@@ -161,24 +144,4 @@ func (c *FlakyConn) Write(b []byte) (int, error) {
 func (c *FlakyConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
 	return c.Conn.Close()
-}
-
-// FlakyListener wraps every accepted connection with the plan.
-type FlakyListener struct {
-	net.Listener
-	plan *FaultPlan
-}
-
-// WrapListener attaches a fault plan to all future accepted conns.
-func WrapListener(ln net.Listener, plan *FaultPlan) *FlakyListener {
-	return &FlakyListener{Listener: ln, plan: plan}
-}
-
-// Accept implements net.Listener.
-func (l *FlakyListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return WrapConn(c, l.plan), nil
 }

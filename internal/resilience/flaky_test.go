@@ -134,3 +134,40 @@ func TestFlakyListener(t *testing.T) {
 		t.Fatalf("write through partitioned accepted conn = (%d, %v), want blackholed success", n, err)
 	}
 }
+
+// PartitionReads blackholes the receive direction: reads block (no
+// data arrives) until the conn is closed. Models a one-way partition
+// where the peer's traffic is lost.
+func (p *FaultPlan) PartitionReads(on bool) {
+	p.mu.Lock()
+	p.dropReads = on
+	p.mu.Unlock()
+}
+
+// PartitionWrites blackholes the send direction: writes report
+// success but never reach the peer.
+func (p *FaultPlan) PartitionWrites(on bool) {
+	p.mu.Lock()
+	p.dropWrites = on
+	p.mu.Unlock()
+}
+
+// FlakyListener wraps every accepted connection with the plan.
+type FlakyListener struct {
+	net.Listener
+	plan *FaultPlan
+}
+
+// WrapListener attaches a fault plan to all future accepted conns.
+func WrapListener(ln net.Listener, plan *FaultPlan) *FlakyListener {
+	return &FlakyListener{Listener: ln, plan: plan}
+}
+
+// Accept implements net.Listener.
+func (l *FlakyListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return WrapConn(c, l.plan), nil
+}

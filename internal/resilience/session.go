@@ -18,8 +18,8 @@ type State int32
 
 // Session states, worst first.
 const (
-	// Down: supervision has ended (Stop was called or one outage
-	// outlived the reconnect budget). Nothing will reconnect.
+	// Down: supervision has ended (Stop was called). Nothing will
+	// reconnect.
 	Down State = iota
 	// Degraded: no live session; the supervisor is dialing or waiting
 	// out a backoff delay. The adapter's degradation policy applies.
@@ -46,8 +46,7 @@ type SessionOptions[C io.Closer] struct {
 	// Name prefixes every journal line ("dpid 7", a gateway identity).
 	Name string
 	// Backoff paces redials after a failed dial (zero fields take the
-	// Backoff defaults). MaxElapsed, if set, is the budget of a single
-	// outage: once spent, the session goes Down for good.
+	// Backoff defaults).
 	Backoff BackoffOptions
 	// Dial opens one connection.
 	Dial func() (C, error)
@@ -68,16 +67,16 @@ type SessionOptions[C io.Closer] struct {
 // Session supervises one reconnecting connection: dial, serve until
 // the session dies, redial — at once after losing a session that
 // lasted, under Backoff after a failed dial or a session that did not,
-// reset on success — journaling one Warn per outage and one Critical
-// if the budget runs out. The protocol on the wire belongs
-// to the adapter that supplies Dial and Run.
+// reset on success — journaling one Warn per outage, until Stop. The
+// protocol on the wire belongs to the adapter that supplies Dial and
+// Run.
 type Session[C io.Closer] struct {
 	opts SessionOptions[C]
 
 	mu      sync.Mutex
 	conn    C    // valid while live
 	live    bool // between up and down
-	stopped bool // Stop called or budget spent: no new goroutines
+	stopped bool // Stop called: no new goroutines
 
 	state    atomic.Int32
 	sessions atomic.Uint64
@@ -164,8 +163,8 @@ func (s *Session[C]) supervise(conn C, live bool) {
 	}
 }
 
-// redial dials until success, Stop, or budget exhaustion. The first
-// attempt is immediate; each failure waits out the next backoff delay.
+// redial dials until success or Stop. The first attempt is immediate;
+// each failure waits out the next backoff delay.
 func (s *Session[C]) redial(bo *Backoff) (conn C, ok bool) {
 	for {
 		select {
@@ -185,18 +184,9 @@ func (s *Session[C]) redial(bo *Backoff) (conn C, ok bool) {
 }
 
 // pause waits out the schedule's next delay. It reports false if the
-// session was stopped meanwhile, or if the outage has spent its budget
-// — which it journals, and which stops the session for good.
+// session was stopped meanwhile.
 func (s *Session[C]) pause(bo *Backoff) bool {
-	delay, more := bo.Next()
-	if !more {
-		journal.RecordTrace(0, s.opts.DownEvent, journal.Critical, "",
-			fmt.Sprintf("%s: reconnect budget exhausted after %d attempts; giving up (%s)",
-				s.opts.Name, bo.Attempt(), s.opts.Detail()))
-		s.Stop()
-		return false
-	}
-	t := time.NewTimer(delay)
+	t := time.NewTimer(bo.Next())
 	defer t.Stop()
 	select {
 	case <-s.done:
@@ -273,8 +263,7 @@ func (s *Session[C]) Current() (conn C, ok bool) {
 	return s.conn, s.live
 }
 
-// Done is closed once the session has been stopped, by Stop or by an
-// exhausted budget.
+// Done is closed once the session has been stopped.
 func (s *Session[C]) Done() <-chan struct{} { return s.done }
 
 // Stop ends supervision and closes the live connection, if any.

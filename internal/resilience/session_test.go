@@ -142,10 +142,9 @@ func TestSession(t *testing.T) {
 		script []bool
 		// drive runs the scenario; the harness's session has been
 		// started. It must leave the session stopped or stoppable.
-		drive        func(t *testing.T, h *sessionHarness)
-		wantWarn     int
-		wantCritical int
-		wantStates   []State
+		drive      func(t *testing.T, h *sessionHarness)
+		wantWarn   int
+		wantStates []State
 	}{
 		{
 			name:   "first redial is immediate, later ones back off",
@@ -209,30 +208,6 @@ func TestSession(t *testing.T) {
 			wantStates: []State{Up, Degraded, Up, Degraded, Up, Down},
 		},
 		{
-			name:   "exhausted budget ends in Down with one Critical",
-			bo:     BackoffOptions{Base: time.Millisecond, MaxElapsed: 5 * time.Millisecond},
-			script: []bool{true},
-			drive: func(t *testing.T, h *sessionHarness) {
-				h.waitSessions(1)
-				h.kill(0, 0)
-				select {
-				case <-h.sess.Done():
-				case <-time.After(5 * time.Second):
-					t.Fatal("session never gave up")
-				}
-				h.sess.Wait()
-				if st := h.sess.State(); st != Down {
-					t.Errorf("state after the budget ran out = %v, want down", st)
-				}
-				if h.sess.Go(func() {}) {
-					t.Error("Go accepted work after the session gave up")
-				}
-			},
-			wantWarn:     1,
-			wantCritical: 1,
-			wantStates:   []State{Up, Degraded, Down},
-		},
-		{
 			name: "Stop during a backoff wait returns promptly",
 			bo:   BackoffOptions{Base: time.Hour, Cap: time.Hour},
 			drive: func(t *testing.T, h *sessionHarness) {
@@ -281,8 +256,8 @@ func TestSession(t *testing.T) {
 			if got := h.journaled(journal.Warn); got != tc.wantWarn {
 				t.Errorf("Warn events = %d, want %d", got, tc.wantWarn)
 			}
-			if got := h.journaled(journal.Critical); got != tc.wantCritical {
-				t.Errorf("Critical events = %d, want %d", got, tc.wantCritical)
+			if got := h.journaled(journal.Critical); got != 0 {
+				t.Errorf("Critical events = %d, want none: a session never gives up", got)
 			}
 			h.mu.Lock()
 			states := h.states

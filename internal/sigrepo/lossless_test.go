@@ -143,7 +143,7 @@ func TestLiveGapTriggersFetchResync(t *testing.T) {
 	if got := mc.Gaps(); got != 1 {
 		t.Errorf("gaps detected = %d, want 1", got)
 	}
-	if cur := mc.Cursor("sku-x"); cur != 4 {
+	if cur := mc.Cursors()["sku-x"]; cur != 4 {
 		t.Errorf("cursor = %d, want 4", cur)
 	}
 	// Exactly-once: neither the push path nor the resync may double-install.

@@ -32,9 +32,7 @@ const outboxCap = 256
 
 // ManagedOptions configure a ManagedClient.
 type ManagedOptions struct {
-	// Backoff parameterizes the reconnect schedule. MaxElapsed bounds
-	// how long the supervisor keeps redialing before declaring the
-	// link down (0 = forever).
+	// Backoff parameterizes the reconnect schedule.
 	Backoff resilience.BackoffOptions
 	// Dial overrides the transport dial (fault-injection tests wrap
 	// conns here). Default: net.DialTimeout("tcp", addr, 5s).
@@ -560,15 +558,8 @@ func (m *ManagedClient) loadOutbox() {
 // State reports the link's current health: Up (pushes stream, the
 // outbox is empty or draining), Degraded (redialing; publishes and
 // votes queue in the outbox, missed signatures come back by cursor
-// replay) or Down (closed, or the reconnect budget is spent).
+// replay) or Down (closed).
 func (m *ManagedClient) State() resilience.State { return m.sess.State() }
-
-// Cursor reports the highest processed clear sequence for a SKU.
-func (m *ManagedClient) Cursor(sku string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cursors[sku]
-}
 
 // Cursors returns a copy of every SKU cursor.
 func (m *ManagedClient) Cursors() map[string]uint64 {
@@ -649,10 +640,10 @@ func (m *ManagedClient) ExportTelemetry(reg *telemetry.Registry, link string) {
 
 // RegisterHealth registers the link in the component-health registry
 // as "sigrepo-link:<link>": healthy while up, degraded while
-// redialing with the outbox queueing, down once closed or out of
-// budget. The northbound link is advisory for a gateway (enforcement
-// works without crowd updates), so callers normally pass
-// critical=false — readiness then reports it without gating on it.
+// redialing with the outbox queueing, down once closed. The northbound
+// link is advisory for a gateway (enforcement works without crowd
+// updates), so callers normally pass critical=false — readiness then
+// reports it without gating on it.
 func (m *ManagedClient) RegisterHealth(h *telemetry.HealthRegistry, link string, critical bool) {
 	h.Register("sigrepo-link:"+link, critical, m.sess.Health)
 }

@@ -48,7 +48,7 @@ func TestSubscribeSinceCursorReplay(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		ids = append(ids, publishCleared(t, r, "pub", "sku-x", i).ID)
 	}
-	if head := r.Head("sku-x"); head != 5 {
+	if head := head(r, "sku-x"); head != 5 {
 		t.Fatalf("head = %d, want 5", head)
 	}
 
@@ -110,7 +110,7 @@ func TestSnapshotRoundTripPreservesCursors(t *testing.T) {
 	if err := r2.ImportJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if head := r2.Head("sku-x"); head != 3 {
+	if head := head(r2, "sku-x"); head != 3 {
 		t.Fatalf("restored head = %d, want 3", head)
 	}
 	cancel, replay, _ := r2.SubscribeSince("sub", "sku-x", 1, func(Notification) {})
@@ -147,7 +147,7 @@ func TestLegacySnapshotRebuildsCursors(t *testing.T) {
 	if err := r.ImportJSON(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	if head := r.Head("sku-x"); head != 2 {
+	if head := head(r, "sku-x"); head != 2 {
 		t.Fatalf("rebuilt head = %d, want 2", head)
 	}
 	cancel, replay, _ := r.SubscribeSince("sub", "sku-x", 0, func(Notification) {})
@@ -386,8 +386,8 @@ func TestManagedClientReconnectResumesCursor(t *testing.T) {
 
 	sig1 := publishCleared(t, repo, "pub", "sku-x", 1)
 	waitFor(t, "live push", func() bool { return installed.count(sig1.ID) == 1 })
-	if mc.Cursor("sku-x") != 1 {
-		t.Fatalf("cursor = %d, want 1", mc.Cursor("sku-x"))
+	if mc.Cursors()["sku-x"] != 1 {
+		t.Fatalf("cursor = %d, want 1", mc.Cursors()["sku-x"])
 	}
 
 	// Outage; a signature clears while the gateway is gone.
@@ -440,4 +440,12 @@ func (r *installRecorder) ids() map[string]int {
 		out[k] = v
 	}
 	return out
+}
+
+// head reports the current cleared-event sequence for a SKU — the
+// cursor a fully caught-up subscriber holds.
+func head(r *Repository, sku string) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seqs[sku]
 }

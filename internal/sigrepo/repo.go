@@ -135,14 +135,6 @@ func (r *Repository) recordClearLocked(sig *Signature) uint64 {
 	return seq
 }
 
-// Head reports the current cleared-event sequence for a SKU — the
-// cursor a fully caught-up subscriber holds.
-func (r *Repository) Head(sku string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seqs[sku]
-}
-
 // Reputation exposes the reputation system (for experiments).
 func (r *Repository) Reputation() *ReputationSystem { return r.rep }
 

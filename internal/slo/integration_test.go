@@ -107,13 +107,13 @@ func TestLiveAnomalyPopulatesEveryStage(t *testing.T) {
 	})
 
 	var criticalPath float64
-	for _, stage := range slo.Stages {
-		c, ok := sample(reg, "iotsec_mttr_stage_seconds", "_count", map[string]string{"stage": stage})
+	for _, stage := range []journal.Type{journal.TypePosture, journal.TypeFlowMod, journal.TypeFlowApplied, journal.TypeMboxReconfig} {
+		c, ok := sample(reg, "iotsec_mttr_stage_seconds", "_count", map[string]string{"stage": string(stage)})
 		if !ok || c < 1 {
 			t.Errorf("stage %q count = %v (ok=%v), want >= 1", stage, c, ok)
 		}
-		if stage != slo.StageMboxReconfig {
-			v, _ := sample(reg, "iotsec_mttr_stage_seconds", "_sum", map[string]string{"stage": stage})
+		if stage != journal.TypeMboxReconfig {
+			v, _ := sample(reg, "iotsec_mttr_stage_seconds", "_sum", map[string]string{"stage": string(stage)})
 			criticalPath += v
 		}
 	}
@@ -188,7 +188,7 @@ func TestStalledFlowModFlipsReadiness(t *testing.T) {
 	// The tracker must see the FLOW_MOD emission and the µmbox reconfig
 	// before fake time moves, so the deadline reflects chain start.
 	waitFor(t, "flow-mod stage observed", func() bool {
-		v, ok := sample(reg, "iotsec_mttr_stage_seconds", "_count", map[string]string{"stage": slo.StageFlowMod})
+		v, ok := sample(reg, "iotsec_mttr_stage_seconds", "_count", map[string]string{"stage": string(journal.TypeFlowMod)})
 		return ok && v >= 1
 	})
 	if got := tr.Inflight(); got != 1 {

@@ -24,22 +24,6 @@ import (
 	"iotsec/internal/telemetry"
 )
 
-// Canonical chain stages, in causal order. Stage latencies are deltas
-// from the stage's causal predecessor (posture from the detection,
-// flow-mod from the posture, flow-applied from the flow-mod crossing
-// the wire, mbox-reconfig from the posture), so the telescoping sum
-// detect→posture→flow-mod→flow-applied is always ≤ the end-to-end
-// latency.
-const (
-	StagePosture      = "posture"
-	StageFlowMod      = "flow-mod"
-	StageFlowApplied  = "flow-applied"
-	StageMboxReconfig = "mbox-reconfig"
-)
-
-// Stages lists the canonical stages in causal order.
-var Stages = []string{StagePosture, StageFlowMod, StageFlowApplied, StageMboxReconfig}
-
 // Component is the health-registry name the tracker reports under.
 const Component = "mttr-pipeline"
 
@@ -64,9 +48,6 @@ type Options struct {
 	// counted incomplete (default 5s — generous against the modeled
 	// µmbox boot latencies, tight against a stuck enforcement path).
 	ChainTimeout time.Duration
-	// SweepEvery is the incomplete-chain sweep period (default
-	// ChainTimeout/4).
-	SweepEvery time.Duration
 	// Clock drives timeouts and health decay (resilience.System when
 	// nil); tests inject a FakeClock. Stage latencies do NOT use it —
 	// they come from the journal's own monotonic event offsets.
@@ -88,13 +69,19 @@ type chain struct {
 	// authenticated management command) that no anomaly or alert has
 	// joined: the FSM is not expected to answer those with a posture.
 	benign   bool
-	start    time.Duration            // journal Mono of the detection
-	stages   map[string]time.Duration // first-occurrence Mono per stage
-	deadline time.Time                // tracker-clock expiry
+	start    time.Duration                  // journal Mono of the detection
+	stages   map[journal.Type]time.Duration // first-occurrence Mono per stage
+	deadline time.Time                      // tracker-clock expiry
 }
 
 // Tracker consumes a journal tap and folds trace-ID-correlated chains
-// into live MTTR metrics:
+// into live MTTR metrics. A chain's stages are the journal event types
+// posture, flow-mod, flow-applied and mbox-reconfig; each stage's
+// latency is a delta from its causal predecessor (posture from the
+// detection, flow-mod from the posture, flow-applied from the flow-mod
+// crossing the wire, mbox-reconfig from the posture), so the
+// telescoping sum detect→posture→flow-mod→flow-applied is always ≤ the
+// end-to-end latency:
 //
 //	iotsec_mttr_stage_seconds{stage=...}  per-stage latency
 //	iotsec_mttr_e2e_seconds               detection → last enforcement
@@ -141,7 +128,7 @@ type Tracker struct {
 // health reasons strings.
 type incompleteMark struct {
 	at      time.Time
-	stage   string
+	stage   journal.Type
 	device  string
 	traceID uint64
 }
@@ -163,10 +150,6 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 	timeout := opts.ChainTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
-	}
-	sweep := opts.SweepEvery
-	if sweep <= 0 {
-		sweep = timeout / 4
 	}
 	t := &Tracker{
 		j:            j,
@@ -191,7 +174,7 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 	t.mCompleted = reg.NewCounter("iotsec_mttr_complete_total",
 		"Chains that closed the detect→enforce loop.")
 	reg.RegisterCollector("slo-tracker", t.collect)
-	t.loop.Start(clock, sweep, t.sub.Wait(), t.pass)
+	t.loop.Start(clock, timeout/4, t.sub.Wait(), t.pass)
 	return t
 }
 
@@ -242,21 +225,21 @@ func (t *Tracker) handleLocked(e journal.Event) {
 			deadline: t.clock.Now().Add(t.chainTimeout),
 		})
 	case journal.TypePosture:
-		t.stageLocked(e, StagePosture, "")
+		t.stageLocked(e, "")
 	case journal.TypeFlowMod:
-		t.stageLocked(e, StageFlowMod, StagePosture)
+		t.stageLocked(e, journal.TypePosture)
 	case journal.TypeFlowApplied:
-		t.stageLocked(e, StageFlowApplied, StageFlowMod)
+		t.stageLocked(e, journal.TypeFlowMod)
 		t.maybeCompleteLocked(e.TraceID)
 	case journal.TypeMboxReconfig:
-		t.stageLocked(e, StageMboxReconfig, StagePosture)
+		t.stageLocked(e, journal.TypePosture)
 		t.maybeCompleteLocked(e.TraceID)
 	}
 }
 
 // openLocked starts tracking a chain.
 func (t *Tracker) openLocked(traceID uint64, c *chain) {
-	c.stages = make(map[string]time.Duration, 4)
+	c.stages = make(map[journal.Type]time.Duration, 4)
 	t.chains[traceID] = c
 	t.order = append(t.order, traceID)
 }
@@ -278,11 +261,12 @@ func (t *Tracker) chainLocked(traceID uint64) (*chain, bool) {
 	return c, true
 }
 
-// stageLocked records the first occurrence of a stage as a delta from
-// its causal predecessor (falling back to the detection when the
-// predecessor was never seen, e.g. a flow-applied whose flow-mod event
-// was evicted from the tap).
-func (t *Tracker) stageLocked(e journal.Event, stage, pred string) {
+// stageLocked records the first occurrence of e's stage (its type) as a
+// delta from its causal predecessor (falling back to the detection
+// when the predecessor was never seen, e.g. a flow-applied whose
+// flow-mod event was evicted from the tap).
+func (t *Tracker) stageLocked(e journal.Event, pred journal.Type) {
+	stage := e.Type
 	c, ok := t.chainLocked(e.TraceID)
 	if !ok {
 		return // chain never started here (standing-quarantine re-applies, foreign traces)
@@ -301,7 +285,7 @@ func (t *Tracker) stageLocked(e journal.Event, stage, pred string) {
 	if d < 0 {
 		d = 0 // tap reordering across the ring; clamp rather than poison the histogram
 	}
-	t.mStage.With(stage).Observe(d.Seconds())
+	t.mStage.With(string(stage)).Observe(d.Seconds())
 }
 
 // maybeCompleteLocked answers "is this chain's SLO sample final" — a
@@ -317,11 +301,11 @@ func (t *Tracker) maybeCompleteLocked(traceID uint64) {
 	if !ok {
 		return
 	}
-	if _, ok := c.stages[StageMboxReconfig]; !ok {
+	if _, ok := c.stages[journal.TypeMboxReconfig]; !ok {
 		return
 	}
-	_, flowMod := c.stages[StageFlowMod]
-	_, applied := c.stages[StageFlowApplied]
+	_, flowMod := c.stages[journal.TypeFlowMod]
+	_, applied := c.stages[journal.TypeFlowApplied]
 	if flowMod && !applied {
 		return
 	}
@@ -361,18 +345,18 @@ func (t *Tracker) sweepLocked() {
 			continue
 		}
 		missing := missingStage(c)
-		if c.benign && missing == StagePosture {
+		if c.benign && missing == journal.TypePosture {
 			// Not a miss: it stays out of the incomplete count, which
 			// the watchdog judges as +Inf latency samples.
 			t.mUnescalated.Inc()
 			delete(t.chains, id)
 			continue
 		}
-		t.mIncomplete.With(missing).Inc()
+		t.mIncomplete.With(string(missing)).Inc()
 		t.incompleteCount++
 		mark := incompleteMark{at: now, stage: missing, device: c.device, traceID: id}
 		t.lastIncomplete = mark
-		if missing != StagePosture {
+		if missing != journal.TypePosture {
 			t.lastEnforceMiss = mark
 		}
 		delete(t.chains, id)
@@ -384,19 +368,19 @@ func (t *Tracker) sweepLocked() {
 // reached. A chain with flow-mods on the wire but no acknowledgment is
 // "flow-applied" even if the µmbox reconfig landed — the network half
 // of the enforcement is the part that is missing.
-func missingStage(c *chain) string {
-	if _, ok := c.stages[StagePosture]; !ok {
-		return StagePosture
+func missingStage(c *chain) journal.Type {
+	if _, ok := c.stages[journal.TypePosture]; !ok {
+		return journal.TypePosture
 	}
-	_, flowMod := c.stages[StageFlowMod]
-	_, applied := c.stages[StageFlowApplied]
+	_, flowMod := c.stages[journal.TypeFlowMod]
+	_, applied := c.stages[journal.TypeFlowApplied]
 	if flowMod && !applied {
-		return StageFlowApplied
+		return journal.TypeFlowApplied
 	}
-	if _, ok := c.stages[StageMboxReconfig]; !ok {
-		return StageMboxReconfig
+	if _, ok := c.stages[journal.TypeMboxReconfig]; !ok {
+		return journal.TypeMboxReconfig
 	}
-	return StageFlowApplied
+	return journal.TypeFlowApplied
 }
 
 // dropLocked removes a chain from both the map and the order list. The

@@ -102,13 +102,13 @@ func TestTrackerCorrelatesFullChain(t *testing.T) {
 		t.Fatalf("Inflight = %d after complete chain, want 0", got)
 	}
 	var stageSum float64
-	for _, stage := range slo.Stages {
-		c, ok := sample(reg, "iotsec_mttr_stage_seconds", "_count", map[string]string{"stage": stage})
+	for _, stage := range []journal.Type{journal.TypePosture, journal.TypeFlowMod, journal.TypeFlowApplied, journal.TypeMboxReconfig} {
+		c, ok := sample(reg, "iotsec_mttr_stage_seconds", "_count", map[string]string{"stage": string(stage)})
 		if !ok || c != 1 {
 			t.Fatalf("stage %q count = %v (ok=%v), want 1", stage, c, ok)
 		}
-		if stage != slo.StageMboxReconfig { // reconfig is a parallel branch, not on the critical path
-			s, _ := sample(reg, "iotsec_mttr_stage_seconds", "_sum", map[string]string{"stage": stage})
+		if stage != journal.TypeMboxReconfig { // reconfig is a parallel branch, not on the critical path
+			s, _ := sample(reg, "iotsec_mttr_stage_seconds", "_sum", map[string]string{"stage": string(stage)})
 			stageSum += s
 		}
 	}

@@ -35,9 +35,6 @@ func TestSlowSpanHookFiresRegardlessOfSampling(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("slow hook fired %d times, want 2", got)
 	}
-	if n := st.SlowSpans(); n != 2 {
-		t.Errorf("SlowSpans() = %d, want 2", n)
-	}
 	for _, fs := range seen {
 		if fs.Name != "slow.op" || fs.Duration <= 0 || fs.TraceID == 0 {
 			t.Errorf("malformed slow span record: %+v", fs)
@@ -58,9 +55,6 @@ func TestSlowSpanThresholdFiltersFastAndDisarms(t *testing.T) {
 	fired.Range(func(_, _ any) bool { count++; return true })
 	if count != 0 {
 		t.Errorf("fast span reported as slow %d times", count)
-	}
-	if n := st.SlowSpans(); n != 0 {
-		t.Errorf("SlowSpans() = %d, want 0", n)
 	}
 
 	// Arm low, then disarm; the span ended after disarm must not fire.

@@ -56,9 +56,6 @@ func (r *Registry) NewTopK(name, help string, k int) *TopK {
 	return r.Register(t).(*TopK)
 }
 
-// K reports the capacity.
-func (t *TopK) K() int { return t.k }
-
 // Offer records n occurrences of key.
 func (t *TopK) Offer(key string, n uint64) {
 	if n == 0 {
@@ -108,25 +105,6 @@ func (t *TopK) Offers() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.offers
-}
-
-// Decay halves every count and error bound, dropping keys that reach
-// zero. Periodic decay ages out former heavy hitters under churn so a
-// long-running summary tracks *current* heavy hitters instead of
-// all-time ones; the halving preserves relative order.
-func (t *TopK) Decay() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		e.Count /= 2
-		e.Err /= 2
-		if e.Count > 0 {
-			kept = append(kept, e)
-		}
-	}
-	clear(t.entries[len(kept):]) // drop the evicted keys' strings
-	t.entries = kept
 }
 
 // Reset forgets everything.

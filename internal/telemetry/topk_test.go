@@ -52,27 +52,6 @@ func TestTopKEvictionUnderChurn(t *testing.T) {
 	}
 }
 
-// TestTopKDecay: halving ages out former heavy hitters so current
-// ones take over, and zero-count keys vanish.
-func TestTopKDecay(t *testing.T) {
-	tk := NewStandaloneTopK(4)
-	tk.Offer("old-heavy", 100)
-	tk.Offer("small", 1)
-	tk.Decay() // old-heavy 50, small 0 (dropped)
-	if tk.Len() != 1 {
-		t.Fatalf("decay kept %d keys, want 1", tk.Len())
-	}
-	// A new heavy hitter overtakes after repeated decay.
-	for i := 0; i < 6; i++ {
-		tk.Offer("new-heavy", 40)
-		tk.Decay()
-	}
-	snap := tk.Snapshot()
-	if snap.Entries[0].Key != "new-heavy" {
-		t.Fatalf("churned heavy hitter did not take over: %+v", snap.Entries)
-	}
-}
-
 // TestTopKMerge: merging shard summaries sums per key, keeps top K of
 // the union, and accumulates error bounds.
 func TestTopKMerge(t *testing.T) {

@@ -54,7 +54,6 @@ type SpanStore struct {
 	// ended span is reported to the slow hook regardless of sampling.
 	slowNS   atomic.Int64
 	slowHook atomic.Pointer[func(FinishedSpan)]
-	slowSeen atomic.Uint64
 
 	mu   sync.Mutex
 	ring []FinishedSpan
@@ -136,9 +135,6 @@ func (st *SpanStore) SetSlowThreshold(d time.Duration, fn func(FinishedSpan)) {
 	st.slowHook.Store(&fn)
 }
 
-// SlowSpans counts spans that crossed the slow threshold.
-func (st *SpanStore) SlowSpans() uint64 { return st.slowSeen.Load() }
-
 // SetAttr attaches a key/value attribute to the span.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
@@ -175,7 +171,6 @@ func (s *Span) End() {
 		Attrs:    attrs,
 	}
 	if slow := s.store.slowNS.Load(); slow > 0 && int64(dur) >= slow {
-		s.store.slowSeen.Add(1)
 		if fn := s.store.slowHook.Load(); fn != nil {
 			(*fn)(fs)
 		}

@@ -59,7 +59,7 @@ func AmplifyDNS(attacker *netsim.Stack, resolverIP, victimIP packet.IPv4Address,
 	if err := attacker.SendUDP(resolverIP, 9, 9, []byte("arp-warm")); err != nil {
 		return nil, err
 	}
-	time.Sleep(20 * time.Millisecond)
+	attacker.Network().Quiesce(time.Second)
 
 	resolverMAC, ok := attacker.LookupARP(resolverIP)
 	if !ok {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -373,5 +375,28 @@ func TestHotPlugDeviceGetsPostureImmediately(t *testing.T) {
 	}
 	if resp, err := attacker.Call(cam.IP(), device.Request{Cmd: "SNAPSHOT", User: "homeadmin", Pass: "pw"}); err != nil || !resp.OK {
 		t.Fatalf("admin path broken: %v %+v", err, resp)
+	}
+}
+
+// TestPlatformStartAddsFewGoroutines: delivery runs on the senders'
+// goroutines, so starting a 32-camera platform — a switch, 32 µmboxes
+// and 32 device stacks, over a hundred ports — starts almost no
+// goroutines of its own.
+func TestPlatformStartAddsFewGoroutines(t *testing.T) {
+	p, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		cam := device.NewCamera(fmt.Sprintf("cam%d", i), packet.IPv4Address{10, 0, 7, byte(10 + i)})
+		if _, err := p.AddDevice(cam.Device); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	p.Start()
+	t.Cleanup(p.Stop)
+	if added := runtime.NumGoroutine() - before; added > 2 {
+		t.Fatalf("Start added %d goroutines, want at most 2", added)
 	}
 }

@@ -208,7 +208,9 @@ func runRow6WemoDNS() (bool, bool, error) {
 			if err != nil {
 				return false, err
 			}
-			time.Sleep(150 * time.Millisecond)
+			// The reflection runs inside the resolver's UDP handler, so
+			// a drained fabric has delivered every response.
+			raw.net.Quiesce(2 * time.Second)
 			res.Finalize(victim)
 			return res.Factor > 2, nil
 		}
@@ -237,7 +239,7 @@ func runRow6WemoDNS() (bool, bool, error) {
 		if err != nil {
 			return false, err
 		}
-		time.Sleep(150 * time.Millisecond)
+		prot.platform.Network.Quiesce(2 * time.Second)
 		res.Finalize(victim)
 		return res.Factor > 2, nil
 	}

@@ -66,9 +66,10 @@ func (m *Mbox) HandleFrame(ingress *netsim.Port, frame netsim.Frame) {
 	if ingress == m.south {
 		dir, onward, back = FromDevice, m.toNorth, m.toSouth
 	}
-	// Both ports deliver concurrently; the pooled decoder's packet view
-	// must not outlive this frame (pipeline elements do not retain it,
-	// and a Reparse swaps in an eagerly decoded packet).
+	// µmboxes on different networks handle frames at once; the pooled
+	// decoder's packet view must not outlive this frame (pipeline
+	// elements do not retain it, and a Reparse swaps in an eagerly
+	// decoded packet).
 	dec := packet.GetDecoder()
 	defer packet.PutDecoder(dec)
 	decoded := dec.Decode(frame, packet.LayerTypeEthernet)

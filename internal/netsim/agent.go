@@ -242,7 +242,10 @@ func (a *SwitchAgent) serve(conn *openflow.Conn) error {
 		case *openflow.FlowMod:
 			a.applyFlowMod(conn, msg, xid)
 		case *openflow.PacketOut:
-			a.sw.ApplyActions(msg.Actions, msg.InPort, Frame(msg.Data))
+			// Hand the frame off, never drain here: a handler on this
+			// network may be waiting for a BARRIER reply (an IDS alert
+			// quarantining its device), and only this loop reads it.
+			a.sw.applyActions(msg.Actions, msg.InPort, Frame(msg.Data), true)
 		case *openflow.BarrierRequest:
 			// Messages are processed in order on this single loop, so
 			// everything before the barrier has already been applied.

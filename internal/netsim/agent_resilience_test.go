@@ -203,8 +203,8 @@ func TestAgentBufferEviction(t *testing.T) {
 	agent := SuperviseAgent(sw, "127.0.0.1:1", AgentOptions{Backoff: fastBackoff()})
 	defer func() { agent.Stop(); agent.Wait() }()
 
-	// Batches below the port's inbox depth, so every punt reaches the
-	// ring rather than overflowing the inbox.
+	// Batches below the port's queue bound, so every punt reaches the
+	// ring rather than overflowing the queue.
 	frame := buildFrame(t, mac1, mac2, ip1, ip2, 80)
 	for sent := 0; sent < agentBufferCap+100; {
 		for i := 0; i < 100; i++ {

@@ -20,7 +20,7 @@ var (
 		"Bytes delivered across links.")
 	mQueueDrops = telemetry.NewCounter(
 		"iotsec_netsim_queue_drops_total",
-		"Frames dropped on port inbox overflow.")
+		"Frames dropped because the destination port already had its bound of frames queued.")
 	mSwitchPacketsIn = telemetry.NewCounter(
 		"iotsec_netsim_switch_packets_in_total",
 		"Frames received by SDN switches.")
@@ -32,7 +32,7 @@ var (
 		"Frames that matched no flow entry: each was dropped, delivered to no port.")
 	mPortsOpen = telemetry.NewGauge(
 		"iotsec_netsim_ports_open",
-		"Ports currently attached to fabrics (delivery goroutines).")
+		"Ports on started fabrics: created and not yet stopped.")
 )
 
 // Southbound-channel resilience metrics (agent side). Aggregated

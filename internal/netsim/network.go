@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
-// activity counts fabric work in flight: frames queued on port
-// inboxes and frames currently inside a HandleFrame call. Because
-// every frame a handler emits is counted before the handler's own
-// frame is released, the counter only reaches zero when the whole
-// causal cascade has drained — which is exactly the barrier Quiesce
-// needs.
+// activity counts fabric work in flight: frames in the delivery queue
+// and frames currently inside a HandleFrame call. Because every frame
+// a handler emits is counted before the handler's own frame is
+// released, the counter only reaches zero when the whole causal
+// cascade has drained — which is exactly the barrier Quiesce needs.
 type activity struct {
 	n atomic.Int64
 }
@@ -40,15 +39,30 @@ func (t *tapSet) observe(src, dst *Port, frame Frame) {
 }
 
 // Network is the virtual fabric: a registry of nodes and the links
-// between their ports.
+// between their ports, and the one delivery queue that carries every
+// frame sent to them.
 type Network struct {
 	mu      sync.Mutex
 	nodes   map[string]Node
 	ports   []*Port
 	links   []*Link
 	started bool
-	taps    tapSet
-	act     activity
+	stopped bool
+
+	// queue[head:] holds the frames waiting for delivery, oldest first;
+	// draining is set while a goroutine runs them (see drain).
+	queue    []delivery
+	head     int
+	draining bool
+
+	taps tapSet
+	act  activity
+}
+
+// delivery is one queued frame and the port it is for.
+type delivery struct {
+	to    *Port
+	frame Frame
 }
 
 // NewNetwork returns an empty fabric.
@@ -68,23 +82,17 @@ func (n *Network) AddNode(node Node) error {
 	return nil
 }
 
-// NewPort allocates a port owned by node with the given port ID and
-// default queue length. The port starts delivering once Start runs
-// (or immediately if the network is already started).
+// NewPort allocates a port owned by node with the given port ID. Frames
+// sent to it wait until Start runs (they are delivered at once if the
+// network is already started).
 func (n *Network) NewPort(owner Node, id uint16) *Port {
-	return n.newPortOpts(owner, id, 0)
-}
-
-func (n *Network) newPortOpts(owner Node, id uint16, queueLen int) *Port {
-	p := newPort(owner, id, queueLen)
-	p.act = &n.act
+	p := &Port{ID: id, owner: owner, net: n}
 	n.mu.Lock()
 	n.ports = append(n.ports, p)
-	started := n.started
-	n.mu.Unlock()
-	if started {
-		go p.run()
+	if n.started {
+		mPortsOpen.Inc()
 	}
+	n.mu.Unlock()
 	return p
 }
 
@@ -104,38 +112,112 @@ func (n *Network) AddTap(t Tap) {
 	n.taps.taps = append(n.taps.taps, t)
 }
 
-// Start begins frame delivery on all ports.
+// Start begins frame delivery: frames sent before it are delivered
+// now, on the caller's goroutine. A stopped network stays stopped.
 func (n *Network) Start() {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.started {
+	if n.started || n.stopped {
+		n.mu.Unlock()
 		return
 	}
 	n.started = true
-	for _, p := range n.ports {
-		go p.run()
+	mPortsOpen.Add(int64(len(n.ports)))
+	drain := n.head < len(n.queue)
+	n.draining = drain
+	n.mu.Unlock()
+	if drain {
+		n.drain()
 	}
 }
 
-// Stop halts all port delivery goroutines. Frames in flight are
-// discarded.
+// Stop halts delivery for good. Queued frames are discarded, and so is
+// every frame sent afterwards.
 func (n *Network) Stop() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, p := range n.ports {
-		p.close()
+	if n.stopped {
+		return
 	}
-	n.started = false
+	if n.started {
+		mPortsOpen.Add(-int64(len(n.ports)))
+	}
+	n.started, n.stopped = false, true
+	n.act.add(-int64(len(n.queue) - n.head))
+	n.queue, n.head = nil, 0
 }
 
-// Quiesce blocks until the fabric is idle — no frames queued on port
-// inboxes and no handler mid-frame — or the timeout expires, reporting
-// whether idleness was reached. It is the explicit drain barrier
-// callers use instead of sleeping "long enough" for in-flight traffic:
-// because a handler's emissions are counted before its own frame is
-// released, Quiesce only returns true once the entire causal cascade
-// has drained. Only meaningful while the network is running (after
-// Stop, undelivered frames may keep the fabric counted as busy).
+// enqueue queues a frame for port to and, if the network is started
+// and nobody is draining it, drains it: on this goroutine, or with
+// handoff on a new one.
+func (n *Network) enqueue(to *Port, frame Frame, handoff bool) {
+	n.mu.Lock()
+	if n.stopped {
+		n.mu.Unlock()
+		return
+	}
+	if to.queued >= portQueueLen {
+		n.mu.Unlock()
+		to.stats.dropsQueue.Add(1)
+		mQueueDrops.Inc()
+		return
+	}
+	to.queued++
+	n.act.add(1)
+	if n.head > 0 && len(n.queue) == cap(n.queue) {
+		// Reuse the delivered prefix rather than grow the slice.
+		k := copy(n.queue, n.queue[n.head:])
+		clear(n.queue[k:])
+		n.queue, n.head = n.queue[:k], 0
+	}
+	n.queue = append(n.queue, delivery{to: to, frame: frame})
+	if n.draining || !n.started {
+		n.mu.Unlock()
+		return
+	}
+	n.draining = true
+	n.mu.Unlock()
+	if handoff {
+		go n.drain()
+	} else {
+		n.drain()
+	}
+}
+
+// drain is the trampoline: it delivers queued frames one at a time, in
+// queue order, until the queue is empty. The caller has set draining,
+// so exactly one goroutine runs it per network; frames the handlers
+// send join the queue's tail instead of recursing into their peers.
+func (n *Network) drain() {
+	n.mu.Lock()
+	for n.head < len(n.queue) {
+		d := n.queue[n.head]
+		n.queue[n.head] = delivery{}
+		n.head++
+		if n.head == len(n.queue) {
+			n.queue, n.head = n.queue[:0], 0
+		}
+		d.to.queued--
+		n.mu.Unlock()
+		d.to.stats.rxFrames.Add(1)
+		d.to.stats.rxBytes.Add(uint64(len(d.frame)))
+		d.to.owner.HandleFrame(d.to, d.frame)
+		n.act.add(-1)
+		n.mu.Lock()
+	}
+	n.draining = false
+	n.mu.Unlock()
+}
+
+// Quiesce blocks until the fabric is idle — no frame queued and no
+// handler mid-frame — or the timeout expires, reporting whether
+// idleness was reached. It is the explicit drain barrier callers use
+// instead of sleeping "long enough" for in-flight traffic: because a
+// handler's emissions are counted before its own frame is released,
+// Quiesce only returns true once the entire causal cascade has
+// drained. A Send on an idle fabric has drained its cascade before it
+// returns; Quiesce is for frames another goroutine is still draining
+// (or that a blocked handler holds up). Before Start, queued frames
+// keep the fabric busy.
 func (n *Network) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	wait := 50 * time.Microsecond

@@ -1,14 +1,14 @@
 // Package netsim provides a virtual switched network: nodes attach
-// through ports, ports are wired together by links with configurable
-// latency and loss, and frames are delivered asynchronously on
-// per-port goroutines. On top of the raw fabric it offers an SDN
-// switch node (programmable via the openflow package) and a miniature
-// host stack (ARP, UDP, reliable message streams) that the emulated
-// IoT devices, µmboxes and attackers all share.
+// through ports, ports are wired together by instant, lossless links,
+// and every frame runs to completion on the goroutine that sent it,
+// through one delivery queue per network (see Port.Send). On top of
+// the raw fabric it offers an SDN switch node (programmable via the
+// openflow package) and a miniature host stack (ARP, UDP, reliable
+// message streams) that the emulated IoT devices, µmboxes and
+// attackers all share.
 package netsim
 
 import (
-	"sync"
 	"sync/atomic"
 )
 
@@ -21,10 +21,18 @@ type Node interface {
 	// NodeName returns a unique, human-readable identifier.
 	NodeName() string
 	// HandleFrame processes a frame arriving on one of the node's
-	// ports. It runs on the port's delivery goroutine. The frame is
-	// read-only: links hand buffers over without copying, so the same
-	// bytes may be in front of every other port a switch flooded them
-	// to. A node that rewrites a frame builds a new one.
+	// ports. It runs on whichever goroutine is draining the network's
+	// delivery queue — usually the one whose Send started the cascade
+	// — and never concurrently with another handler on the same
+	// network. Frames it sends are queued and delivered after it
+	// returns. It must never wait for another frame on its own
+	// network: that frame could only be delivered by the goroutine it
+	// is blocking. A handler that blocks on something else delays
+	// later frames on the network, but never their senders.
+	//
+	// The frame is read-only: links hand buffers over without copying,
+	// so the same bytes may be in front of every other port a switch
+	// flooded them to. A node that rewrites a frame builds a new one.
 	HandleFrame(ingress *Port, frame Frame)
 }
 
@@ -35,43 +43,33 @@ type PortStats struct {
 	DropsQueue        uint64
 }
 
-// Port is a node's attachment point. A port delivers received frames
-// to its owner via a dedicated goroutine, so nodes never block each
-// other.
+// portQueueLen bounds the frames waiting for one port; a frame sent to
+// a full port is dropped and counted in PortStats.DropsQueue.
+const portQueueLen = 256
+
+// Port is a node's attachment point. Frames for it wait in its
+// network's delivery queue, at most portQueueLen at a time, and reach
+// the owner one at a time, in the order they were sent.
 type Port struct {
 	// ID is the port number within its owner (1-based, OpenFlow
 	// style).
 	ID    uint16
 	owner Node
+	// net is the network whose delivery queue carries this port's
+	// frames.
+	net *Network
 	// link is set when the port is wired; atomic because wiring may
 	// happen while the fabric is live.
 	link atomic.Pointer[Link]
 
-	// act, when set, is the owning network's in-flight accounting used
-	// by Network.Quiesce (nil for ports built outside a Network).
-	act *activity
+	// queued counts this port's frames in net's delivery queue; guarded
+	// by net.mu.
+	queued int
 
-	inbox chan Frame
 	stats struct {
 		txFrames, txBytes atomic.Uint64
 		rxFrames, rxBytes atomic.Uint64
 		dropsQueue        atomic.Uint64
-	}
-
-	closeOnce sync.Once
-	closed    chan struct{}
-}
-
-// newPort allocates a port with the given queue depth.
-func newPort(owner Node, id uint16, queueLen int) *Port {
-	if queueLen <= 0 {
-		queueLen = 256
-	}
-	return &Port{
-		ID:     id,
-		owner:  owner,
-		inbox:  make(chan Frame, queueLen),
-		closed: make(chan struct{}),
 	}
 }
 
@@ -85,86 +83,35 @@ func (p *Port) Peer() *Port {
 	if l == nil {
 		return nil
 	}
-	if l.a == p {
-		return l.b
-	}
-	return l.a
+	return l.peer(p)
 }
 
 // Send transmits a frame out of this port toward the link peer. The
 // frame buffer must not be modified by the caller afterwards. Frames
-// sent on an unwired or closed port are silently dropped, as on real
-// hardware.
-func (p *Port) Send(frame Frame) {
+// sent on an unwired port, or on a stopped network, are silently
+// dropped, as on real hardware.
+//
+// The frame joins the peer network's delivery queue. If no goroutine
+// is draining that queue, the caller drains it: it runs each queued
+// frame's HandleFrame until the queue is empty, so an idle fabric
+// delivers the whole cascade before Send returns. A Send made inside a
+// handler, or while another goroutine drains, only queues and returns
+// at once.
+func (p *Port) Send(frame Frame) { p.send(frame, false) }
+
+// send is Send; with handoff, a caller that would have to drain starts
+// a goroutine to do it instead, for callers that must never run a
+// handler (the southbound agent's serve loop).
+func (p *Port) send(frame Frame, handoff bool) {
 	p.stats.txFrames.Add(1)
 	p.stats.txBytes.Add(uint64(len(frame)))
 	l := p.link.Load()
 	if l == nil {
 		return
 	}
-	peer := l.b
-	if peer == p {
-		peer = l.a
-	}
-	l.deliver(p, peer, frame)
-}
-
-// enqueue places a frame in the inbox, dropping on overflow. The
-// frame is accounted as in-flight until the owner handles it (or it
-// is dropped), so Network.Quiesce sees queued work.
-func (p *Port) enqueue(frame Frame) {
-	if p.act != nil {
-		p.act.add(1)
-	}
-	select {
-	case <-p.closed:
-		if p.act != nil {
-			p.act.add(-1)
-		}
-	case p.inbox <- frame:
-		return
-	default:
-		if p.act != nil {
-			p.act.add(-1)
-		}
-		p.stats.dropsQueue.Add(1)
-		mQueueDrops.Inc()
-	}
-}
-
-// run pumps the inbox into the owner until the port closes.
-func (p *Port) run() {
-	mPortsOpen.Inc()
-	defer mPortsOpen.Dec()
-	for {
-		select {
-		case <-p.closed:
-			// Frames already queued will never be delivered; release
-			// their in-flight accounting.
-			for {
-				select {
-				case <-p.inbox:
-					if p.act != nil {
-						p.act.add(-1)
-					}
-				default:
-					return
-				}
-			}
-		case f := <-p.inbox:
-			p.stats.rxFrames.Add(1)
-			p.stats.rxBytes.Add(uint64(len(f)))
-			p.owner.HandleFrame(p, f)
-			if p.act != nil {
-				p.act.add(-1)
-			}
-		}
-	}
-}
-
-// close stops delivery.
-func (p *Port) close() {
-	p.closeOnce.Do(func() { close(p.closed) })
+	peer := l.peer(p)
+	l.observe(p, peer, frame)
+	peer.net.enqueue(peer, frame, handoff)
 }
 
 // Stats snapshots the port counters.

@@ -7,7 +7,7 @@ import (
 
 // TestQuiesceDrainsLatentFrames verifies Quiesce is a true barrier:
 // after it returns true, every frame sent before it — including ones
-// still queued on a port inbox — has been delivered.
+// still queued for a port — has been delivered.
 func TestQuiesceDrainsLatentFrames(t *testing.T) {
 	n := NewNetwork()
 	a, b := newSink("a"), newSink("b")

@@ -19,7 +19,9 @@ var (
 )
 
 // UDPHandler receives a datagram addressed to a bound UDP port. It
-// runs on the stack's port goroutine and must not block.
+// runs inside the stack's HandleFrame, so Node.HandleFrame's contract
+// holds: it must not block, and datagrams it sends are delivered after
+// it returns.
 type UDPHandler func(srcIP packet.IPv4Address, srcPort uint16, payload []byte)
 
 // Stack is a miniature host network stack bound to one fabric port: it
@@ -134,7 +136,7 @@ func (s *Stack) HandleFrame(_ *Port, frame Frame) {
 	}
 	// One port per stack, but decode via the shared pool anyway: the
 	// UDP/TCP handlers keep only payload byte slices (which point into
-	// the per-delivery frame copy), never layer structs.
+	// the frame), never layer structs.
 	dec := packet.GetDecoder()
 	defer packet.PutDecoder(dec)
 	p := dec.Decode(frame, packet.LayerTypeEthernet)

@@ -48,7 +48,7 @@ type Stream struct {
 	readyOnce    sync.Once
 
 	// dispatch preserves per-stream message order while keeping
-	// handlers off the stack's port goroutine.
+	// handlers, which block in Send, out of the stack's HandleFrame.
 	dispatch chan []byte
 
 	established chan struct{}
@@ -328,8 +328,8 @@ func (st *Stack) acceptSyn(key connKey, tcp *packet.TCP) {
 	}()
 }
 
-// handleSegment advances the stream state machine. Runs on the stack's
-// port goroutine; everything here is quick and non-blocking.
+// handleSegment advances the stream state machine. Runs inside the
+// stack's HandleFrame; everything here is quick and non-blocking.
 func (s *Stream) handleSegment(tcp *packet.TCP) {
 	if tcp.Flags.Has(packet.TCPRst) {
 		s.teardown(ErrReset)
@@ -430,7 +430,7 @@ func (s *Stream) deliverLocked(payload []byte) {
 		// Dispatcher overwhelmed: the message is acked but dropped
 		// before the application handler — app-level loss under
 		// extreme overload, the price of a bounded queue that can
-		// never deadlock the port goroutine.
+		// never block the goroutine draining the network.
 	}
 }
 

@@ -130,8 +130,9 @@ func (s *Switch) PortIDs() []uint16 {
 func (s *Switch) HandleFrame(ingress *Port, frame Frame) {
 	s.packetsIn.Add(1)
 	mSwitchPacketsIn.Inc()
-	// Per-port goroutines hit this concurrently: each frame borrows a
-	// pooled decoder, and the decoded view dies at the Lookup return.
+	// Each frame borrows a pooled decoder (switches on different
+	// networks run at once), and the decoded view dies at the Lookup
+	// return.
 	dec := packet.GetDecoder()
 	decoded := dec.Decode(frame, packet.LayerTypeEthernet)
 	entry, ok := s.table.Lookup(decoded, ingress.ID, len(frame))
@@ -140,18 +141,19 @@ func (s *Switch) HandleFrame(ingress *Port, frame Frame) {
 		mSwitchTableMiss.Inc()
 		return
 	}
-	s.ApplyActions(entry.Actions, ingress.ID, frame)
+	s.applyActions(entry.Actions, ingress.ID, frame, false)
 }
 
-// ApplyActions executes an action list on a frame (used for both flow
-// entries and PACKET_OUT).
-func (s *Switch) ApplyActions(actions []openflow.Action, inPort uint16, frame Frame) {
+// applyActions executes an action list on a frame (used for both flow
+// entries and PACKET_OUT). With handoff, the frames it outputs are
+// sent as Port.send says.
+func (s *Switch) applyActions(actions []openflow.Action, inPort uint16, frame Frame, handoff bool) {
 	for _, a := range actions {
 		switch a.Type {
 		case openflow.ActionTypeOutput:
-			s.output(a.Port, frame)
+			s.output(a.Port, frame, handoff)
 		case openflow.ActionTypeFlood:
-			s.flood(inPort, frame)
+			s.flood(inPort, frame, handoff)
 		case openflow.ActionTypeController:
 			s.punt(inPort, 1, frame)
 		// A set-field writes to a copy: the frame in hand is read-only,
@@ -170,27 +172,34 @@ func (s *Switch) ApplyActions(actions []openflow.Action, inPort uint16, frame Fr
 	}
 }
 
-func (s *Switch) output(portID uint16, frame Frame) {
+func (s *Switch) output(portID uint16, frame Frame, handoff bool) {
 	s.mu.RLock()
 	p := s.ports[portID]
 	s.mu.RUnlock()
 	if p != nil {
 		s.packetsOut.Add(1)
 		mSwitchPacketsOut.Inc()
-		p.Send(frame)
+		p.send(frame, handoff)
 	}
 }
 
-func (s *Switch) flood(except uint16, frame Frame) {
+// flood sends the frame out of every port but except. It copies the
+// port list first: a send may drain the network, and a handler it runs
+// may attach a port, which takes s.mu.
+func (s *Switch) flood(except uint16, frame Frame, handoff bool) {
+	var buf [32]*Port
+	out := buf[:0]
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for id, p := range s.ports {
-		if id == except {
-			continue
+		if id != except {
+			out = append(out, p)
 		}
+	}
+	s.mu.RUnlock()
+	for _, p := range out {
 		s.packetsOut.Add(1)
 		mSwitchPacketsOut.Inc()
-		p.Send(frame)
+		p.send(frame, handoff)
 	}
 }
 

@@ -490,8 +490,8 @@ func (t *FlowTable) DeleteByCookie(cookie uint64) int {
 
 // Lookup returns a copy of the highest-priority entry matching the
 // packet, updating its counters. ok is false on a table miss. Lookups
-// hold only the read lock, so the data plane's per-port goroutines
-// proceed in parallel; counters are atomics.
+// hold only the read lock, so concurrent lookups never wait on each
+// other; counters are atomics.
 func (t *FlowTable) Lookup(p *packet.Packet, inPort uint16, size int) (FlowEntry, bool) {
 	f := extractFields(p, inPort)
 

@@ -87,7 +87,9 @@ type ManagedClient struct {
 	// goroutine), drainOutbox (the supervisor), and Close all persist,
 	// and unserialized writers could rename each other's half-written
 	// tmp file into place. Snapshotting under the same lock keeps
-	// rename order consistent with snapshot recency.
+	// rename order consistent with snapshot recency. A push (enqueue)
+	// and a pop (drainOutbox) happen under it too, so the eviction
+	// check before a pop cannot be overtaken by a push.
 	persistMu sync.Mutex
 	outbox    *resilience.Ring[OutboxOp]
 
@@ -374,39 +376,43 @@ func (m *ManagedClient) resync(c *Client, sku string) error {
 	}
 }
 
-// drainOutbox redelivers queued mutations in FIFO order. Repository
-// rejections (ErrRemote — e.g. a duplicate vote whose first attempt
-// did land before the connection died) are final and dropped; a
-// transport failure requeues the undelivered tail for the next
-// session. Publishes are exactly-once end to end because the
-// repository dedupes identical (contributor, SKU, rule) resubmissions.
+// drainOutbox redelivers queued mutations in FIFO order. Each op stays
+// at the head of the ring — counted by OutboxDepth and present in the
+// persisted file — until its delivery is settled: then it is popped
+// and the outbox persisted again. Repository rejections (ErrRemote —
+// e.g. a duplicate vote whose first attempt did land before the
+// connection died) are final and dropped; a transport failure leaves
+// the op at the head for the next session, so order holds. If the
+// ring evicted while an op was in flight, the in-flight op (the
+// oldest) was the first evicted, so there is nothing to pop.
+// Publishes are exactly-once end to end because the repository
+// dedupes identical (contributor, SKU, rule) resubmissions.
 func (m *ManagedClient) drainOutbox(c *Client) {
-	ops := m.outbox.Drain()
-	if len(ops) == 0 {
-		m.persistOutbox()
-		return
-	}
 	deliveredN := 0
-	for i, op := range ops {
+	for {
+		op, ok := m.outbox.Peek()
+		if !ok {
+			break
+		}
+		evicted := m.outbox.Evicted()
 		err := m.deliverOp(c, op)
 		if err != nil && !errors.Is(err, ErrRemote) {
-			// Transport failure: keep order, requeue the rest.
-			for _, rest := range ops[i:] {
-				if m.outbox.Push(rest) {
-					mOutboxEvict.Inc()
-				}
-			}
-			m.persistOutbox()
-			return
+			break
 		}
 		if err != nil {
 			journal.RecordTrace(0, journal.TypeSigrepoReplay, journal.Warn, op.SKU,
 				fmt.Sprintf("%s: outbox %s rejected by repository: %v", m.identity, op.Op, err))
-			continue
+		} else {
+			deliveredN++
+			m.delivered.Add(1)
+			mOutboxDelivered.Inc()
 		}
-		deliveredN++
-		m.delivered.Add(1)
-		mOutboxDelivered.Inc()
+		m.persistMu.Lock()
+		if m.outbox.Evicted() == evicted {
+			m.outbox.Pop()
+		}
+		m.persistLocked()
+		m.persistMu.Unlock()
 	}
 	m.persistOutbox()
 	if deliveredN > 0 {
@@ -503,10 +509,12 @@ func (m *ManagedClient) Watch(sku string) error {
 }
 
 func (m *ManagedClient) enqueue(op OutboxOp) {
+	m.persistMu.Lock()
+	defer m.persistMu.Unlock()
 	if m.outbox.Push(op) {
 		mOutboxEvict.Inc()
 	}
-	m.persistOutbox()
+	m.persistLocked()
 }
 
 // persistOutbox writes the pending ops to OutboxPath (tmp + rename).
@@ -518,11 +526,16 @@ func (m *ManagedClient) enqueue(op OutboxOp) {
 // per-link ExportTelemetry collector, not here — a process-global
 // gauge Set() from several links would just overwrite itself.
 func (m *ManagedClient) persistOutbox() {
+	m.persistMu.Lock()
+	defer m.persistMu.Unlock()
+	m.persistLocked()
+}
+
+// persistLocked is persistOutbox with persistMu held.
+func (m *ManagedClient) persistLocked() {
 	if m.opts.OutboxPath == "" {
 		return
 	}
-	m.persistMu.Lock()
-	defer m.persistMu.Unlock()
 	ops := m.outbox.Snapshot()
 	data, err := json.MarshalIndent(ops, "", "  ")
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -322,6 +323,88 @@ func TestManagedClientOutboxWhileDown(t *testing.T) {
 		t.Fatalf("state after Close = %v", mc.State())
 	}
 	waitGoroutines(t, base)
+}
+
+// holdPublishConn stalls the first write that carries a publish until
+// release closes, signalling held when it does.
+type holdPublishConn struct {
+	net.Conn
+	once          *sync.Once
+	held, release chan struct{}
+}
+
+func (c holdPublishConn) Write(b []byte) (int, error) {
+	if bytes.Contains(b, []byte(`"publish"`)) {
+		c.once.Do(func() {
+			close(c.held)
+			<-c.release
+		})
+	}
+	return c.Conn.Write(b)
+}
+
+// TestManagedClientOutboxKeepsInFlightOp holds the outbox's one
+// redelivery in flight: until it is settled the op still counts in
+// OutboxDepth and is still in the persisted file, so a crash mid-
+// delivery loses nothing; once settled it is gone from both.
+func TestManagedClientOutboxKeepsInFlightOp(t *testing.T) {
+	outboxPath := filepath.Join(t.TempDir(), "outbox.json")
+	repo := NewRepository("s")
+	srv := NewServer(repo)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	mc, err := DialManaged(addr, "gw", ManagedOptions{
+		Backoff:    resilience.BackoffOptions{Base: 5 * time.Millisecond, Cap: 25 * time.Millisecond, Seed: 1},
+		OutboxPath: outboxPath,
+		Dial: func(addr string) (net.Conn, error) {
+			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil {
+				return nil, err
+			}
+			return holdPublishConn{Conn: conn, once: &once, held: held, release: release}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+
+	srv.Close()
+	waitFor(t, "degraded", func() bool { return mc.State() == resilience.Degraded })
+	if _, err := mc.Publish("sku-x", `block tcp any any -> any 80 (msg:"m"; content:"t"; sid:1;)`, "d"); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := NewServer(repo)
+	relisten(t, srv2, addr)
+	defer srv2.Close()
+
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the outbox was never redelivered")
+	}
+	if d := mc.OutboxDepth(); d != 1 {
+		t.Errorf("depth with the op in flight = %d, want 1", d)
+	}
+	if data, err := os.ReadFile(outboxPath); err != nil || !bytes.Contains(data, []byte("publish")) {
+		t.Errorf("persisted outbox with the op in flight lost it: %v %q", err, data)
+	}
+	close(release)
+
+	waitFor(t, "outbox drained", func() bool { return mc.OutboxDepth() == 0 })
+	if got := mc.OutboxDelivered(); got != 1 {
+		t.Errorf("outbox delivered = %d, want 1", got)
+	}
+	if data, err := os.ReadFile(outboxPath); err != nil || bytes.Contains(data, []byte("publish")) {
+		t.Errorf("persisted outbox after delivery = %v %q, want the op gone", err, data)
+	}
+	if total, _ := repo.Stats(); total != 1 {
+		t.Errorf("repository holds %d signatures, want 1", total)
+	}
 }
 
 func TestManagedClientOutboxDurableAcrossRestart(t *testing.T) {

@@ -33,8 +33,6 @@ func main() {
 		"serve /metrics, /debug/telemetry, /debug/journal and /debug/pprof on this address (empty = disabled)")
 	debugRemote := flag.Bool("debug-remote", false,
 		"allow non-loopback clients to reach the unauthenticated /debug/ surfaces (pprof, journal); off by default")
-	slowSpan := flag.Duration("slow-span", 0,
-		"log spans slower than this threshold to stderr (0 = disabled)")
 	sbAddr := flag.String("sb-addr", "127.0.0.1:0",
 		"southbound (switch control) listen address; empty = southbound disabled")
 	sbHeartbeat := flag.Duration("sb-heartbeat", openflow.DefaultHeartbeatInterval,
@@ -89,12 +87,6 @@ func main() {
 		// Replace the process-wide ring before anything journals to it.
 		journal.Default = journal.New(*journalCap)
 		fmt.Printf("iotsecd: journal ring capped at %d events\n", *journalCap)
-	}
-
-	if *slowSpan > 0 {
-		telemetry.Default.Spans().SetSlowThreshold(*slowSpan, func(fs telemetry.FinishedSpan) {
-			fmt.Fprintf(os.Stderr, "iotsecd: slow span %s took %s (trace %d)\n", fs.Name, fs.Duration, fs.TraceID)
-		})
 	}
 
 	bi := telemetry.RegisterBuildInfo(telemetry.Default, "iotsecd")

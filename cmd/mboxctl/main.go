@@ -150,12 +150,11 @@ func wantsJSON(args []string) bool { return len(args) > 0 && args[0] == "-json" 
 // printStats fetches the JSON telemetry snapshot and renders it; with
 // -json it relays the snapshot verbatim for scripting.
 func printStats(addr string, args []string) error {
-	q := url.Values{"spans": {"16"}}
 	if wantsJSON(args) {
-		return relay(addr, "/debug/telemetry", q)
+		return relay(addr, "/debug/telemetry", nil)
 	}
 	var snap telemetry.SnapshotJSON
-	if err := getJSON(addr, "/debug/telemetry", q, &snap); err != nil {
+	if err := getJSON(addr, "/debug/telemetry", nil, &snap); err != nil {
 		return err
 	}
 
@@ -191,18 +190,6 @@ func printStats(addr string, args []string) error {
 				fmt.Printf("%-52s %g\n", m.Name+s.Labels.String(), s.Value)
 			}
 		}
-	}
-
-	fmt.Printf("\nspans: %d started, %d finished\n", snap.Spans.Started, snap.Spans.Finished)
-	recent := snap.Spans.Recent
-	sort.SliceStable(recent, func(i, j int) bool { return recent[i].Start.Before(recent[j].Start) })
-	for _, sp := range recent {
-		attrs := ""
-		if len(sp.Attrs) > 0 {
-			attrs = " " + sp.Attrs.String()
-		}
-		fmt.Printf("  %-28s %10s  trace=%d span=%d parent=%d%s\n",
-			sp.Name, sp.Duration, sp.TraceID, sp.ID, sp.ParentID, attrs)
 	}
 	return nil
 }

@@ -412,7 +412,7 @@ func (h *Hierarchy) HandleDeviceEvent(ctx context.Context, e device.Event) {
 	if local != nil {
 		local.View.fold(ctx, e, varName, value)
 	}
-	h.settle(ctx, group, "device", e.Device, failGlobal || h.globalVars[varName],
+	h.settle(ctx, group, e.Device, failGlobal || h.globalVars[varName],
 		func(ctx context.Context) { h.Global.View.fold(ctx, e, varName, value) })
 }
 
@@ -423,7 +423,7 @@ func (h *Hierarchy) HandleDeviceEvent(ctx context.Context, e device.Event) {
 // escalate everything: the global controller runs the full policy, so
 // it can stand in for the dead local at the cost of the round trip
 // (degraded mode).
-func (h *Hierarchy) settle(ctx context.Context, group int, attr, subject string, escalate bool, commit func(context.Context)) {
+func (h *Hierarchy) settle(ctx context.Context, group int, subject string, escalate bool, commit func(context.Context)) {
 	h.recordShardEvent(group, subject, escalate)
 	if !escalate {
 		h.localHandled.Add(1)
@@ -433,7 +433,6 @@ func (h *Hierarchy) settle(ctx context.Context, group int, attr, subject string,
 	h.escalated.Add(1)
 	mEscalations.Inc()
 	ctx, span := telemetry.StartSpan(ctx, "controller.escalate")
-	span.SetAttr(attr, subject)
 	if h.GlobalDelay > 0 {
 		time.Sleep(h.GlobalDelay)
 	}

@@ -37,10 +37,6 @@ var (
 	mFlowMods = telemetry.NewCounter(
 		"iotsec_controller_flow_mods_total",
 		"FLOW_MOD messages sent southbound by the steering app.")
-	mProgramSeconds = telemetry.NewHistogram(
-		"iotsec_controller_program_seconds",
-		"Full switch (re)programming latency including the barrier fence.",
-		telemetry.LatencyBuckets)
 
 	// Control-plane failover metrics (§5.1 crash tolerance): the
 	// deadman, checkpoint and recovery counters the supervisor drives,

@@ -183,9 +183,7 @@ func (s *Steering) program(ctx context.Context, dpid uint64) {
 		return
 	}
 	ctx, span := telemetry.StartSpan(ctx, "controller.steer.program")
-	span.SetAttr("dpid", fmt.Sprintf("%d", dpid))
 	defer span.End()
-	defer telemetry.Time(mProgramSeconds)()
 
 	for name, mods := range ruleSets {
 		s.sendRuleSet(ctx, dpid, name, mods)
@@ -232,7 +230,6 @@ func (s *Steering) sendQuarantine(ctx context.Context, dpid uint64, name string,
 // them to the anomaly that triggered the posture change.
 func (s *Steering) Isolate(ctx context.Context, name string, mac packet.MACAddress) {
 	ctx, span := telemetry.StartSpan(ctx, "controller.steer.isolate")
-	span.SetAttr("device", name)
 	defer span.End()
 	s.mu.Lock()
 	s.isolated[name] = mac
@@ -250,7 +247,6 @@ func (s *Steering) Isolate(ctx context.Context, name string, mac packet.MACAddre
 // switch (delete-by-cookie), barrier-fenced.
 func (s *Steering) Release(ctx context.Context, name string, mac packet.MACAddress) {
 	ctx, span := telemetry.StartSpan(ctx, "controller.steer.release")
-	span.SetAttr("device", name)
 	defer span.End()
 	s.mu.Lock()
 	delete(s.isolated, name)
@@ -300,7 +296,6 @@ func ruleSetCookies(mods []*openflow.FlowMod) []uint64 {
 // quarantine ('Q') or pin ('T') cookies.
 func (s *Steering) InstallRuleSet(ctx context.Context, name string, mods []*openflow.FlowMod) {
 	ctx, span := telemetry.StartSpan(ctx, "controller.steer.install_rule_set")
-	span.SetAttr("set", name)
 	defer span.End()
 	kept := make([]*openflow.FlowMod, len(mods))
 	for i, fm := range mods {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -296,7 +295,6 @@ func (s *Supervisor) checkpointLocked(now time.Time) {
 func (s *Supervisor) failoverLocked(now time.Time, group int, gs *groupState) {
 	gs.dead = true
 	ctx, span := telemetry.StartSpan(context.Background(), "controller.failover")
-	span.SetAttr("group", strconv.Itoa(group))
 	defer span.End()
 
 	failGlobal := s.opts.FailMode == FailModeGlobal

@@ -149,7 +149,6 @@ func (a *Admin) handle(req AdminRequest) AdminResponse {
 		// Operator actions start fresh causal chains too: an admin
 		// quarantine shows up in the journal with its own trace ID.
 		ctx, span := telemetry.StartSpan(context.Background(), "core.admin.set_context")
-		span.SetAttr("device", req.Device)
 		p.Global.View.SetDeviceContext(ctx, req.Device, sc, "admin")
 		span.End()
 		return AdminResponse{OK: true}

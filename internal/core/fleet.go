@@ -28,8 +28,9 @@ type FleetSelfReport struct {
 // its own fleet aggregator under the given source name every interval
 // (default 1s). e2e, when non-nil, supplies the detect→enforce
 // histogram (the SLO tracker's end-to-end distribution); otherwise
-// the Fig. 2 commit→enforcement histogram is used. Stop flushes one
-// final rollup.
+// the Fig. 2 commit→enforcement histogram is used. With the profile
+// plane enabled first, its live violations are reported too, in total
+// and by device. Stop flushes one final rollup.
 func (p *Platform) StartFleetSelfReport(source string, interval time.Duration, e2e *telemetry.Histogram) *FleetSelfReport {
 	if source == "" {
 		source = "gateway"
@@ -51,6 +52,10 @@ func (p *Platform) StartFleetSelfReport(source string, interval time.Duration, e
 			AddHistogram(controller.RollupMTTR, e2e).
 			AddGauge(controller.RollupDevices, func() float64 { return float64(p.DeviceCount()) }).
 			AddGauge(controller.RollupHealthy, func() float64 { return 1 }),
+	}
+	if pl, ok := p.Profiles(); ok {
+		r.builder.AddCounter(controller.RollupViolations, &pl.violations).
+			AddTopK(controller.RollupTopViolators, pl.topViolators)
 	}
 	// With forensics enabled, the shard report carries the incident
 	// plane too: live pull handle for cross-shard assembly, digests

@@ -344,8 +344,6 @@ func (p *Platform) enforce(ctx context.Context, deviceName string, origin postur
 	p.mu.Unlock()
 
 	ctx, span := telemetry.StartSpan(ctx, "core.apply_posture")
-	span.SetAttr("device", deviceName)
-	span.SetAttr("version", strconv.FormatUint(version, 10))
 	sev := journal.Info
 	if posture.Isolate {
 		sev = journal.Warn
@@ -400,7 +398,6 @@ func (p *Platform) UseSteering(s *controller.Steering) {
 	p.mu.Unlock()
 	for _, q := range toIsolate {
 		ctx, span := telemetry.StartSpan(context.Background(), "core.use_steering")
-		span.SetAttr("device", q.name)
 		journal.Record(ctx, journal.TypePosture, journal.Warn, q.name,
 			"steering attached: re-applying standing quarantine")
 		s.Isolate(ctx, q.name, q.mac)
@@ -417,7 +414,6 @@ func (p *Platform) UseSteering(s *controller.Steering) {
 // this; tests can inject synthetic events through it.
 func (p *Platform) ReportDeviceEvent(e device.Event) {
 	ctx, span := telemetry.StartSpan(context.Background(), "core.device_event")
-	span.SetAttr("device", e.Device)
 	journal.Record(ctx, journal.TypeDeviceEvent, journal.Debug, e.Device,
 		fmt.Sprintf("%s: %s", e.Kind, e.Detail))
 	p.mu.Lock()
@@ -440,7 +436,6 @@ func (p *Platform) ReportDeviceEvent(e device.Event) {
 // ID through the journal.
 func (p *Platform) ReportAnomaly(a ids.Anomaly) {
 	ctx, span := telemetry.StartSpan(context.Background(), "core.anomaly")
-	span.SetAttr("device", a.Device)
 	journal.Record(ctx, journal.TypeAnomaly, journal.Warn, a.Device,
 		fmt.Sprintf("%s: %s (score %.2f)", a.Kind, a.Detail, a.Score))
 	p.Global.View.HandleAnomaly(ctx, a)
@@ -451,7 +446,6 @@ func (p *Platform) ReportAnomaly(a ids.Anomaly) {
 // chain.
 func (p *Platform) ReportAlert(deviceName string, a ids.Alert) {
 	ctx, span := telemetry.StartSpan(context.Background(), "core.alert")
-	span.SetAttr("device", deviceName)
 	journal.Record(ctx, journal.TypeAlert, journal.Warn, deviceName,
 		fmt.Sprintf("sid %d: %s", a.SID, a.Msg))
 	p.Global.View.HandleAlert(ctx, deviceName, a)

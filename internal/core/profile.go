@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"iotsec/internal/controller"
 	"iotsec/internal/ids"
 	"iotsec/internal/journal"
 	"iotsec/internal/packet"
@@ -33,6 +34,11 @@ type ProfilePlane struct {
 	p      *Platform
 	engine *profile.Engine
 
+	// violations and topViolators count live violations for the
+	// fleet self-report (RollupViolations, RollupTopViolators).
+	violations   telemetry.Counter
+	topViolators *telemetry.TopK
+
 	mu         sync.Mutex
 	enforceAll bool
 	generation int
@@ -52,9 +58,10 @@ func (p *Platform) EnableProfiles(opts ProfileOptions) *ProfilePlane {
 		return pl
 	}
 	pl := &ProfilePlane{
-		p:          p,
-		enforceAll: opts.Enforce,
-		pending:    make(map[string]bool),
+		p:            p,
+		topViolators: telemetry.NewStandaloneTopK(controller.FleetTopKCapacity),
+		enforceAll:   opts.Enforce,
+		pending:      make(map[string]bool),
 	}
 	pl.engine = profile.NewEngine(profile.Options{
 		OnViolation: pl.onViolation,
@@ -273,7 +280,6 @@ func (pl *ProfilePlane) EnforceDevice(ctx context.Context, name string) error {
 		return nil
 	}
 	ctx, span := telemetry.StartSpan(ctx, "core.profile_enforce")
-	span.SetAttr("device", name)
 	steering.InstallRuleSet(ctx, "profile:"+name, mods)
 	journal.Record(ctx, journal.TypeProfileEnforced, journal.Info, name,
 		fmt.Sprintf("sku %s v%d: deny floor + %d rules (%d services)",
@@ -305,9 +311,9 @@ func (pl *ProfilePlane) steeringAttached() {
 // anomaly→posture→FLOW_MOD→mbox-reconfig sequence (and its MTTR
 // accounting) covers profile events.
 func (pl *ProfilePlane) onViolation(v profile.Violation) {
+	pl.violations.Inc()
+	pl.topViolators.Inc(v.Device)
 	ctx, span := telemetry.StartSpan(context.Background(), "core.profile_violation")
-	span.SetAttr("device", v.Device)
-	span.SetAttr("kind", v.Kind)
 	journal.Record(ctx, journal.TypeProfileViolation, journal.Warn, v.Device,
 		fmt.Sprintf("%s: %s", v.Kind, v.Detail))
 	journal.Record(ctx, journal.TypeAnomaly, journal.Warn, v.Device,
@@ -327,7 +333,6 @@ func (pl *ProfilePlane) onViolation(v profile.Violation) {
 // reconnect) under a synthetic "rogue-<mac>" name.
 func (pl *ProfilePlane) onRogue(mac packet.MACAddress, srcNode string) {
 	ctx, span := telemetry.StartSpan(context.Background(), "core.rogue_quarantine")
-	span.SetAttr("mac", mac.String())
 	journal.Record(ctx, journal.TypeRogueQuarantine, journal.Critical, srcNode,
 		fmt.Sprintf("unregistered MAC %s sourcing traffic; quarantining", mac))
 	pl.p.mu.Lock()

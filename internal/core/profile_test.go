@@ -427,3 +427,39 @@ func TestProfileFirmwareDriftRelearn(t *testing.T) {
 		t.Fatalf("stale replay regressed the profile: %+v", cur)
 	}
 }
+
+// TestProfileViolationReachesFleetView: the fleet view's violation
+// fields have a producer. One live violation, then a flush of the
+// platform's self-report, and the fleet view counts it and names the
+// device as the top violator.
+func TestProfileViolationReachesFleetView(t *testing.T) {
+	dumpJournalOnFailure(t)
+	p, plane, s := profilePlatform(t, "vcam", "10.0.4.10")
+	report := p.StartFleetSelfReport("gw", time.Hour, nil)
+	cam, _ := p.Device("vcam")
+	client := newClient(t, p, "10.0.4.200")
+	clientIP := client.Stack.IP()
+	got := udpSink(t, client.Stack, 9000, "checkin")
+
+	plane.StartLearning()
+	if err := cam.Device.Stack().SendUDP(clientIP, 9000, 33000, []byte("checkin")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "training traffic", func() bool { return got.Load() >= 1 })
+	plane.FinishLearning(context.Background())
+	waitFor(t, "deny floor on switch", func() bool { return prioCount(p, profile.PriorityDeny) >= 2 })
+
+	if err := cam.Device.Stack().SendUDP(clientIP, 4444, 7000, []byte("exfil")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "quarantine", func() bool { return s.Isolated("vcam") })
+	report.Stop()
+
+	fl := p.Global.Fleet().View().Fleet
+	if fl.Violations != 1 {
+		t.Errorf("fleet violations_total = %d, want 1", fl.Violations)
+	}
+	if len(fl.TopViolators) == 0 || fl.TopViolators[0].Key != "vcam" || fl.TopViolators[0].Count != 1 {
+		t.Errorf("fleet top_violators = %+v, want vcam first with 1", fl.TopViolators)
+	}
+}

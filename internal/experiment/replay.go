@@ -147,7 +147,6 @@ func replayDetection(s *forensics.Scenario) (*ReplayResult, error) {
 		sev = journal.Critical
 	}
 	ctx, span := telemetry.StartSpan(context.Background(), "experiment.replay")
-	span.SetAttr("incident", s.Incident)
 	res.TraceID = telemetry.TraceID(ctx)
 	start := time.Now()
 	journal.Record(ctx, trigger, sev, s.Device, detail)

@@ -125,8 +125,6 @@ func (m *Manager) place() (string, error) {
 // decision requested the boot.
 func (m *Manager) Launch(ctx context.Context, name string, platform PlatformKind, pipeline *Pipeline) (*Instance, error) {
 	ctx, span := telemetry.StartSpan(ctx, "mbox.launch")
-	span.SetAttr("mbox", name)
-	span.SetAttr("platform", string(platform))
 	defer span.End()
 	m.mu.Lock()
 	if _, dup := m.instances[name]; dup {
@@ -174,7 +172,6 @@ func (m *Manager) Launch(ctx context.Context, name string, platform PlatformKind
 // carries the causal trace of the posture change that requested it.
 func (m *Manager) Reconfigure(ctx context.Context, name string, elements ...Element) error {
 	ctx, span := telemetry.StartSpan(ctx, "mbox.reconfigure")
-	span.SetAttr("mbox", name)
 	defer span.End()
 	m.mu.Lock()
 	inst := m.instances[name]

@@ -344,3 +344,45 @@ func TestPortsOpenGauge(t *testing.T) {
 		t.Fatalf("ports open after Stop = %d, want 0", got)
 	}
 }
+
+// TestDroppedFramesNeverObserved: a frame dropped at a full port queue,
+// or discarded by Stop, was never delivered, so it reaches neither a
+// tap nor iotsec_netsim_frames_delivered_total; the frames the queue
+// held are counted and observed once each, when Start delivers them.
+func TestDroppedFramesNeverObserved(t *testing.T) {
+	const extra = 44
+	n := NewNetwork()
+	pa, pb := n.NewPort(newSink("a"), 1), n.NewPort(newSink("b"), 1)
+	n.Connect(pa, pb, LinkOptions{})
+	var tapped atomic.Int64
+	n.AddTap(func(src, dst *Port, _ Frame) {
+		if src != pa || dst != pb {
+			t.Errorf("tap saw %p -> %p, want a -> b", src, dst)
+		}
+		tapped.Add(1)
+	})
+
+	before := mFramesDelivered.Value()
+	for i := 0; i < portQueueLen+extra; i++ {
+		pa.Send(Frame{byte(i)})
+	}
+	if got := pb.Stats().DropsQueue; got != extra {
+		t.Fatalf("port DropsQueue = %d, want %d", got, extra)
+	}
+	if got, delivered := tapped.Load(), mFramesDelivered.Value()-before; got != 0 || delivered != 0 {
+		t.Fatalf("before Start: tap saw %d, delivered counter rose %d; want 0, 0", got, delivered)
+	}
+	n.Start()
+	if !n.Quiesce(2 * time.Second) {
+		t.Fatal("Quiesce timed out")
+	}
+	if got, delivered := tapped.Load(), mFramesDelivered.Value()-before; got != portQueueLen || delivered != portQueueLen {
+		t.Fatalf("after Start: tap saw %d, delivered counter rose %d; want %d each", got, delivered, portQueueLen)
+	}
+
+	n.Stop()
+	pa.Send(Frame{1})
+	if got, delivered := tapped.Load(), mFramesDelivered.Value()-before; got != portQueueLen || delivered != portQueueLen {
+		t.Errorf("after Stop: tap saw %d, delivered counter rose %d; want still %d", got, delivered, portQueueLen)
+	}
+}

@@ -9,11 +9,10 @@ type LinkOptions struct{}
 // Link is a bidirectional wire between two ports.
 type Link struct {
 	a, b *Port
-	taps *tapSet
 }
 
-func newLink(a, b *Port, taps *tapSet) *Link {
-	l := &Link{a: a, b: b, taps: taps}
+func newLink(a, b *Port) *Link {
+	l := &Link{a: a, b: b}
 	a.link.Store(l)
 	b.link.Store(l)
 	return l
@@ -25,18 +24,4 @@ func (l *Link) peer(p *Port) *Port {
 		return l.b
 	}
 	return l.a
-}
-
-// observe shows a frame crossing from src to dst to the taps and the
-// fabric counters. The frame is handed over, not copied: Send's caller
-// gave the buffer up, and every node treats what it receives as
-// read-only, so one buffer can cross every hop — and reach every port
-// of a flood — without the per-hop copy that used to be two thirds of
-// the data plane's garbage.
-func (l *Link) observe(src, dst *Port, frame Frame) {
-	if l.taps != nil {
-		l.taps.observe(src, dst, frame)
-	}
-	mFramesDelivered.Inc()
-	mBytesDelivered.Add(uint64(len(frame)))
 }

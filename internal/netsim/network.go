@@ -19,8 +19,12 @@ type activity struct {
 func (a *activity) add(d int64) { a.n.Add(d) }
 func (a *activity) idle() bool  { return a.n.Load() == 0 }
 
-// Tap observes every frame crossing a link.
-// Taps must be fast and must not modify the frame.
+// Tap observes every frame the network delivers, from the port that
+// sent it to the port it reaches, just before the receiver handles it.
+// It runs on the goroutine draining the network (see Node.HandleFrame
+// for what that allows); a frame dropped before delivery — at a full
+// port queue or a stopped network — reaches no tap. Taps must be fast
+// and must not modify the frame.
 type Tap func(src, dst *Port, frame Frame)
 
 // tapSet fans frames out to registered taps.
@@ -59,10 +63,11 @@ type Network struct {
 	act  activity
 }
 
-// delivery is one queued frame and the port it is for.
+// delivery is one queued frame, the port that sent it and the port it
+// is for.
 type delivery struct {
-	to    *Port
-	frame Frame
+	from, to *Port
+	frame    Frame
 }
 
 // NewNetwork returns an empty fabric.
@@ -98,14 +103,15 @@ func (n *Network) NewPort(owner Node, id uint16) *Port {
 
 // Connect wires two ports. LinkOptions is empty; see its comment.
 func (n *Network) Connect(a, b *Port, _ LinkOptions) *Link {
-	l := newLink(a, b, &n.taps)
+	l := newLink(a, b)
 	n.mu.Lock()
 	n.links = append(n.links, l)
 	n.mu.Unlock()
 	return l
 }
 
-// AddTap registers a frame observer across all links.
+// AddTap registers a frame observer for every frame the network
+// delivers.
 func (n *Network) AddTap(t Tap) {
 	n.taps.mu.Lock()
 	defer n.taps.mu.Unlock()
@@ -146,10 +152,10 @@ func (n *Network) Stop() {
 	n.queue, n.head = nil, 0
 }
 
-// enqueue queues a frame for port to and, if the network is started
-// and nobody is draining it, drains it: on this goroutine, or with
-// handoff on a new one.
-func (n *Network) enqueue(to *Port, frame Frame, handoff bool) {
+// enqueue queues a frame from port from for port to and, if the
+// network is started and nobody is draining it, drains it: on this
+// goroutine, or with handoff on a new one.
+func (n *Network) enqueue(from, to *Port, frame Frame, handoff bool) {
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
@@ -169,7 +175,7 @@ func (n *Network) enqueue(to *Port, frame Frame, handoff bool) {
 		clear(n.queue[k:])
 		n.queue, n.head = n.queue[:k], 0
 	}
-	n.queue = append(n.queue, delivery{to: to, frame: frame})
+	n.queue = append(n.queue, delivery{from: from, to: to, frame: frame})
 	if n.draining || !n.started {
 		n.mu.Unlock()
 		return
@@ -187,6 +193,15 @@ func (n *Network) enqueue(to *Port, frame Frame, handoff bool) {
 // queue order, until the queue is empty. The caller has set draining,
 // so exactly one goroutine runs it per network; frames the handlers
 // send join the queue's tail instead of recursing into their peers.
+// Delivery is where a frame is counted and shown to the taps, so a
+// frame dropped on the way is in neither, and a tap that waits on the
+// control plane (a profile violation quarantining its device) waits on
+// the drainer, never on the southbound agent's serve loop.
+//
+// The frame is handed over, not copied: Send's caller gave the buffer
+// up, and every node treats what it receives as read-only, so one
+// buffer can cross every hop — and reach every port of a flood —
+// without a per-hop copy.
 func (n *Network) drain() {
 	n.mu.Lock()
 	for n.head < len(n.queue) {
@@ -200,6 +215,9 @@ func (n *Network) drain() {
 		n.mu.Unlock()
 		d.to.stats.rxFrames.Add(1)
 		d.to.stats.rxBytes.Add(uint64(len(d.frame)))
+		mFramesDelivered.Inc()
+		mBytesDelivered.Add(uint64(len(d.frame)))
+		n.taps.observe(d.from, d.to, d.frame)
 		d.to.owner.HandleFrame(d.to, d.frame)
 		n.act.add(-1)
 		n.mu.Lock()

@@ -110,8 +110,7 @@ func (p *Port) send(frame Frame, handoff bool) {
 		return
 	}
 	peer := l.peer(p)
-	l.observe(p, peer, frame)
-	peer.net.enqueue(peer, frame, handoff)
+	peer.net.enqueue(p, peer, frame, handoff)
 }
 
 // Stats snapshots the port counters.

@@ -69,7 +69,7 @@ func TestCompileRuleShape(t *testing.T) {
 func TestCompiledTableIdentityPinning(t *testing.T) {
 	id := camIdentity()
 	p := &Profile{SKU: id.SKU, Version: 1, Services: []Service{
-		{Proto: "udp", Port: 5683},                                          // served
+		{Proto: "udp", Port: 5683}, // served
 		{Proto: "udp", Port: 9000, Initiated: true, Remote: cloudIP.String()}, // pinned check-in
 	}}
 	tbl := compiledTable(Compile(p, id))

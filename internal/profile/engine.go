@@ -375,9 +375,9 @@ func (e *Engine) Observe(srcNode, dstNode string, frame netsim.Frame) {
 		e.learner.Observe(srcNode, dstNode, frame, now)
 	}
 
-	// Taps run on the sender's goroutine, so Observe is concurrent;
-	// the pooled decoder's view dies with this frame (checkLocked
-	// copies every value it keeps).
+	// Taps run on whichever goroutine drains the network, so Observe
+	// may run on many; the pooled decoder's view dies with this frame
+	// (checkLocked copies every value it keeps).
 	dec := packet.GetDecoder()
 	defer packet.PutDecoder(dec)
 	pkt := dec.Decode(frame, packet.LayerTypeEthernet)

@@ -148,7 +148,6 @@ func (r *Repository) Pseudonym(identity string) string { return r.anon.Pseudonym
 // trace of the detection that distilled the signature.
 func (r *Repository) Publish(ctx context.Context, identity, sku, ruleText, description string) (*Signature, error) {
 	ctx, span := telemetry.StartSpan(ctx, "sigrepo.publish")
-	span.SetAttr("sku", sku)
 	defer span.End()
 	scrubbed := r.anon.ScrubRule(ruleText)
 	if err := Validate(sku, scrubbed); err != nil {
@@ -220,7 +219,6 @@ func (r *Repository) Publish(ctx context.Context, identity, sku, ruleText, descr
 // subscribers are notified.
 func (r *Repository) Vote(ctx context.Context, identity, sigID string, up bool) (*Signature, error) {
 	ctx, span := telemetry.StartSpan(ctx, "sigrepo.vote")
-	span.SetAttr("sig", sigID)
 	defer span.End()
 	pseudo := r.anon.Pseudonym(identity)
 	weight := r.rep.VoteWeight(pseudo)

@@ -229,7 +229,11 @@ func (s *Server) serve(conn net.Conn) {
 		// Each wire request is a fresh causal chain on the repository
 		// side; the root span gives it a trace ID the journal records
 		// under.
-		ctx, span := telemetry.StartSpan(context.Background(), "sigrepo.server."+req.Op)
+		name, ok := opSpans[req.Op]
+		if !ok {
+			name = "sigrepo.server.unknown"
+		}
+		ctx, span := telemetry.StartSpan(context.Background(), name)
 		switch req.Op {
 		case "publish":
 			sig, err := s.repo.Publish(ctx, req.Identity, req.SKU, req.Rule, req.Description)
@@ -284,6 +288,17 @@ func (s *Server) serve(conn net.Conn) {
 		}
 		span.End()
 	}
+}
+
+// opSpans names the span of each known wire op. The name is looked up,
+// never built from the request: each span name is a metric series, and
+// a client must not be able to mint them.
+var opSpans = map[string]string{
+	"publish":   "sigrepo.server.publish",
+	"vote":      "sigrepo.server.vote",
+	"fetch":     "sigrepo.server.fetch",
+	"skus":      "sigrepo.server.skus",
+	"subscribe": "sigrepo.server.subscribe",
 }
 
 // Close stops the listener and all connections.

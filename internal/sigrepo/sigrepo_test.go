@@ -1,15 +1,19 @@
 package sigrepo
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"iotsec/internal/telemetry"
 )
 
 const testRule = `alert tcp any any -> any 80 (msg:"wemo backdoor"; content:"wemo-dbg"; sid:100;)`
@@ -399,5 +403,60 @@ func TestLoadFileMissingAndCorrupt(t *testing.T) {
 	}
 	if err := repo.LoadFile(bad); err == nil {
 		t.Error("corrupt file loaded")
+	}
+}
+
+// TestServerUnknownOpsShareOneSpanSeries: span names are metric
+// series, so a client sending 1,000 distinct bogus ops must not add
+// one series each; they all land on the one unknown-op series.
+func TestServerUnknownOpsShareOneSpanSeries(t *testing.T) {
+	srv := NewServer(NewRepository("salt"))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	replies := bufio.NewScanner(conn)
+	ask := func(op string) {
+		t.Helper()
+		if _, err := fmt.Fprintf(conn, "{\"op\":%q}\n", op); err != nil {
+			t.Fatal(err)
+		}
+		if !replies.Scan() || !strings.Contains(replies.Text(), "unknown op") {
+			t.Fatalf("op %q: reply %q, err %v", op, replies.Text(), replies.Err())
+		}
+	}
+	spanSeries := func() (series int, unknown string) {
+		var b strings.Builder
+		if err := telemetry.Default.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "iotsec_span_seconds_count{") {
+				series++
+				if strings.HasPrefix(line, `iotsec_span_seconds_count{span="sigrepo.server.unknown"} `) {
+					unknown = line
+				}
+			}
+		}
+		return series, unknown
+	}
+
+	ask("bogus-warmup") // the unknown-op series may not exist yet
+	before, _ := spanSeries()
+	for i := 0; i < 1000; i++ {
+		ask(fmt.Sprintf("bogus-%d", i))
+	}
+	after, unknown := spanSeries()
+	if after != before {
+		t.Errorf("iotsec_span_seconds series went %d -> %d over 1,000 bogus ops", before, after)
+	}
+	if unknown == "" {
+		t.Error("bogus ops recorded no sigrepo.server.unknown span")
 	}
 }

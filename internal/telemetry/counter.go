@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-func floatBits(v float64) uint64  { return math.Float64bits(v) }
+func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func floatFrom(b uint64) float64 { return math.Float64frombits(b) }
 
 // Counter is a monotonically increasing integral counter. The zero

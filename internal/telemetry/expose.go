@@ -43,7 +43,6 @@ func formatValue(v float64) string {
 type SnapshotJSON struct {
 	TakenAt time.Time    `json:"taken_at"`
 	Metrics []MetricJSON `json:"metrics"`
-	Spans   SpansJSON    `json:"spans"`
 }
 
 // MetricJSON is one metric family in a snapshot.
@@ -61,19 +60,10 @@ type SampleJSON struct {
 	Value  float64 `json:"value"`
 }
 
-// SpansJSON summarizes the span store in a snapshot.
-type SpansJSON struct {
-	Started  uint64         `json:"started"`
-	Finished uint64         `json:"finished"`
-	Recent   []FinishedSpan `json:"recent,omitempty"`
-}
-
-// Snapshot captures the registry (including up to recentSpans recent
-// spans; <= 0 means 32).
-func (r *Registry) Snapshot(recentSpans int) *SnapshotJSON {
-	if recentSpans <= 0 {
-		recentSpans = 32
-	}
+// Snapshot captures the registry. Its parameter is ignored; it stays
+// only because the benchmark module (bench/, a module of its own)
+// passes it, and goes when that call drops it.
+func (r *Registry) Snapshot(int) *SnapshotJSON {
 	snap := &SnapshotJSON{TakenAt: time.Now()}
 	for _, f := range r.families() {
 		mj := MetricJSON{Name: f.Name, Kind: f.Kind, Help: f.Help}
@@ -82,8 +72,6 @@ func (r *Registry) Snapshot(recentSpans int) *SnapshotJSON {
 		}
 		snap.Metrics = append(snap.Metrics, mj)
 	}
-	started, finished := r.spans.Stats()
-	snap.Spans = SpansJSON{Started: started, Finished: finished, Recent: r.spans.Recent(recentSpans)}
 	return snap
 }
 
@@ -97,14 +85,8 @@ func (r *Registry) Handler() http.Handler {
 
 // DebugHandler serves the JSON snapshot (mount at /debug/telemetry).
 func (r *Registry) DebugHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		n := 32
-		if s := req.URL.Query().Get("spans"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil {
-				n = v
-			}
-		}
-		WriteJSON(w, r.Snapshot(n))
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, r.Snapshot(0))
 	})
 }
 

@@ -1,9 +1,9 @@
 // Package telemetry is IoTSec's zero-dependency observability
 // subsystem: a metrics registry (lock-free counters and gauges,
-// sharded histograms, labeled vectors with a copy-on-write index), a
-// lightweight tracing facility (context-carried spans with a bounded
-// ring-buffer store), and exposition (Prometheus text format, JSON
-// snapshots, periodic flush hooks).
+// sharded histograms, labeled vectors with a copy-on-write index),
+// context-carried spans (a trace ID handed down the context, and one
+// duration series per span name), and exposition (Prometheus text
+// format, JSON snapshots, periodic flush hooks).
 //
 // Design constraints, in order:
 //
@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind classifies a metric for exposition.
@@ -132,22 +131,19 @@ type Collector func(emit func(name string, kind Kind, help string, labels Labels
 type Registry struct {
 	mu         sync.RWMutex
 	metrics    map[string]Metric
-	order      []string            // registration order of metric names
+	order      []string             // registration order of metric names
 	collectors map[string]Collector // by collector ID (replace-on-reregister)
 	collOrder  []string
 
-	spans  *SpanStore
 	health *HealthRegistry
 }
 
-// NewRegistry builds an empty registry with a default span store
-// (capacity 1024, sample every trace) and an empty component-health
+// NewRegistry builds an empty registry with an empty component-health
 // aggregator whose gauges ride on every scrape.
 func NewRegistry() *Registry {
 	r := &Registry{
 		metrics:    make(map[string]Metric),
 		collectors: make(map[string]Collector),
-		spans:      NewSpanStore(1024, 1),
 		health:     NewHealthRegistry(),
 	}
 	r.RegisterCollector("component-health", healthCollector(r.health))
@@ -203,9 +199,6 @@ func (r *Registry) UnregisterCollector(id string) {
 		}
 	}
 }
-
-// Spans returns the registry's span store.
-func (r *Registry) Spans() *SpanStore { return r.spans }
 
 // snapshotMetrics lists registered metrics in registration order plus
 // collector output, flattened into families.
@@ -343,14 +336,6 @@ func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labelKey
 	v := &HistogramVec{meta: meta{name, help}, keys: labelKeys, bounds: bounds}
 	v.idx.Store(&map[string]*Histogram{})
 	return r.Register(v).(*HistogramVec)
-}
-
-// Timer measures one operation into a histogram:
-//
-//	defer telemetry.Time(h)()
-func Time(h *Histogram) func() {
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Seconds()) }
 }
 
 // compile-time interface checks

@@ -156,58 +156,71 @@ func TestCollector(t *testing.T) {
 	r.UnregisterCollector("ports:sw1")
 }
 
+// TestSpans pins the span contract: a child carries its root's trace
+// ID, two roots get different IDs, End observes once however often it
+// is called, and each span name has its own duration series.
 func TestSpans(t *testing.T) {
-	st := NewSpanStore(8, 1)
-	ctx, root := st.StartSpan(context.Background(), "event-to-enforcement")
-	root.SetAttr("device", "cam")
-	_, child := st.StartSpan(ctx, "reconfigure")
+	countOf := func(name string) uint64 { return spanSeconds.With(name).Count() }
+	rootBefore, childBefore := countOf("test.spans.root"), countOf("test.spans.child")
+
+	ctx, root := StartSpan(context.Background(), "test.spans.root")
+	cctx, child := StartSpan(ctx, "test.spans.child")
+	if TraceID(ctx) == 0 || TraceID(cctx) != TraceID(ctx) {
+		t.Fatalf("child trace %d, root trace %d: want the same, non-zero", TraceID(cctx), TraceID(ctx))
+	}
+	other, root2 := StartSpan(context.Background(), "test.spans.root")
+	if TraceID(other) == TraceID(ctx) {
+		t.Fatalf("two roots share trace %d", TraceID(ctx))
+	}
+	if TraceID(context.Background()) != 0 {
+		t.Fatal("a context with no span reports a trace")
+	}
+
 	child.End()
 	root.End()
 	root.End() // idempotent
+	root2.End()
+	if got := countOf("test.spans.root") - rootBefore; got != 2 {
+		t.Errorf("root series observed %d, want 2 (two roots, End twice on one)", got)
+	}
+	if got := countOf("test.spans.child") - childBefore; got != 1 {
+		t.Errorf("child series observed %d, want 1", got)
+	}
 
-	spans := st.Recent(0)
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
+	var b strings.Builder
+	if err := Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	// Newest first: root ended last.
-	if spans[0].Name != "event-to-enforcement" || spans[1].Name != "reconfigure" {
-		t.Fatalf("order wrong: %q, %q", spans[0].Name, spans[1].Name)
-	}
-	if spans[1].ParentID != spans[0].ID || spans[1].TraceID != spans[0].TraceID {
-		t.Fatalf("child not linked: %+v vs %+v", spans[1], spans[0])
-	}
-	if len(spans[0].Attrs) != 1 || spans[0].Attrs[0].Value != "cam" {
-		t.Fatalf("attrs lost: %+v", spans[0].Attrs)
-	}
-	started, finished := st.Stats()
-	if started != 2 || finished != 2 {
-		t.Fatalf("stats = %d/%d, want 2/2", started, finished)
+	for _, name := range []string{"test.spans.root", "test.spans.child"} {
+		if !strings.Contains(b.String(), `iotsec_span_seconds_count{span="`+name+`"}`) {
+			t.Errorf("no iotsec_span_seconds series for %s", name)
+		}
 	}
 }
 
-func TestSpanSampling(t *testing.T) {
-	st := NewSpanStore(64, 4)
-	for i := 0; i < 16; i++ {
-		_, sp := st.StartSpan(context.Background(), "op")
-		sp.End()
+// TestSpanEndConcurrent ends spans from many goroutines while
+// others start them under a shared root, for the race detector.
+func TestSpanEndConcurrent(t *testing.T) {
+	ctx, root := StartSpan(context.Background(), "test.spans.concurrent")
+	before := spanSeconds.With("test.spans.concurrent").Count()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				cctx, sp := StartSpan(ctx, "test.spans.concurrent")
+				if TraceID(cctx) != TraceID(ctx) {
+					t.Error("child lost its root's trace")
+				}
+				sp.End()
+				root.End()
+			}
+		}()
 	}
-	if got := len(st.Recent(0)); got != 4 {
-		t.Fatalf("sampled spans = %d, want 4 (1 in 4 of 16)", got)
-	}
-}
-
-func TestSpanRingBounded(t *testing.T) {
-	st := NewSpanStore(4, 1)
-	for i := 0; i < 10; i++ {
-		_, sp := st.StartSpan(context.Background(), fmt.Sprintf("op%d", i))
-		sp.End()
-	}
-	spans := st.Recent(0)
-	if len(spans) != 4 {
-		t.Fatalf("ring = %d, want 4", len(spans))
-	}
-	if spans[0].Name != "op9" || spans[3].Name != "op6" {
-		t.Fatalf("ring order wrong: %v", spans)
+	wg.Wait()
+	if got := spanSeconds.With("test.spans.concurrent").Count() - before; got != 8*100+1 {
+		t.Errorf("observed %d spans, want %d", got, 8*100+1)
 	}
 }
 
@@ -354,13 +367,4 @@ func TestServerCloseNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
-}
-
-func TestTimeHelper(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("iotsec_test_op_seconds", "op", []float64{10})
-	func() { defer Time(h)() }()
-	if h.Count() != 1 {
-		t.Fatalf("count = %d, want 1", h.Count())
-	}
 }

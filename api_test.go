@@ -231,7 +231,10 @@ type srcFile struct {
 	imports map[string]string // local name → dir of a root-module import
 }
 
-type tree struct{ files []srcFile }
+type tree struct {
+	files []srcFile
+	fset  *token.FileSet
+}
 
 func parseTree(fsys fs.FS) (*tree, error) {
 	mod, err := fs.ReadFile(fsys, "go.mod")
@@ -298,7 +301,7 @@ func parseTree(fsys fs.FS) (*tree, error) {
 			}
 		}
 	}
-	return &tree{files}, nil
+	return &tree{files: files, fset: fset}, nil
 }
 
 // declared reports whether f's declarations are subject to the checks:

@@ -149,11 +149,13 @@ func main() {
 		voter.Close()
 	}
 
+	timeout := time.NewTimer(3 * time.Second)
+	defer timeout.Stop()
 	select {
 	case got := <-received:
 		fmt.Printf("campus-b received the cleared signature %s for %s —\n  %s\n", got.ID, got.SKU, got.Rule)
 		fmt.Println("  (the description was scrubbed of internal addresses:", got.Description, ")")
-	case <-time.After(3 * time.Second):
+	case <-timeout.C:
 		log.Fatal("signature never propagated")
 	}
 }

@@ -458,9 +458,9 @@ func TestPartitionMatchesStringUnionFind(t *testing.T) {
 }
 
 // fleetStateBudget is the live heap per device the benchmark's fleet
-// shape may hold: the figure measured when postures became interned
-// ids and locals stopped copying rules and domains, plus 20%.
-const fleetStateBudget = 1.2 * 677
+// shape may hold: the figure measured when the reconcilers' last pushed
+// postures became slices indexed by device ordinal, plus 20%.
+const fleetStateBudget = 1.2 * 608
 
 // TestFleetStateBytesPerDevice builds the benchmark's fleet shape —
 // 64-device shards, one self rule per device, one cross-partition rule,

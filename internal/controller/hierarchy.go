@@ -29,12 +29,14 @@ type reconciler struct {
 	sink PostureSink
 
 	mu sync.Mutex
-	// lastPostures is device → id of the posture last pushed. A policy
-	// has few distinct postures, so each device costs a map slot and the
-	// rendered keys are held once: postureKeys[id-1] is id's key and
-	// postureIDs inverts it. Id 0 is never assigned, so a device with no
-	// recorded posture differs from every posture.
-	lastPostures map[string]uint32
+	// lastPostures[ord] is the id of the posture last pushed to the
+	// device with that ordinal in the FSM's domain; it grows when the
+	// domain does. A policy has few distinct postures, so each device
+	// costs four bytes and the rendered keys are held once:
+	// postureKeys[id-1] is id's key and postureIDs inverts it. Id 0 is
+	// never assigned, so a device with no recorded posture differs from
+	// every posture.
+	lastPostures []uint32
 	postureKeys  []string
 	postureIDs   map[string]uint32
 	// reconciled is the highest view version lastPostures reflects.
@@ -50,8 +52,15 @@ type reconciler struct {
 func newReconciler(fsm *policy.FSM, sink PostureSink) reconciler {
 	return reconciler{
 		View: NewView(), fsm: fsm, sink: sink,
-		lastPostures: make(map[string]uint32),
-		postureIDs:   make(map[string]uint32),
+		postureIDs: make(map[string]uint32),
+	}
+}
+
+// growPostures extends lastPostures to cover every device the domain
+// declares. Callers hold r.mu.
+func (r *reconciler) growPostures() {
+	if n := r.fsm.Domain.DeviceCount(); n > len(r.lastPostures) {
+		r.lastPostures = append(r.lastPostures, make([]uint32, n-len(r.lastPostures))...)
 	}
 }
 
@@ -83,26 +92,31 @@ func (r *reconciler) reconcile(ctx context.Context, version uint64) int {
 		return 0
 	}
 	r.reconciled = version
-	type change struct {
-		dev string
-		p   policy.Posture
-	}
-	var changed []change
-	for dev, p := range postures {
-		key := p.Key()
-		if id := r.lastPostures[dev]; id != 0 && r.postureKeys[id-1] == key {
-			continue
+	r.growPostures()
+	// Changed devices are kept by name: their postures stay in the
+	// lookup's map until delivery, so nothing is copied.
+	var changed []string
+	r.fsm.Domain.EachDevice(func(ord int, dev string) {
+		// A device declared after the lookup ran has no posture yet;
+		// the next reconcile pushes it.
+		p, ok := postures[dev]
+		if !ok {
+			return
 		}
-		r.lastPostures[dev] = r.postureID(key)
-		changed = append(changed, change{dev, p})
-	}
+		key := p.Key()
+		if id := r.lastPostures[ord]; id != 0 && r.postureKeys[id-1] == key {
+			return
+		}
+		r.lastPostures[ord] = r.postureID(key)
+		changed = append(changed, dev)
+	})
 	r.deliverMu.Lock()
 	r.mu.Unlock()
 	defer r.deliverMu.Unlock()
 
 	if r.sink != nil {
-		for _, c := range changed {
-			r.sink(ctx, c.dev, c.p, version)
+		for _, dev := range changed {
+			r.sink(ctx, dev, postures[dev], version)
 		}
 	}
 	return len(changed)
@@ -114,20 +128,26 @@ func (r *reconciler) Postures() map[string]string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]string, len(r.lastPostures))
-	for dev, id := range r.lastPostures {
-		out[dev] = r.postureKeys[id-1]
-	}
+	r.fsm.Domain.EachDevice(func(ord int, dev string) {
+		if ord < len(r.lastPostures) && r.lastPostures[ord] != 0 {
+			out[dev] = r.postureKeys[r.lastPostures[ord]-1]
+		}
+	})
 	return out
 }
 
 // seedPostures primes the posture cache from a checkpoint so the
 // post-restore reconcile only pushes deltas instead of re-delivering
-// every posture the dead controller had already enforced.
+// every posture the dead controller had already enforced. Devices the
+// domain does not declare are skipped: no reconcile pushes to them.
 func (r *reconciler) seedPostures(m map[string]string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.growPostures()
 	for dev, key := range m {
-		r.lastPostures[dev] = r.postureID(key)
+		if ord, ok := r.fsm.Domain.DeviceOrdinal(dev); ok {
+			r.lastPostures[ord] = r.postureID(key)
+		}
 	}
 }
 

@@ -13,6 +13,10 @@ import (
 	"iotsec/internal/telemetry"
 )
 
+// barrierTimeout bounds how long Steering waits for a switch to confirm
+// that the FLOW_MODs sent before a barrier were applied.
+const barrierTimeout = 2 * time.Second
+
 // Steering is the southbound application that enforces posture on the
 // switches: it holds the standing quarantines and rule sets, sends
 // them to every connected switch (over the real southbound protocol),
@@ -125,10 +129,12 @@ func (s *Steering) WaitForSwitch(timeout time.Duration) bool {
 	ch := make(chan struct{})
 	s.connectWaiters = append(s.connectWaiters, ch)
 	s.mu.Unlock()
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case <-ch:
 		return true
-	case <-time.After(timeout):
+	case <-t.C:
 		return false
 	}
 }
@@ -192,7 +198,7 @@ func (s *Steering) program(ctx context.Context, dpid uint64) {
 		s.sendQuarantine(ctx, dpid, name, mac)
 	}
 
-	if err := s.endpoint.Barrier(dpid, 2*time.Second); err != nil {
+	if err := s.endpoint.Barrier(dpid, barrierTimeout); err != nil {
 		s.logger.Printf("steering: barrier to %d: %v", dpid, err)
 	}
 }
@@ -236,7 +242,7 @@ func (s *Steering) Isolate(ctx context.Context, name string, mac packet.MACAddre
 	s.mu.Unlock()
 	for _, dpid := range s.dpids() {
 		s.sendQuarantine(ctx, dpid, name, mac)
-		if err := s.endpoint.Barrier(dpid, 2*time.Second); err != nil {
+		if err := s.endpoint.Barrier(dpid, barrierTimeout); err != nil {
 			s.logger.Printf("steering: isolate barrier to %d: %v", dpid, err)
 		}
 	}
@@ -258,7 +264,7 @@ func (s *Steering) Release(ctx context.Context, name string, mac packet.MACAddre
 			Match:   openflow.MatchAll(),
 			Cookie:  cookie,
 		}, name)
-		if err := s.endpoint.Barrier(dpid, 2*time.Second); err != nil {
+		if err := s.endpoint.Barrier(dpid, barrierTimeout); err != nil {
 			s.logger.Printf("steering: release barrier to %d: %v", dpid, err)
 		}
 	}
@@ -316,7 +322,7 @@ func (s *Steering) InstallRuleSet(ctx context.Context, name string, mods []*open
 			}, name)
 		}
 		s.sendRuleSet(ctx, dpid, name, kept)
-		if err := s.endpoint.Barrier(dpid, 2*time.Second); err != nil {
+		if err := s.endpoint.Barrier(dpid, barrierTimeout); err != nil {
 			s.logger.Printf("steering: rule-set barrier to %d: %v", dpid, err)
 		}
 	}

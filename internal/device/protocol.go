@@ -155,12 +155,14 @@ func (c *Client) Call(deviceIP packet.IPv4Address, req Request) (Response, error
 	if err := conn.Send(req.Encode()); err != nil {
 		return Response{}, err
 	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case resp := <-replyCh:
 		return resp, nil
 	case err := <-errCh:
 		return Response{}, err
-	case <-time.After(timeout):
+	case <-t.C:
 		return Response{}, fmt.Errorf("device call %s %s: %w", deviceIP, req.Cmd, netsim.ErrTimeout)
 	}
 }

@@ -414,17 +414,21 @@ func runFailoverOnce(n int, o FailoverOptions, kill bool) (FailoverResult, error
 			}
 		}()
 
-		deadline := time.After(10 * time.Second)
+		deadline := time.NewTimer(10 * time.Second)
+		defer deadline.Stop()
+		poll := time.NewTimer(time.Millisecond)
+		defer poll.Stop()
 		for done := 0; done < len(victims); {
 			sup.Tick()
 			select {
 			case <-recovered:
 				done++
-			case <-deadline:
+			case <-deadline.C:
 				close(stopPump)
 				pumpWG.Wait()
 				return res, fmt.Errorf("experiment: failover %d: only %d/%d partitions recovered in 10s", n, done, len(victims))
-			case <-time.After(time.Millisecond):
+			case <-poll.C:
+				poll.Reset(time.Millisecond)
 			}
 		}
 		res.DetectSeconds = time.Since(crashAt).Seconds()

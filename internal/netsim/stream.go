@@ -143,6 +143,8 @@ func (s *Stream) Send(msg []byte) error {
 
 	interval := s.stack.RetransmitInterval
 	tries := s.stack.MaxRetransmits
+	t := time.NewTimer(interval)
+	defer t.Stop()
 	for attempt := 0; attempt <= tries; attempt++ {
 		s.sendSegment(packet.TCPPsh|packet.TCPAck, seq, s.loadRecvNext(), payload)
 		select {
@@ -150,7 +152,8 @@ func (s *Stream) Send(msg []byte) error {
 			return nil
 		case <-s.done:
 			return s.closeReason()
-		case <-time.After(interval):
+		case <-t.C:
+			t.Reset(interval)
 		}
 	}
 	s.mu.Lock()
@@ -255,6 +258,8 @@ func (st *Stack) Dial(dstIP packet.IPv4Address, dstPort uint16, timeout time.Dur
 
 	deadline := time.Now().Add(timeout)
 	interval := st.RetransmitInterval
+	t := time.NewTimer(interval)
+	defer t.Stop()
 	for {
 		st.sendTCPSegment(dstIP, localPort, dstPort, packet.TCPSyn, seq, 0, nil)
 		select {
@@ -262,11 +267,12 @@ func (st *Stack) Dial(dstIP packet.IPv4Address, dstPort uint16, timeout time.Dur
 			return s, nil
 		case <-s.done:
 			return nil, s.closeReason()
-		case <-time.After(interval):
+		case <-t.C:
 			if time.Now().After(deadline) {
 				s.teardown(ErrTimeout)
 				return nil, fmt.Errorf("%w: dialing %s:%d", ErrTimeout, dstIP, dstPort)
 			}
+			t.Reset(interval)
 		}
 	}
 }

@@ -342,10 +342,15 @@ func (c *ControllerEndpoint) Barrier(dpid uint64, timeout time.Duration) error {
 		s.barrierMu.Unlock()
 		return err
 	}
+	// A stopped timer is released at once; time.After's would stay
+	// reachable until it fired, pinning one timer per barrier for the
+	// whole timeout.
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case <-ch:
 		return nil
-	case <-time.After(timeout):
+	case <-t.C:
 		s.barrierMu.Lock()
 		delete(s.barriers, xid)
 		s.barrierMu.Unlock()

@@ -168,3 +168,82 @@ func TestNewFSMAdoptsRules(t *testing.T) {
 		t.Fatalf("rules = %d, want 2", got)
 	}
 }
+
+// TestDeviceOrdinals: a domain's ordinals are dense and in declaration
+// order, a re-declaration keeps the device's ordinal and takes its new
+// contexts, EachDevice walks in ordinal order, and in a restricted
+// domain a device's ordinal is its position in Devices().
+func TestDeviceOrdinals(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 30; trial++ {
+		d := NewDomain()
+		var declared []string // by ordinal
+		for i := 0; i < 1+rng.Intn(60); i++ {
+			if len(declared) > 0 && rng.Intn(4) == 0 {
+				dev := declared[rng.Intn(len(declared))]
+				d.AddDevice(dev, ContextNormal, ContextUnpatched)
+				if got := d.DeviceContexts(dev); !slices.Equal(got, []SecurityContext{ContextNormal, ContextUnpatched}) {
+					t.Fatalf("trial %d: re-declared %s has contexts %v", trial, dev, got)
+				}
+				continue
+			}
+			dev := fmt.Sprintf("x%03d", rng.Intn(1000))
+			if slices.Contains(declared, dev) {
+				continue
+			}
+			d.AddDevice(dev)
+			declared = append(declared, dev)
+		}
+		if d.DeviceCount() != len(declared) {
+			t.Fatalf("trial %d: DeviceCount = %d, want %d", trial, d.DeviceCount(), len(declared))
+		}
+		for want, dev := range declared {
+			if ord, ok := d.DeviceOrdinal(dev); !ok || ord != want {
+				t.Fatalf("trial %d: ordinal of %s = %d, %v; want %d", trial, dev, ord, ok, want)
+			}
+		}
+		var walked []string
+		d.EachDevice(func(ord int, dev string) {
+			if ord != len(walked) {
+				t.Fatalf("trial %d: EachDevice gave ordinal %d at step %d", trial, ord, len(walked))
+			}
+			walked = append(walked, dev)
+		})
+		if !slices.Equal(walked, declared) {
+			t.Fatalf("trial %d: EachDevice walked %v, want %v", trial, walked, declared)
+		}
+		if _, ok := d.DeviceOrdinal("undeclared"); ok {
+			t.Fatalf("trial %d: an undeclared device has an ordinal", trial)
+		}
+
+		var scope []string
+		for _, dev := range declared {
+			if rng.Intn(2) == 0 {
+				scope = append(scope, dev)
+			}
+		}
+		scope = append(scope, "zz-undeclared") // in scope, not in the parent
+		r := d.Restrict(scope, nil)
+		devs := r.Devices()
+		if r.DeviceCount() != len(devs) {
+			t.Fatalf("trial %d: restricted DeviceCount = %d, want %d", trial, r.DeviceCount(), len(devs))
+		}
+		for pos, dev := range devs {
+			if ord, ok := r.DeviceOrdinal(dev); !ok || ord != pos {
+				t.Fatalf("trial %d: restricted ordinal of %s = %d, %v; want %d", trial, dev, ord, ok, pos)
+			}
+		}
+		r.EachDevice(func(ord int, dev string) {
+			if devs[ord] != dev {
+				t.Fatalf("trial %d: restricted EachDevice gave %s at ordinal %d, Devices() has %s", trial, dev, ord, devs[ord])
+			}
+		})
+		for _, dev := range declared {
+			if !slices.Contains(scope, dev) {
+				if _, ok := r.DeviceOrdinal(dev); ok {
+					t.Fatalf("trial %d: %s is out of scope but has an ordinal", trial, dev)
+				}
+			}
+		}
+	}
+}

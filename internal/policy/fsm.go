@@ -85,7 +85,7 @@ func (f *FSM) Rules() []Rule { return f.rules }
 // winners merge. Devices with no matching rule get the zero (allow)
 // posture.
 func (f *FSM) Lookup(s State) map[string]Posture {
-	out := make(map[string]Posture, f.Domain.deviceCount())
+	out := make(map[string]Posture, f.Domain.DeviceCount())
 	type winner struct {
 		priority int
 		posture  Posture
@@ -104,13 +104,13 @@ func (f *FSM) Lookup(s State) map[string]Posture {
 			w.posture = w.posture.Merge(r.Posture)
 		}
 	}
-	f.Domain.eachDevice(func(dev string) {
+	for _, dev := range f.Domain.names() {
 		if w := best[dev]; w != nil {
 			out[dev] = w.posture
 		} else {
 			out[dev] = Posture{}
 		}
-	})
+	}
 	return out
 }
 

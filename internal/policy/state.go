@@ -40,11 +40,19 @@ const (
 // whose devices share one context list stores that list once. A domain
 // built by Restrict owns nothing: it names a subset of its parent's
 // variables and reads their values from the parent.
+//
+// Every device has an ordinal: a dense index, 0 to DeviceCount()-1,
+// that callers may key per-device slices by. A device takes the next
+// ordinal when first declared and keeps it when declared again; in a
+// restricted domain, a device's ordinal is its position in the sorted
+// scope.
 type Domain struct {
-	devices  map[string]uint32 // device → index into contexts
-	envVars  map[string]uint32 // variable → index into levels
-	contexts valueLists[SecurityContext]
-	levels   valueLists[string]
+	devices     map[string]uint32 // device → ordinal
+	deviceNames []string          // ordinal → device
+	deviceCtx   []uint32          // ordinal → index into contexts
+	envVars     map[string]uint32 // variable → index into levels
+	contexts    valueLists[SecurityContext]
+	levels      valueLists[string]
 
 	// parent is set on a restricted domain, which declares exactly
 	// scopeDevices and scopeEnvVars (sorted, duplicate-free, shared with
@@ -105,7 +113,14 @@ func (d *Domain) AddDevice(name string, contexts ...SecurityContext) {
 	if len(contexts) == 0 {
 		contexts = defaultContexts
 	}
-	d.devices[name] = d.contexts.intern(contexts)
+	ctx := d.contexts.intern(contexts)
+	if ord, ok := d.devices[name]; ok {
+		d.deviceCtx[ord] = ctx
+		return
+	}
+	d.devices[name] = uint32(len(d.deviceNames))
+	d.deviceNames = append(d.deviceNames, name)
+	d.deviceCtx = append(d.deviceCtx, ctx)
 }
 
 // AddEnvVar declares an environment variable and its levels.
@@ -116,17 +131,30 @@ func (d *Domain) AddEnvVar(name string, levels ...string) {
 	d.envVars[name] = d.levels.intern(levels)
 }
 
-// eachDevice calls fn with every declared device, in no fixed order.
-func (d *Domain) eachDevice(fn func(name string)) {
+// EachDevice calls fn with every declared device and its ordinal, in
+// ordinal order.
+func (d *Domain) EachDevice(fn func(ordinal int, name string)) {
+	for ord, name := range d.names() {
+		fn(ord, name)
+	}
+}
+
+// names lists the declared devices by ordinal. The slice is the
+// domain's own: read it, do not modify it.
+func (d *Domain) names() []string {
 	if d.parent != nil {
-		for _, name := range d.scopeDevices {
-			fn(name)
-		}
-		return
+		return d.scopeDevices
 	}
-	for name := range d.devices {
-		fn(name)
+	return d.deviceNames
+}
+
+// DeviceOrdinal reports a declared device's ordinal.
+func (d *Domain) DeviceOrdinal(name string) (int, bool) {
+	if d.parent != nil {
+		return slices.BinarySearch(d.scopeDevices, name)
 	}
+	ord, ok := d.devices[name]
+	return int(ord), ok
 }
 
 // eachEnvVar calls fn with every declared environment variable, in no
@@ -143,19 +171,16 @@ func (d *Domain) eachEnvVar(fn func(name string)) {
 	}
 }
 
-// deviceCount reports how many devices the domain declares.
-func (d *Domain) deviceCount() int {
-	if d.parent != nil {
-		return len(d.scopeDevices)
-	}
-	return len(d.devices)
-}
+// DeviceCount reports how many devices the domain declares; their
+// ordinals run from 0 to DeviceCount()-1.
+func (d *Domain) DeviceCount() int { return len(d.names()) }
 
 // Devices lists declared devices, sorted.
 func (d *Domain) Devices() []string {
-	out := make([]string, 0, d.deviceCount())
-	d.eachDevice(func(name string) { out = append(out, name) })
-	sort.Strings(out)
+	out := slices.Clone(d.names())
+	if d.parent == nil {
+		slices.Sort(out)
+	}
 	return out
 }
 
@@ -181,11 +206,11 @@ func (d *Domain) DeviceContexts(name string) []SecurityContext {
 		}
 		return defaultContexts
 	}
-	i, ok := d.devices[name]
+	ord, ok := d.devices[name]
 	if !ok {
 		return nil
 	}
-	return d.contexts.lists[i]
+	return d.contexts.lists[d.deviceCtx[ord]]
 }
 
 // EnvLevels returns a variable's level domain (nil when the domain does
@@ -209,7 +234,9 @@ func (d *Domain) EnvLevels(name string) []string {
 // the combinatorial explosion of §3.2.
 func (d *Domain) StateCount() float64 {
 	count := 1.0
-	d.eachDevice(func(name string) { count *= float64(len(d.DeviceContexts(name))) })
+	for _, name := range d.names() {
+		count *= float64(len(d.DeviceContexts(name)))
+	}
 	d.eachEnvVar(func(name string) { count *= float64(len(d.EnvLevels(name))) })
 	return count
 }
@@ -297,11 +324,11 @@ func (d *Domain) DefaultState() State { return d.defaultState() }
 // value, used to complete example states in conflict reports.
 func (d *Domain) defaultState() State {
 	s := NewState()
-	d.eachDevice(func(dev string) {
+	for _, dev := range d.names() {
 		if ctxs := d.DeviceContexts(dev); len(ctxs) > 0 {
 			s.Contexts[dev] = ctxs[0]
 		}
-	})
+	}
 	d.eachEnvVar(func(v string) {
 		if levels := d.EnvLevels(v); len(levels) > 0 {
 			s.Env[v] = levels[0]

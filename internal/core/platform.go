@@ -181,10 +181,17 @@ func (p *Platform) AttachHost(st *netsim.Stack) {
 }
 
 // AddDevice brings a device under management: it attaches through a
-// freshly launched µmbox, binds to the environment, wires event
-// emission into the view, and declares the device in the policy
-// domain if absent.
+// freshly launched µmbox, binds to the environment and wires event
+// emission into the view. The device must already be declared in the
+// policy domain; an undeclared one is refused before anything is
+// attached, since no posture would ever be computed for it. The µmbox
+// launches with the quarantine chain (deny everything) and runs it
+// until the device's first posture is applied: at Start, or at once
+// for a device hot-plugged after Start — it never runs allow-all.
 func (p *Platform) AddDevice(d *device.Device) (*Managed, error) {
+	if _, ok := p.fsm.Domain.DeviceOrdinal(d.Name); !ok {
+		return nil, fmt.Errorf("core: device %s is not declared in the policy domain", d.Name)
+	}
 	devPort, err := d.Attach(p.Network)
 	if err != nil {
 		return nil, err
@@ -192,7 +199,7 @@ func (p *Platform) AddDevice(d *device.Device) (*Managed, error) {
 	d.BindEnvironment(p.Env)
 	d.SetEventSink(func(e device.Event) { p.ReportDeviceEvent(e) })
 
-	inst, err := p.Manager.Launch(context.Background(), "mb-"+d.Name, mbox.PlatformMicroVM, mbox.NewPipeline(&mbox.Logger{}))
+	inst, err := p.Manager.Launch(context.Background(), "mb-"+d.Name, mbox.PlatformMicroVM, mbox.NewPipeline(mbox.NewHeaderFilter(mbox.Deny)))
 	if err != nil {
 		return nil, fmt.Errorf("core: launching µmbox for %s: %w", d.Name, err)
 	}

@@ -378,12 +378,49 @@ func TestHotPlugDeviceGetsPostureImmediately(t *testing.T) {
 	}
 }
 
+// TestHotPlugUndeclaredDeviceFailsClosed: a camera the policy domain
+// does not declare would never be postured, so AddDevice refuses it
+// before attaching anything, and its factory credentials reach
+// nothing. A declared device's µmbox starts on the quarantine chain and
+// keeps it until its first posture lands.
+func TestHotPlugUndeclaredDeviceFailsClosed(t *testing.T) {
+	d := policy.NewDomain()
+	d.AddDevice("cam")
+	p, err := New(Options{Policy: policy.NewFSM(d)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.AddDevice(device.NewCamera("cam", packet.MustParseIPv4("10.0.0.10")).Device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elems := m.Instance.Mbox.Pipeline().Elements(); len(elems) != 1 {
+		t.Fatalf("launch pipeline %v, want the one-element quarantine chain", elems)
+	}
+	p.Start()
+	defer p.Stop()
+
+	rogue := device.NewCamera("rogue-cam", packet.MustParseIPv4("10.0.0.11"))
+	_, addErr := p.AddDevice(rogue.Device)
+	attacker := newClient(t, p, "10.0.0.200")
+	if resp, err := attacker.Call(rogue.IP(), device.Request{Cmd: "SNAPSHOT", User: "admin", Pass: "admin"}); err == nil {
+		t.Fatalf("undeclared hot-plugged camera answered a default-credential SNAPSHOT: %+v", resp)
+	}
+	if addErr == nil {
+		t.Fatal("AddDevice accepted a device the policy domain does not declare")
+	}
+}
+
 // TestPlatformStartAddsFewGoroutines: delivery runs on the senders'
 // goroutines, so starting a 32-camera platform — a switch, 32 µmboxes
 // and 32 device stacks, over a hundred ports — starts almost no
 // goroutines of its own.
 func TestPlatformStartAddsFewGoroutines(t *testing.T) {
-	p, err := New(Options{})
+	d := policy.NewDomain()
+	for i := 0; i < 32; i++ {
+		d.AddDevice(fmt.Sprintf("cam%d", i))
+	}
+	p, err := New(Options{Policy: policy.NewFSM(d)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -450,7 +450,7 @@ func runFailoverOnce(n int, o FailoverOptions, kill bool) (FailoverResult, error
 		res.VarsRestored += r.VarsRestored
 		res.EventsReplayed += r.EventsReplayed
 		recoveries = append(recoveries, r.Recovery.Seconds())
-		if !failoverTraceComplete(r.TraceID) {
+		if r.TraceID == 0 || !journal.FailoverClosed(journal.Default.Snapshot(journal.Filter{TraceID: r.TraceID})) {
 			res.TracesComplete = false
 		}
 	}
@@ -467,23 +467,6 @@ func runFailoverOnce(n int, o FailoverOptions, kill bool) (FailoverResult, error
 		res.WithinSLO = true
 	}
 	return res, nil
-}
-
-// failoverTraceComplete checks the forensic journal carries the full
-// failover → rehomed → recovered sequence, in order, on one trace.
-func failoverTraceComplete(traceID uint64) bool {
-	if traceID == 0 {
-		return false
-	}
-	events := journal.Default.Snapshot(journal.Filter{TraceID: traceID})
-	want := []journal.Type{journal.TypeCtrlFailover, journal.TypeCtrlRehomed, journal.TypeCtrlRecovered}
-	i := 0
-	for _, e := range events {
-		if i < len(want) && e.Type == want[i] {
-			i++
-		}
-	}
-	return i == len(want)
 }
 
 // enforcementFingerprint hashes the externally observable enforcement

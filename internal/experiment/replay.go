@@ -284,7 +284,7 @@ func RunA13(progress io.Writer) (*Table, error) {
 		}
 		defer store.Close()
 		capt := prot.platform.EnableForensics(forensics.Options{
-			Store: store, Shard: "a13", Quiet: 100 * time.Millisecond, SweepEvery: 20 * time.Millisecond,
+			Store: store, Shard: "a13", Quiet: 100 * time.Millisecond,
 		})
 		defer capt.Close()
 		prot.platform.ReportAnomaly(ids.Anomaly{

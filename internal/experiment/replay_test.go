@@ -60,10 +60,9 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 	defer store.Close()
 	capt := prot.platform.EnableForensics(forensics.Options{
-		Store:      store,
-		Shard:      "shard-test",
-		Quiet:      100 * time.Millisecond,
-		SweepEvery: 20 * time.Millisecond,
+		Store: store,
+		Shard: "shard-test",
+		Quiet: 100 * time.Millisecond,
 	})
 	defer capt.Close()
 

@@ -2,16 +2,13 @@ package forensics
 
 import (
 	"sort"
-	"sync"
 	"time"
 
+	"iotsec/internal/correlate"
 	"iotsec/internal/journal"
 	"iotsec/internal/resilience"
 	"iotsec/internal/telemetry"
 )
-
-// tapBuffer is the journal subscription backlog, in events.
-const tapBuffer = 2048
 
 const (
 	// maxOpen caps concurrently open incidents; opening events beyond
@@ -19,7 +16,7 @@ const (
 	maxOpen = 128
 	// maxEvents caps events retained per incident; the chain head is
 	// kept and the overflow counted as Truncated.
-	maxEvents = 512
+	maxEvents = correlate.MaxEvents
 )
 
 // Options parameterizes a Capturer.
@@ -30,10 +27,8 @@ type Options struct {
 	// Shard names this capturer's shard in digests and fleet reports.
 	Shard string
 	// Quiet seals an open incident after this long without new trace
-	// events (default 2s).
+	// events (default 2s); the sweep runs every Quiet/8.
 	Quiet time.Duration
-	// SweepEvery is the quiet-period sweep cadence (default 250ms).
-	SweepEvery time.Duration
 	// Registry receives the iotsec_forensics_* collector (default
 	// telemetry.Default).
 	Registry *telemetry.Registry
@@ -44,212 +39,178 @@ type Options struct {
 	SKUOf func(device string) string
 }
 
-// Capturer is the tail-based incident capture consumer: a
-// resilience.Loop draining a drop-oldest journal subscription (wake =
-// the tap, tick = the quiet-period sweep; the same attached-tap budget
-// as the SLO tracker — one cursor bump per append on the hot path).
-// Incident-opening events open an incident keyed by trace ID and
-// backfill the trace's earlier events from the ring; subsequent events
-// on an open trace are appended; a quiet period seals the incident and
-// persists it to the store. Everything else — the overwhelming
+// Capturer is the tail-based incident capture plane, an observer of the
+// journal's trace correlator (the SLO tracker is the other one: one
+// tap, one chain table, one sweep between them). An incident-opening
+// event opens an incident keyed by trace ID; the chain already holds
+// the trace's earlier events, parked before anything opened it, so the
+// precursors are pinned the moment the chain becomes interesting. Later
+// events of the trace join the chain; a quiet period seals the incident
+// and persists it to the store. Everything else — the overwhelming
 // majority of traffic — never leaves the ring.
 type Capturer struct {
 	j     *journal.Journal
-	sub   *journal.Subscription
+	corr  *correlate.Correlator
 	store *Store
 	opt   Options
 	clock resilience.Clock
 
-	mu        sync.Mutex
-	open      map[uint64]*openIncident
+	// Guarded by the correlator's lock.
+	open      int    // incidents held open
 	captured  uint64 // incidents sealed
 	events    uint64 // chain events captured
 	openDrops uint64 // opening events dropped at maxOpen
-
-	loop resilience.Loop
 }
 
-// openIncident is an incident still accumulating events.
+// observer is the Capturer's side of the correlator.
+type observer Capturer
+
+// openIncident is what an open incident adds to its chain.
 type openIncident struct {
-	inc     *Incident
-	lastSeq uint64    // dedupe fence between ring backfill and live drain
-	touched time.Time // last activity, by the capturer's clock
+	kind   string
+	device string // the opening event's
+	// prev is the stored record of a re-opening trace: the re-seal
+	// supersedes it with the union of old and new chain events rather
+	// than clobbering the original capture.
+	prev *Incident
+	// truncBase is the chain's truncation when the incident re-opened:
+	// on a chain still alive since its earlier seal, prev counted it.
+	truncBase int
 }
 
-// NewCapturer attaches a capturer to j and starts its consumer.
+// NewCapturer attaches a capturer to j's correlator.
 func NewCapturer(j *journal.Journal, opt Options) *Capturer {
 	if opt.Quiet <= 0 {
 		opt.Quiet = 2 * time.Second
 	}
-	if opt.SweepEvery <= 0 {
-		opt.SweepEvery = 250 * time.Millisecond
-	}
 	if opt.Clock == nil {
 		opt.Clock = resilience.System
 	}
-	c := &Capturer{
-		j:     j,
-		sub:   j.Subscribe(tapBuffer),
-		store: opt.Store,
-		opt:   opt,
-		clock: opt.Clock,
-		open:  make(map[uint64]*openIncident),
-	}
+	c := &Capturer{j: j, store: opt.Store, opt: opt, clock: opt.Clock}
 	c.register(opt.Registry)
-	c.loop.Start(c.clock, opt.SweepEvery, c.sub.Wait(), c.pass)
+	c.corr = correlate.Attach(j, c.clock, (*observer)(c), opt.Quiet, opt.Quiet/8)
 	return c
-}
-
-// pass drains the tap and folds it, then (on a tick) seals the incidents
-// whose quiet period elapsed. The drain happens under c.mu, so a pass
-// on the loop and a Sync on a caller fold their batches in journal
-// order — folded the other way round, the lastSeq fence would drop the
-// older batch as duplicates.
-func (c *Capturer) pass(sweep bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.foldLocked(c.sub.Drain())
-	if sweep {
-		c.sweepLocked(false)
-	}
 }
 
 // Sync runs one tick's pass on the caller — the deterministic barrier
 // tests pair with a fake clock.
-func (c *Capturer) Sync() { c.pass(true) }
+func (c *Capturer) Sync() { c.corr.Sync() }
 
-// Close stops the consumer, drains the subscription backlog, and
-// force-seals every open incident into the store — the shutdown flush
-// that makes in-flight incidents survive a restart. Idempotent.
-func (c *Capturer) Close() {
-	c.loop.Stop()
-	c.sub.Close()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.foldLocked(c.sub.Drain())
-	c.sweepLocked(true)
+// Close drains the tap, force-seals every open incident into the store
+// — the shutdown flush that makes in-flight incidents survive a
+// restart — and detaches. Idempotent.
+func (c *Capturer) Close() { c.corr.Detach((*observer)(c), true) }
+
+// Opens: the incident-opening event types (KindOf).
+func (o *observer) Opens(_ []journal.Event, e journal.Event) bool {
+	_, opens := KindOf(e.Type)
+	return opens
 }
 
-// foldLocked folds drained events into open incidents.
-func (c *Capturer) foldLocked(events []journal.Event) {
-	if len(events) == 0 {
+// Forget: a parked trace nothing opened was routine.
+func (o *observer) Forget([]journal.Event) {}
+
+// Fold opens an incident at an opening event (or counts it dropped at
+// maxOpen) and keeps an open one from going quiet.
+func (o *observer) Fold(ch *correlate.Chain, e journal.Event, i int, at time.Time) {
+	c := (*Capturer)(o)
+	if h := ch.Holds[o]; h != nil {
+		h.Due = at.Add(c.opt.Quiet)
+		if i >= 0 {
+			c.events++
+		}
 		return
 	}
-	now := c.clock.Now()
-	for _, e := range events {
-		if e.TraceID == 0 {
-			continue // routine, untraced traffic stays ring-only
-		}
-		if oi, ok := c.open[e.TraceID]; ok {
-			c.appendLocked(oi, e, now)
-			continue
-		}
-		kind, opens := KindOf(e.Type)
-		if !opens {
-			continue
-		}
-		if len(c.open) >= maxOpen {
-			c.openDrops++
-			continue
-		}
-		c.openLocked(e, kind, now)
+	kind, opens := KindOf(e.Type)
+	if !opens {
+		return
 	}
-}
-
-// openLocked opens an incident for e's trace, backfilling the trace's
-// earlier events still in the ring — the pin that beats eviction: the
-// chain is copied out of the ring the moment it becomes interesting.
-func (c *Capturer) openLocked(e journal.Event, kind string, now time.Time) {
-	inc := &Incident{
-		ID:      IncidentID(e.TraceID),
-		TraceID: e.TraceID,
-		Kind:    kind,
-		Device:  e.Device,
-		Shard:   c.opt.Shard,
+	if c.open >= maxOpen {
+		c.openDrops++
+		return
 	}
-	oi := &openIncident{inc: inc, touched: now}
-	// A re-opening trace seeds from its stored record first, so the
-	// eventual re-seal supersedes the store with the union of old and
-	// new chain events rather than clobbering the original capture.
+	oi := &openIncident{kind: kind, device: e.Device}
 	if c.store != nil {
-		if prev, ok := c.store.Get(inc.ID); ok {
-			for _, pe := range prev.Events {
-				c.appendLocked(oi, pe, now)
-			}
-			inc.Truncated += prev.Truncated
+		if prev, ok := c.store.Get(IncidentID(ch.TraceID)); ok {
+			oi.prev, oi.truncBase = prev, ch.Truncated
 		}
 	}
-	// Snapshot includes e itself (it reached the ring before the tap
-	// woke us) plus anything earlier on the trace.
-	for _, pe := range c.j.Snapshot(journal.Filter{TraceID: e.TraceID}) {
-		c.appendLocked(oi, pe, now)
-	}
-	if oi.lastSeq < e.Seq { // e already evicted from the ring: keep it anyway
-		c.appendLocked(oi, e, now)
-	}
-	if inc.Device == "" {
-		inc.Device = e.Device
-	}
-	if inc.SKU == "" && inc.Device != "" && c.opt.SKUOf != nil {
-		inc.SKU = c.opt.SKUOf(inc.Device)
-	}
-	c.open[e.TraceID] = oi
+	ch.Hold(o, &correlate.Hold{Due: at.Add(c.opt.Quiet), Data: oi})
+	c.open++
+	c.events += uint64(len(c.incident(ch, oi).Events))
 }
 
-// appendLocked adds one event to an open incident (dedupe by seq).
-func (c *Capturer) appendLocked(oi *openIncident, e journal.Event, now time.Time) {
-	if e.Seq <= oi.lastSeq {
-		return
-	}
-	oi.lastSeq = e.Seq
-	oi.touched = now
-	inc := oi.inc
-	if e.Severity > inc.Severity {
-		inc.Severity = e.Severity
-	}
-	if inc.Device == "" && e.Device != "" {
-		inc.Device = e.Device
-		if c.opt.SKUOf != nil {
-			inc.SKU = c.opt.SKUOf(e.Device)
-		}
-	}
-	if len(inc.Events) >= maxEvents {
-		inc.Truncated++
-		return
-	}
-	if len(inc.Events) == 0 {
-		inc.OpenedAt = e.Wall
-	}
-	inc.Events = append(inc.Events, e)
-	c.events++
-}
-
-// sweepLocked seals incidents whose quiet period elapsed (or all of
-// them, when forced at shutdown).
-func (c *Capturer) sweepLocked(force bool) {
-	now := c.clock.Now()
-	for trace, oi := range c.open {
-		if !force && now.Sub(oi.touched) < c.opt.Quiet {
-			continue
-		}
-		c.sealLocked(oi)
-		delete(c.open, trace)
-	}
-}
-
-// sealLocked finalizes and persists one incident.
-func (c *Capturer) sealLocked(oi *openIncident) {
-	inc := oi.inc
+// Expire seals a quiet (or flushed) incident and persists it.
+func (o *observer) Expire(ch *correlate.Chain, h *correlate.Hold) {
+	c := (*Capturer)(o)
+	inc := c.incident(ch, h.Data.(*openIncident))
 	inc.Complete = chainComplete(inc.Kind, inc.Events)
 	if n := len(inc.Events); n > 0 {
 		inc.ClosedAt = inc.Events[n-1].Wall
 	} else {
 		inc.ClosedAt = c.clock.Now()
 	}
+	c.open--
 	c.captured++
 	if c.store != nil {
 		_ = c.store.Put(inc)
 	}
+}
+
+// incident derives an open incident from its chain: the stored record
+// it extends first, then the chain's events past it (deduplicated by
+// sequence), capped at maxEvents with the overflow counted.
+func (c *Capturer) incident(ch *correlate.Chain, oi *openIncident) *Incident {
+	inc := &Incident{
+		ID:       IncidentID(ch.TraceID),
+		TraceID:  ch.TraceID,
+		Kind:     oi.kind,
+		Device:   oi.device,
+		Shard:    c.opt.Shard,
+		Severity: ch.Severity,
+	}
+	var last uint64
+	add := func(e journal.Event) {
+		if e.Seq <= last {
+			return
+		}
+		last = e.Seq
+		inc.Severity = max(inc.Severity, e.Severity)
+		if inc.Device == "" {
+			inc.Device = e.Device
+		}
+		if len(inc.Events) >= maxEvents {
+			inc.Truncated++
+			return
+		}
+		inc.Events = append(inc.Events, e)
+	}
+	if oi.prev != nil {
+		for _, e := range oi.prev.Events {
+			add(e)
+		}
+		inc.Truncated += oi.prev.Truncated
+	}
+	for _, e := range ch.Events {
+		add(e)
+	}
+	inc.Truncated += ch.Truncated - oi.truncBase
+	if len(inc.Events) > 0 {
+		inc.OpenedAt = inc.Events[0].Wall
+	}
+	if inc.Device != "" && c.opt.SKUOf != nil {
+		inc.SKU = c.opt.SKUOf(inc.Device)
+	}
+	return inc
+}
+
+// eachOpen calls fn with every open incident, under the correlator's lock.
+func (c *Capturer) eachOpen(fn func(*Incident)) {
+	c.corr.View(func() {
+		c.corr.Each((*observer)(c), func(ch *correlate.Chain, h *correlate.Hold) {
+			fn(c.incident(ch, h.Data.(*openIncident)))
+		})
+	})
 }
 
 // Digests lists open and stored incidents, newest-opened first. An
@@ -262,11 +223,7 @@ func (c *Capturer) Digests() []Digest {
 			byID[d.ID] = d
 		}
 	}
-	c.mu.Lock()
-	for _, oi := range c.open {
-		byID[oi.inc.ID] = oi.inc.Digest()
-	}
-	c.mu.Unlock()
+	c.eachOpen(func(inc *Incident) { byID[inc.ID] = inc.Digest() })
 	out := make([]Digest, 0, len(byID))
 	for _, d := range byID {
 		out = append(out, d)
@@ -282,16 +239,15 @@ func (c *Capturer) Digests() []Digest {
 
 // Get returns one incident by ID, open incidents first.
 func (c *Capturer) Get(id string) (*Incident, bool) {
-	c.mu.Lock()
-	for _, oi := range c.open {
-		if oi.inc.ID == id {
-			cp := *oi.inc
-			cp.Events = append([]journal.Event(nil), oi.inc.Events...)
-			c.mu.Unlock()
-			return &cp, true
+	var open *Incident
+	c.eachOpen(func(inc *Incident) {
+		if inc.ID == id {
+			open = inc
 		}
+	})
+	if open != nil {
+		return open, true
 	}
-	c.mu.Unlock()
 	if c.store != nil {
 		return c.store.Get(id)
 	}
@@ -310,18 +266,9 @@ func (c *Capturer) TraceEvents(traceID uint64) []journal.Event {
 	for _, e := range c.j.Snapshot(journal.Filter{TraceID: traceID}) {
 		seen[e.Seq] = e
 	}
-	c.mu.Lock()
-	if oi, ok := c.open[traceID]; ok {
-		for _, e := range oi.inc.Events {
+	if inc, ok := c.Get(IncidentID(traceID)); ok { // an open one includes its stored record
+		for _, e := range inc.Events {
 			seen[e.Seq] = e
-		}
-	}
-	c.mu.Unlock()
-	if c.store != nil {
-		if inc, ok := c.store.Get(IncidentID(traceID)); ok {
-			for _, e := range inc.Events {
-				seen[e.Seq] = e
-			}
 		}
 	}
 	out := make([]journal.Event, 0, len(seen))
@@ -346,17 +293,12 @@ type CapturerStats struct {
 
 // Stats snapshots the capturer (and its store, when attached).
 func (c *Capturer) Stats() CapturerStats {
-	c.mu.Lock()
-	st := CapturerStats{
-		Shard:     c.opt.Shard,
-		Open:      len(c.open),
-		Captured:  c.captured,
-		Events:    c.events,
-		OpenDrops: c.openDrops,
-	}
-	c.mu.Unlock()
-	st.TapEvicted = c.sub.Evicted()
-	st.TapPending = c.sub.Pending()
+	st := CapturerStats{Shard: c.opt.Shard}
+	c.corr.View(func() {
+		st.Open, st.Captured, st.Events, st.OpenDrops = c.open, c.captured, c.events, c.openDrops
+	})
+	st.TapEvicted = c.corr.TapEvicted()
+	st.TapPending = c.corr.TapPending()
 	if c.store != nil {
 		ss := c.store.Stats()
 		st.StoreStats = &ss
@@ -380,7 +322,7 @@ func (c *Capturer) register(reg *telemetry.Registry) {
 		emit("iotsec_forensics_open_drops_total", telemetry.KindCounter,
 			"Opening events dropped at the open-incident cap.", nil, float64(st.OpenDrops))
 		emit("iotsec_forensics_tap_evicted_total", telemetry.KindCounter,
-			"Journal tap events evicted while the capturer lagged.", nil, float64(st.TapEvicted))
+			"Journal tap events evicted while the trace correlator lagged (the tap is shared with the SLO tracker).", nil, float64(st.TapEvicted))
 		if st.StoreStats != nil {
 			emit("iotsec_forensics_store_bytes", telemetry.KindGauge,
 				"Incident store size on disk.", nil, float64(st.StoreStats.Bytes))

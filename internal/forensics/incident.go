@@ -140,19 +140,11 @@ func (in *Incident) Timeline() *journal.Timeline {
 
 // chainComplete answers the forensic question "did this chain close
 // its loop" (not the SLO tracker's stricter "is the latency sample
-// final"): failover chains must carry failover→rehomed→recovered in
-// order; detection chains must close the Figure 2 loop, which is
-// journal.Timeline.Complete.
+// final", journal.SLOMissing): failover chains must carry the failover
+// sequence, detection chains must close the Figure 2 loop.
 func chainComplete(kind string, events []journal.Event) bool {
-	if kind != KindFailover {
-		return (&journal.Timeline{Events: events}).Complete()
+	if kind == KindFailover {
+		return journal.FailoverClosed(events)
 	}
-	want := []journal.Type{journal.TypeCtrlFailover, journal.TypeCtrlRehomed, journal.TypeCtrlRecovered}
-	i := 0
-	for _, e := range events {
-		if i < len(want) && e.Type == want[i] {
-			i++
-		}
-	}
-	return i == len(want)
+	return journal.LoopClosed(events)
 }

@@ -391,11 +391,12 @@ func (j *Journal) Stats() (appended, tailDrops uint64) {
 }
 
 // Subscription is a bounded drop-oldest fan-out of the live event
-// stream — the journal's one live tap, behind the online SLO plane,
-// the forensics capturer and /debug/journal?follow=1. When the
-// consumer lags it keeps the newest events and evicts the OLDEST,
-// like the southbound degradation ring and the sigrepo notify rings:
-// for SLO accounting the recent past is what matters, and anything old
+// stream — the journal's live tap, behind the trace correlator
+// (internal/correlate, which the online SLO plane and the forensics
+// capturer both observe, so they share one) and
+// /debug/journal?follow=1. When the consumer lags it keeps the newest
+// events and evicts the OLDEST, like the southbound degradation ring
+// and the sigrepo notify rings: for SLO accounting the recent past is what matters, and anything old
 // enough to be evicted belongs to a chain that has already aged past
 // the correlator's incomplete-chain timeout (the eviction is counted,
 // so accounting loss is observable, never silent).

@@ -47,12 +47,28 @@ func Stage(t Type) string {
 	}
 }
 
-// Complete reports whether the timeline closes the Figure 2 loop:
-// a detection, a policy transition, and an enforcement action (flow
-// rule or µmbox change).
-func (t *Timeline) Complete() bool {
+// Complete reports whether the timeline closes the Figure 2 loop
+// (LoopClosed).
+func (t *Timeline) Complete() bool { return LoopClosed(t.Events) }
+
+// What "complete" means depends on who asks. The three answers, over
+// one chain's events in journal order:
+//
+//   - LoopClosed, the forensic question "did the loop close": a
+//     detection, a policy transition and an enforcement action (a flow
+//     rule or a µmbox change) are all present.
+//   - FailoverClosed, the same question for a controller failover: the
+//     failover → rehomed → recovered sequence, in order.
+//   - SLOMissing, the stricter SLO question "is the latency sample
+//     final": the µmbox pipeline was reconfigured AND, if the posture
+//     emitted flow rules at all, a switch acknowledged applying them.
+//     A chain that closed the loop with a flow-mod on the wire is
+//     forensically complete and still owes the SLO its flow-applied.
+
+// LoopClosed reports whether events close the Figure 2 loop.
+func LoopClosed(events []Event) bool {
 	var detect, policy, enforce bool
-	for _, e := range t.Events {
+	for _, e := range events {
 		switch Stage(e.Type) {
 		case "detect":
 			detect = true
@@ -63,6 +79,46 @@ func (t *Timeline) Complete() bool {
 		}
 	}
 	return detect && policy && enforce
+}
+
+// FailoverClosed reports whether events carry failover → rehomed →
+// recovered, in that order.
+func FailoverClosed(events []Event) bool {
+	want := []Type{TypeCtrlFailover, TypeCtrlRehomed, TypeCtrlRecovered}
+	i := 0
+	for _, e := range events {
+		if i < len(want) && e.Type == want[i] {
+			i++
+		}
+	}
+	return i == len(want)
+}
+
+// SLOMissing names the first canonical stage a detect→enforce chain
+// still owes before its latency sample is final ("" once it is):
+// FLOW_MODs are journaled before the µmbox reconfig, so when the
+// reconfig arrives the chain already shows whether to wait for a
+// flow-applied. With flow-mods on the wire and no acknowledgment the
+// missing stage is flow-applied even if the reconfig landed: the
+// network half of the enforcement is the part that is missing.
+func SLOMissing(events []Event) Type {
+	has := func(t Type) bool {
+		for _, e := range events {
+			if e.Type == t {
+				return true
+			}
+		}
+		return false
+	}
+	switch flowOwed := has(TypeFlowMod) && !has(TypeFlowApplied); {
+	case has(TypeMboxReconfig) && !flowOwed:
+		return ""
+	case !has(TypePosture):
+		return TypePosture
+	case flowOwed:
+		return TypeFlowApplied
+	}
+	return TypeMboxReconfig
 }
 
 // Chain renders the causal chain in one line:

@@ -1,4 +1,6 @@
 package slo
 
-// ParkedCap exposes the parked-device-event bound to the tests.
-const ParkedCap = parkedCap
+import "iotsec/internal/correlate"
+
+// ParkedCap exposes the parked-trace bound to the tests.
+const ParkedCap = correlate.ParkedCap

@@ -381,9 +381,17 @@ func TestLocalsShareRules(t *testing.T) {
 	}
 }
 
+// stringPartitioning is Partitioning as it stood, with its
+// device → group map.
+type stringPartitioning struct {
+	Groups                    [][]string
+	assignment                map[string]int
+	CutWeight, InternalWeight float64
+}
+
 // oldPartition is Partition's union-find as it stood over string-keyed
 // maps.
-func oldPartition(devices []string, edges []InteractionEdge, maxGroupSize int) *Partitioning {
+func oldPartition(devices []string, edges []InteractionEdge, maxGroupSize int) *stringPartitioning {
 	parent := make(map[string]string, len(devices))
 	size := make(map[string]int, len(devices))
 	for _, d := range devices {
@@ -408,7 +416,7 @@ func oldPartition(devices []string, edges []InteractionEdge, maxGroupSize int) *
 		size[ra] += size[rb]
 	}
 	groupIdx := make(map[string]int)
-	p := &Partitioning{assignment: make(map[string]int, len(devices))}
+	p := &stringPartitioning{assignment: make(map[string]int, len(devices))}
 	for _, d := range devices {
 		root := find(d)
 		idx, ok := groupIdx[root]
@@ -424,7 +432,7 @@ func oldPartition(devices []string, edges []InteractionEdge, maxGroupSize int) *
 		sort.Strings(p.Groups[i])
 	}
 	for _, e := range edges {
-		if p.SameGroup(e.A, e.B) {
+		if p.sameGroup(e.A, e.B) {
 			p.InternalWeight += e.Weight
 		} else {
 			p.CutWeight += e.Weight
@@ -433,16 +441,35 @@ func oldPartition(devices []string, edges []InteractionEdge, maxGroupSize int) *
 	return p
 }
 
+func (p *stringPartitioning) groupOf(device string) int {
+	if g, ok := p.assignment[device]; ok {
+		return g
+	}
+	return -1
+}
+
+func (p *stringPartitioning) sameGroup(a, b string) bool {
+	ga, ok1 := p.assignment[a]
+	gb, ok2 := p.assignment[b]
+	return ok1 && ok2 && ga == gb
+}
+
 // TestPartitionMatchesStringUnionFind: the ordinal union-find groups
 // random fleets, repeated names and weight ties included, exactly as the
-// string-keyed one did.
+// string-keyed one did, and GroupOf and SameGroup answer as its map did
+// for every name, absent ones included, whether or not the device list
+// came sorted.
 func TestPartitionMatchesStringUnionFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(40)
 		devs := make([]string, n)
 		for i := range devs {
 			devs[i] = fmt.Sprintf("p%02d", rng.Intn(n+n/4+1)) // some names repeat
+		}
+		if trial%2 == 1 { // sorted and duplicate-free: Partition keeps the slice
+			devs = policy.SortedSet(devs)
+			n = len(devs)
 		}
 		var edges []InteractionEdge
 		for i := rng.Intn(3 * n); i > 0; i-- {
@@ -450,17 +477,32 @@ func TestPartitionMatchesStringUnionFind(t *testing.T) {
 		}
 		maxSize := 1 + rng.Intn(8)
 		got, want := Partition(devs, edges, maxSize), oldPartition(devs, edges, maxSize)
-		if !reflect.DeepEqual(got.Groups, want.Groups) || !reflect.DeepEqual(got.assignment, want.assignment) ||
+		if !reflect.DeepEqual(got.Groups, want.Groups) ||
 			got.CutWeight != want.CutWeight || got.InternalWeight != want.InternalWeight {
-			t.Fatalf("trial %d (%v, max %d):\n got %v %v\nwant %v %v", trial, devs, maxSize, got.Groups, got.assignment, want.Groups, want.assignment)
+			t.Fatalf("trial %d (%v, max %d):\n got %v\nwant %v", trial, devs, maxSize, got.Groups, want.Groups)
+		}
+		names := []string{"", "p", "p999", "q00"} // absent
+		for i := 0; i <= n+n/4+1; i++ {
+			names = append(names, fmt.Sprintf("p%02d", i))
+		}
+		for _, a := range names {
+			if g, w := got.GroupOf(a), want.groupOf(a); g != w {
+				t.Fatalf("trial %d: GroupOf(%q) = %d, want %d", trial, a, g, w)
+			}
+			for _, b := range names {
+				if g, w := got.SameGroup(a, b), want.sameGroup(a, b); g != w {
+					t.Fatalf("trial %d: SameGroup(%q, %q) = %v, want %v", trial, a, b, g, w)
+				}
+			}
 		}
 	}
 }
 
 // fleetStateBudget is the live heap per device the benchmark's fleet
-// shape may hold: the figure measured when the reconcilers' last pushed
-// postures became slices indexed by device ordinal, plus 20%.
-const fleetStateBudget = 1.2 * 608
+// shape may hold: the figure measured when the local views, the
+// partitioning and the domain's device index stopped keying per-device
+// state by name, plus 20%.
+const fleetStateBudget = 1.2 * 496
 
 // TestFleetStateBytesPerDevice builds the benchmark's fleet shape —
 // 64-device shards, one self rule per device, one cross-partition rule,

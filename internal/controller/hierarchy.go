@@ -393,10 +393,10 @@ func NewHierarchyWithGlobal(g *Global, fsm *policy.FSM, part *Partitioning, envL
 // local reconcile O(fleet) instead of O(shard).
 func (h *Hierarchy) newLocalFor(g int) *Local {
 	rules := h.localRules[g]
-	devs, envVars := h.groupDevices(g), ruleEnvVars(rules)
+	devs, envVars := policy.SortedSet(h.groupDevices(g)), ruleEnvVars(rules)
 	scope := h.fsm.Domain.Restrict(devs, envVars)
 	local := &Local{Group: g, reconciler: newReconciler(policy.NewFSM(scope, rules...), h.sink)}
-	local.View.devNames, local.View.envNames = devs, envVars
+	local.View.contexts.scope, local.View.env.scope = devs, envVars
 	local.View.Observe(func(ctx context.Context, c ViewChange) { local.reconcile(ctx, c.Version) })
 	return local
 }

@@ -1,7 +1,10 @@
 package controller
 
 import (
+	"slices"
 	"sort"
+
+	"iotsec/internal/policy"
 )
 
 // InteractionEdge weights how often two devices interact (explicitly
@@ -18,8 +21,10 @@ type InteractionEdge struct {
 type Partitioning struct {
 	// Groups lists the device sets, one per local controller.
 	Groups [][]string
-	// assignment maps device → group index.
-	assignment map[string]int
+	// devices lists every partitioned device, sorted and duplicate-free;
+	// group[i] is devices[i]'s group index.
+	devices []string
+	group   []int32
 	// CutWeight sums edge weights crossing partitions.
 	CutWeight float64
 	// InternalWeight sums edge weights kept local.
@@ -28,40 +33,40 @@ type Partitioning struct {
 
 // GroupOf reports a device's partition (-1 if unknown).
 func (p *Partitioning) GroupOf(device string) int {
-	if g, ok := p.assignment[device]; ok {
-		return g
+	if i, ok := slices.BinarySearch(p.devices, device); ok {
+		return int(p.group[i])
 	}
 	return -1
 }
 
 // SameGroup reports whether two devices share a local controller.
 func (p *Partitioning) SameGroup(a, b string) bool {
-	ga, ok1 := p.assignment[a]
-	gb, ok2 := p.assignment[b]
-	return ok1 && ok2 && ga == gb
+	ga := p.GroupOf(a)
+	return ga >= 0 && ga == p.GroupOf(b)
 }
 
 // Partition greedily merges the heaviest edges first (Kruskal-style
 // with a size cap): devices joined by heavy interaction end up
 // together unless the group would exceed maxGroupSize. An edge naming a
-// device not in devices joins nothing.
+// device not in devices joins nothing. When devices is already sorted
+// and duplicate-free, the result keeps that slice, so the caller must
+// not modify it afterwards.
 func Partition(devices []string, edges []InteractionEdge, maxGroupSize int) *Partitioning {
 	if maxGroupSize <= 0 {
 		maxGroupSize = 8
 	}
-	// The union-find runs over device ordinals: assignment first maps
-	// each device to its ordinal and ends mapping it to its group, so
-	// set-up holds one string-keyed map, not three.
-	p := &Partitioning{assignment: make(map[string]int, len(devices))}
+	// The union-find runs over device ordinals, the positions in devices;
+	// ordinal maps each name to its first one only while it runs.
+	ordinal := make(map[string]int32, len(devices))
 	parent := make([]int32, len(devices))
 	size := make([]int32, len(devices))
 	for i, d := range devices {
 		parent[i], size[i] = int32(i), 1
-		if first, repeated := p.assignment[d]; repeated {
-			parent[i] = int32(first) // a repeated name is the same device
+		if first, repeated := ordinal[d]; repeated {
+			parent[i] = first // a repeated name is the same device
 			continue
 		}
-		p.assignment[d] = i
+		ordinal[d] = int32(i)
 	}
 	find := func(x int32) int32 {
 		for parent[x] != x {
@@ -78,12 +83,12 @@ func Partition(devices []string, edges []InteractionEdge, maxGroupSize int) *Par
 	sort.SliceStable(order, func(i, j int) bool { return edges[order[i]].Weight > edges[order[j]].Weight })
 
 	for _, i := range order {
-		a, okA := p.assignment[edges[i].A]
-		b, okB := p.assignment[edges[i].B]
+		a, okA := ordinal[edges[i].A]
+		b, okB := ordinal[edges[i].B]
 		if !okA || !okB {
 			continue
 		}
-		ra, rb := find(int32(a)), find(int32(b))
+		ra, rb := find(a), find(b)
 		if ra == rb || int(size[ra]+size[rb]) > maxGroupSize {
 			continue
 		}
@@ -93,6 +98,7 @@ func Partition(devices []string, edges []InteractionEdge, maxGroupSize int) *Par
 
 	// Number the groups in order of first appearance, reusing size as
 	// root → group index + 1.
+	p := &Partitioning{devices: policy.SortedSet(devices)}
 	clear(size)
 	for i, d := range devices {
 		root := find(int32(i))
@@ -102,7 +108,10 @@ func Partition(devices []string, edges []InteractionEdge, maxGroupSize int) *Par
 		}
 		idx := int(size[root] - 1)
 		p.Groups[idx] = append(p.Groups[idx], d)
-		p.assignment[d] = idx
+	}
+	p.group = make([]int32, len(p.devices))
+	for i, d := range p.devices {
+		p.group[i] = size[find(ordinal[d])] - 1
 	}
 	for i := range p.Groups {
 		sort.Strings(p.Groups[i])

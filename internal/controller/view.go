@@ -52,17 +52,79 @@ type ViewObserver func(ctx context.Context, c ViewChange)
 type View struct {
 	mu        sync.RWMutex
 	version   uint64
-	contexts  map[string]policy.SecurityContext
-	env       map[string]string
+	contexts  vars[policy.SecurityContext]
+	env       vars[string]
 	observers []ViewObserver
-	failures  map[string]int
+	failures  map[string]int // allocated on first use
+}
 
-	// devNames and envNames, when set, are sorted lists of the names the
-	// view expects (a local's partition devices and rule variables). A
-	// commit to a listed name keys the map with the list's string, so the
-	// view keeps no copy of its own. Every commit must: assigning to a
-	// string key stores the caller's string, even over an equal one.
-	devNames, envNames []string
+// vars holds one namespace of a view's variables. A name in scope (a
+// local's partition devices or its rules' env vars: sorted,
+// duplicate-free, shared with whoever built them) keeps its value in
+// slots at its position in that list; any other name, and every name of
+// a view with no scope, keeps it in extra. A slot's set flag tells a
+// value committed to "" over an earlier one, which stays a variable of
+// the view, from a value never committed.
+type vars[T ~string] struct {
+	scope []string
+	slots []T    // allocated on the first commit to a scoped name
+	set   []bool // slots[i] was committed
+	n     int    // set flags raised
+	extra map[string]T
+}
+
+// get reads a variable and whether it was ever committed.
+func (s *vars[T]) get(name string) (T, bool) {
+	if i, ok := slices.BinarySearch(s.scope, name); ok {
+		if s.slots == nil || !s.set[i] {
+			return "", false
+		}
+		return s.slots[i], true
+	}
+	val, ok := s.extra[name]
+	return val, ok
+}
+
+// commit writes a variable, reporting false when it already held value
+// (a variable never committed holds "").
+func (s *vars[T]) commit(name string, value T) bool {
+	if i, ok := slices.BinarySearch(s.scope, name); ok {
+		if s.slots == nil {
+			s.slots, s.set = make([]T, len(s.scope)), make([]bool, len(s.scope))
+		}
+		if s.slots[i] == value {
+			return false
+		}
+		if !s.set[i] {
+			s.set[i] = true
+			s.n++
+		}
+		s.slots[i] = value
+		return true
+	}
+	if s.extra[name] == value {
+		return false
+	}
+	if s.extra == nil {
+		s.extra = make(map[string]T)
+	}
+	s.extra[name] = value
+	return true
+}
+
+// len counts the committed variables.
+func (s *vars[T]) len() int { return s.n + len(s.extra) }
+
+// each calls fn with every committed variable, in no fixed order.
+func (s *vars[T]) each(fn func(name string, value T)) {
+	for i, set := range s.set {
+		if set {
+			fn(s.scope[i], s.slots[i])
+		}
+	}
+	for name, val := range s.extra {
+		fn(name, val)
+	}
 }
 
 // bruteForceThreshold flips a device to suspicious after this many
@@ -70,13 +132,7 @@ type View struct {
 const bruteForceThreshold = 5
 
 // NewView builds an empty view.
-func NewView() *View {
-	return &View{
-		contexts: make(map[string]policy.SecurityContext),
-		env:      make(map[string]string),
-		failures: make(map[string]int),
-	}
-}
+func NewView() *View { return &View{} }
 
 // Observe registers a change observer.
 func (v *View) Observe(o ViewObserver) {
@@ -100,30 +156,17 @@ func (v *View) SetEnv(ctx context.Context, envVar, level, reason string) {
 // 0 when the value is unchanged (idempotence: nothing commits, nobody
 // is notified). Callers hold v.mu.
 func (v *View) commitLocked(varName, value string) uint64 {
+	var changed bool
 	if name, ok := strings.CutPrefix(varName, "dev:"); ok {
-		if string(v.contexts[name]) == value {
-			return 0
-		}
-		v.contexts[listed(v.devNames, name)] = policy.SecurityContext(value)
+		changed = v.contexts.commit(name, policy.SecurityContext(value))
 	} else if name, ok := strings.CutPrefix(varName, "env:"); ok {
-		if v.env[name] == value {
-			return 0
-		}
-		v.env[listed(v.envNames, name)] = value
-	} else {
+		changed = v.env.commit(name, value)
+	}
+	if !changed {
 		return 0
 	}
 	v.version++
 	return v.version
-}
-
-// listed returns the sorted list's copy of name, or name itself when
-// the list lacks it.
-func listed(names []string, name string) string {
-	if i, ok := slices.BinarySearch(names, name); ok {
-		return names[i]
-	}
-	return name
 }
 
 // apply commits a change and notifies observers.
@@ -226,7 +269,7 @@ func cutField(s, sep string) (field, rest string, ok bool) {
 func (v *View) DeviceContext(deviceName string) policy.SecurityContext {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if c, ok := v.contexts[deviceName]; ok {
+	if c, ok := v.contexts.get(deviceName); ok {
 		return c
 	}
 	return policy.ContextNormal
@@ -236,7 +279,8 @@ func (v *View) DeviceContext(deviceName string) policy.SecurityContext {
 func (v *View) Env(envVar string) string {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.env[envVar]
+	val, _ := v.env.get(envVar)
+	return val
 }
 
 // Vars snapshots every committed variable in policy convention
@@ -244,13 +288,9 @@ func (v *View) Env(envVar string) string {
 func (v *View) Vars() map[string]string {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := make(map[string]string, len(v.contexts)+len(v.env))
-	for dev, sc := range v.contexts {
-		out["dev:"+dev] = string(sc)
-	}
-	for name, val := range v.env {
-		out["env:"+name] = val
-	}
+	out := make(map[string]string, v.contexts.len()+v.env.len())
+	v.contexts.each(func(dev string, sc policy.SecurityContext) { out["dev:"+dev] = string(sc) })
+	v.env.each(func(name, val string) { out["env:"+name] = val })
 	return out
 }
 
@@ -275,12 +315,8 @@ func (v *View) State() policy.State {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	s := policy.NewState()
-	for dev, ctx := range v.contexts {
-		s.Contexts[dev] = ctx
-	}
-	for k, val := range v.env {
-		s.Env[k] = val
-	}
+	v.contexts.each(func(dev string, sc policy.SecurityContext) { s.Contexts[dev] = sc })
+	v.env.each(func(name, val string) { s.Env[name] = val })
 	return s
 }
 
@@ -349,6 +385,9 @@ func (v *View) fold(ctx context.Context, e device.Event, varName, value string) 
 		reason = "backdoor access: " + e.Detail
 	case device.EventAuthFailure:
 		v.mu.Lock()
+		if v.failures == nil {
+			v.failures = make(map[string]int)
+		}
 		v.failures[e.Device]++
 		n := v.failures[e.Device]
 		v.mu.Unlock()
@@ -358,7 +397,7 @@ func (v *View) fold(ctx context.Context, e device.Event, varName, value string) 
 		reason = fmt.Sprintf("brute force: %d consecutive auth failures", n)
 	case device.EventAuthSuccess:
 		v.mu.Lock()
-		v.failures[e.Device] = 0
+		delete(v.failures, e.Device)
 		v.mu.Unlock()
 	}
 	if varName != "" {

@@ -140,17 +140,13 @@ func (s *Store) replay() error {
 
 // openSegment opens the segment file for appending (creating it) and
 // records its current size as the rotation watermark. A segment whose
-// last line was torn by a crash (no trailing newline) is healed with
-// one, so the next append starts a fresh line instead of concatenating
-// onto — and thereby corrupting — the torn record.
+// last line was torn by a crash (no trailing newline) is healed by
+// appending one, so the next append starts a fresh line instead of
+// concatenating onto — and thereby corrupting — the torn record.
+// Nothing already written is rewritten, so a crash during the heal
+// loses nothing either.
 func (s *Store) openSegment(idx int) error {
-	path := s.segPath(idx)
-	if tail, err := os.ReadFile(path); err == nil && len(tail) > 0 && tail[len(tail)-1] != '\n' {
-		if err := os.WriteFile(path, append(tail, '\n'), 0o644); err != nil {
-			return fmt.Errorf("forensics: store heal: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(s.segPath(idx), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("forensics: store open: %w", err)
 	}
@@ -159,10 +155,22 @@ func (s *Store) openSegment(idx int) error {
 		f.Close()
 		return fmt.Errorf("forensics: store stat: %w", err)
 	}
+	size := info.Size()
+	if size > 0 {
+		last := []byte{0}
+		if _, err = f.ReadAt(last, size-1); err == nil && last[0] != '\n' {
+			_, err = f.Write([]byte{'\n'})
+			size++
+		}
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("forensics: store heal: %w", err)
+		}
+	}
 	s.active = f
 	s.activeIdx = idx
-	s.activeBytes = info.Size()
-	s.segBytes[idx] = info.Size()
+	s.activeBytes = size
+	s.segBytes[idx] = size
 	return nil
 }
 

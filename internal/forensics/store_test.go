@@ -211,3 +211,54 @@ func TestStoreCorruptLineTolerated(t *testing.T) {
 		t.Fatal("record appended after a torn line was corrupted by it")
 	}
 }
+
+// TestStoreHealsTornSegmentByAppending: reopening a segment with a torn
+// tail appends one newline and rewrites nothing — the file is its old
+// bytes plus "\n" — and every incident written before the tear is
+// still served, after this reopen and the next.
+func TestStoreHealsTornSegmentByAppending(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trace := uint64(1); trace <= 5; trace++ {
+		if err := s.Put(testIncident(trace, "cam", int(trace))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	seg := filepath.Join(dir, "incidents-00000.ndjson")
+	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":"inc-torn","trace_id":99,"ki`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	torn, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for reopen := 1; reopen <= 2; reopen++ {
+		re, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatalf("reopen %d: %v", reopen, err)
+		}
+		for trace := uint64(1); trace <= 5; trace++ {
+			if inc, ok := re.Get(IncidentID(trace)); !ok || len(inc.Events) != int(trace) {
+				t.Fatalf("reopen %d: incident %d lost or cut (found %v)", reopen, trace, ok)
+			}
+		}
+		re.Close()
+		healed, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := string(torn) + "\n"; string(healed) != want {
+			t.Fatalf("reopen %d: segment is %d bytes, want the torn %d plus one newline", reopen, len(healed), len(torn))
+		}
+	}
+}

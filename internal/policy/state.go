@@ -47,7 +47,7 @@ const (
 // restricted domain, a device's ordinal is its position in the sorted
 // scope.
 type Domain struct {
-	devices     map[string]uint32 // device → ordinal
+	devices     nameIndex         // device → ordinal, over deviceNames
 	deviceNames []string          // ordinal → device
 	deviceCtx   []uint32          // ordinal → index into contexts
 	envVars     map[string]uint32 // variable → index into levels
@@ -67,10 +67,7 @@ var defaultContexts = []SecurityContext{ContextNormal, ContextSuspicious, Contex
 
 // NewDomain returns an empty domain.
 func NewDomain() *Domain {
-	return &Domain{
-		devices: make(map[string]uint32),
-		envVars: make(map[string]uint32),
-	}
+	return &Domain{envVars: make(map[string]uint32)}
 }
 
 // Restrict returns a read-only domain declaring only the named devices
@@ -82,12 +79,12 @@ func NewDomain() *Domain {
 // reads contexts and levels from d on every call. AddDevice and
 // AddEnvVar panic on the result.
 func (d *Domain) Restrict(devices, envVars []string) *Domain {
-	return &Domain{parent: d, scopeDevices: sortedSet(devices), scopeEnvVars: sortedSet(envVars)}
+	return &Domain{parent: d, scopeDevices: SortedSet(devices), scopeEnvVars: SortedSet(envVars)}
 }
 
-// sortedSet returns names itself, capacity-clipped, when it is sorted
+// SortedSet returns names itself, capacity-clipped, when it is sorted
 // and duplicate-free, and a sorted duplicate-free copy otherwise.
-func sortedSet(names []string) []string {
+func SortedSet(names []string) []string {
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			sorted := slices.Clone(names)
@@ -114,13 +111,13 @@ func (d *Domain) AddDevice(name string, contexts ...SecurityContext) {
 		contexts = defaultContexts
 	}
 	ctx := d.contexts.intern(contexts)
-	if ord, ok := d.devices[name]; ok {
+	if ord, ok := d.devices.lookup(d.deviceNames, name); ok {
 		d.deviceCtx[ord] = ctx
 		return
 	}
-	d.devices[name] = uint32(len(d.deviceNames))
 	d.deviceNames = append(d.deviceNames, name)
 	d.deviceCtx = append(d.deviceCtx, ctx)
+	d.devices.add(d.deviceNames)
 }
 
 // AddEnvVar declares an environment variable and its levels.
@@ -153,7 +150,7 @@ func (d *Domain) DeviceOrdinal(name string) (int, bool) {
 	if d.parent != nil {
 		return slices.BinarySearch(d.scopeDevices, name)
 	}
-	ord, ok := d.devices[name]
+	ord, ok := d.devices.lookup(d.deviceNames, name)
 	return int(ord), ok
 }
 
@@ -206,7 +203,7 @@ func (d *Domain) DeviceContexts(name string) []SecurityContext {
 		}
 		return defaultContexts
 	}
-	ord, ok := d.devices[name]
+	ord, ok := d.devices.lookup(d.deviceNames, name)
 	if !ok {
 		return nil
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,11 +19,21 @@ import (
 	"iotsec/internal/policy"
 )
 
-// randomHierarchy builds a hierarchy over n devices with random
-// interaction edges and a random mix of rules: self rules on a device's
-// own variable, partition rules on a shared zone variable, and rules
-// that reach across partitions (which run globally).
-func randomHierarchy(rng *rand.Rand, n int) (*Hierarchy, []string, []string) {
+// randomFleet is a random policy over a partitioned fleet, in the
+// caller's shape.
+type randomFleet struct {
+	devs, envVars []string
+	part          *Partitioning
+	envLocality   map[string]int
+	domain        *policy.Domain
+	rules         []policy.Rule
+}
+
+// drawFleet draws n devices with random interaction edges and a random
+// mix of rules: self rules on a device's own variable, partition rules
+// on a shared zone variable, and rules that reach across partitions
+// (which run globally).
+func drawFleet(rng *rand.Rand, n int) randomFleet {
 	devs := make([]string, n)
 	for i := range devs {
 		devs[i] = fmt.Sprintf("d%03d", i)
@@ -34,7 +45,6 @@ func randomHierarchy(rng *rand.Rand, n int) (*Hierarchy, []string, []string) {
 	part := Partition(devs, edges, 2+rng.Intn(6))
 
 	d := policy.NewDomain()
-	f := policy.NewFSM(d)
 	envLocality := map[string]int{}
 	envVars := []string{"weather"} // global: named in no partition's locality
 	d.AddEnvVar("weather", "sun", "rain")
@@ -52,6 +62,7 @@ func randomHierarchy(rng *rand.Rand, n int) (*Hierarchy, []string, []string) {
 		d.AddEnvVar(attr, "a", "b")
 	}
 	pick := func() string { return devs[rng.Intn(n)] }
+	var rules []policy.Rule
 	for i := 0; i < 3*n; i++ {
 		dev := pick()
 		var cond policy.Condition
@@ -67,39 +78,82 @@ func randomHierarchy(rng *rand.Rand, n int) (*Hierarchy, []string, []string) {
 		default:
 			cond = policy.EnvIs("weather", "rain")
 		}
-		f.AddRule(policy.Rule{
+		rules = append(rules, policy.Rule{
 			Name: fmt.Sprintf("r%d", i), Conditions: []policy.Condition{cond}, Device: dev,
 			Posture: policy.Posture{BlockCommands: []string{"ON"}}, Priority: rng.Intn(3),
 		})
 	}
-	return NewHierarchy(f, part, envLocality, nil), devs, envVars
+	return randomFleet{devs: devs, envVars: envVars, part: part, envLocality: envLocality, domain: d, rules: rules}
+}
+
+// hierarchy builds the hierarchy over the fleet's policy.
+func (fl randomFleet) hierarchy() *Hierarchy {
+	return NewHierarchy(policy.NewFSM(fl.domain, fl.rules...), fl.part, fl.envLocality, nil)
+}
+
+// randomHierarchy builds a hierarchy over a random fleet of n devices.
+func randomHierarchy(rng *rand.Rand, n int) (*Hierarchy, []string, []string) {
+	fl := drawFleet(rng, n)
+	return fl.hierarchy(), fl.devs, fl.envVars
+}
+
+// oldClassify is NewHierarchyWithGlobal's rule classification as it
+// stood over the caller's []Rule: each partition's delegated rules,
+// and the variables of the rules that run globally.
+func oldClassify(rules []policy.Rule, part *Partitioning, envLocality map[string]int) (map[int][]policy.Rule, map[string]bool) {
+	local := map[int][]policy.Rule{}
+	globalVars := map[string]bool{}
+	for _, r := range rules {
+		g := part.GroupOf(r.Device)
+		ok := g >= 0
+		for _, c := range r.Conditions {
+			var cg int
+			found := false
+			if name, isDev := strings.CutPrefix(c.Var, "dev:"); isDev {
+				cg = part.GroupOf(name)
+				found = cg >= 0
+			} else if name, isEnv := strings.CutPrefix(c.Var, "env:"); isEnv {
+				cg, found = envLocality[name]
+			}
+			if !found || cg != g {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			local[g] = append(local[g], r)
+			continue
+		}
+		for _, c := range r.Conditions {
+			globalVars[c.Var] = true
+		}
+	}
+	return local, globalVars
+}
+
+// oldRuleEnvVars is a local's env scope as it stood: the "env:" names
+// of its rules' conditions, sorted and duplicate-free.
+func oldRuleEnvVars(rules []policy.Rule) []string {
+	var out []string
+	for _, r := range rules {
+		for _, c := range r.Conditions {
+			if name, ok := strings.CutPrefix(c.Var, "env:"); ok {
+				out = append(out, name)
+			}
+		}
+	}
+	sort.Strings(out)
+	return slices.Compact(out)
 }
 
 // oldVarInGroup is the recovery-scope test as it stood with one
 // referenced-variable map per partition, built at classification.
-func oldVarInGroup(h *Hierarchy, envLocality func(string) (int, bool)) func(varName string, group int) bool {
+func oldVarInGroup(part *Partitioning, rules []policy.Rule, envLocality map[string]int) func(varName string, group int) bool {
+	local, _ := oldClassify(rules, part, envLocality)
 	localRuleVars := map[int]map[string]bool{}
-	for _, r := range h.fsm.Rules() {
-		g := h.partitioning.GroupOf(r.Device)
-		local := g >= 0
-		for _, c := range r.Conditions {
-			var cg int
-			ok := false
-			if name, isDev := strings.CutPrefix(c.Var, "dev:"); isDev {
-				cg = h.partitioning.GroupOf(name)
-				ok = cg >= 0
-			} else if name, isEnv := strings.CutPrefix(c.Var, "env:"); isEnv {
-				cg, ok = envLocality(name)
-			}
-			if !ok || cg != g {
-				local = false
-				break
-			}
-		}
-		if local {
-			if localRuleVars[g] == nil {
-				localRuleVars[g] = map[string]bool{}
-			}
+	for g, rs := range local {
+		localRuleVars[g] = map[string]bool{}
+		for _, r := range rs {
 			for _, c := range r.Conditions {
 				localRuleVars[g][c.Var] = true
 			}
@@ -107,17 +161,93 @@ func oldVarInGroup(h *Hierarchy, envLocality func(string) (int, bool)) func(varN
 	}
 	return func(varName string, group int) bool {
 		if name, ok := strings.CutPrefix(varName, "dev:"); ok {
-			return h.partitioning.GroupOf(name) == group
+			return part.GroupOf(name) == group
 		}
 		if name, ok := strings.CutPrefix(varName, "env:"); ok {
 			if localRuleVars[group][varName] {
 				return true
 			}
 			if dev, ok := envVarReporter(name); ok {
-				return h.partitioning.GroupOf(dev) == group
+				return part.GroupOf(dev) == group
 			}
 		}
 		return false
+	}
+}
+
+// sameRules reports whether a compiled policy holds the rules' devices
+// and condition variables, in order.
+func sameRules(f *policy.FSM, rules []policy.Rule) bool {
+	if f.RuleCount() != len(rules) {
+		return false
+	}
+	for i, r := range rules {
+		if f.RuleDevice(i) != r.Device {
+			return false
+		}
+		var vars []string
+		f.EachVar(i, func(prefix, name string) bool {
+			vars = append(vars, prefix+name)
+			return true
+		})
+		for k, c := range r.Conditions {
+			if k >= len(vars) || vars[k] != c.Var {
+				return false
+			}
+		}
+		if len(vars) != len(r.Conditions) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestClassificationMatchesRuleSlices: over random hierarchies, some
+// with their rules in partition order so local rule sets are contiguous
+// and shared, the compiled classification delegates the same rules to
+// each partition as the []Rule path did, escalates the same variables,
+// gives each local the same env scope, and each local resolves the
+// postures an FSM over its old rule slice resolves.
+func TestClassificationMatchesRuleSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 60; trial++ {
+		fl := drawFleet(rng, 10+rng.Intn(40))
+		if trial%2 == 1 {
+			slices.SortStableFunc(fl.rules, func(a, b policy.Rule) int {
+				return fl.part.GroupOf(a.Device) - fl.part.GroupOf(b.Device)
+			})
+		}
+		h := fl.hierarchy()
+		wantLocal, wantGlobal := oldClassify(fl.rules, fl.part, fl.envLocality)
+		if !reflect.DeepEqual(h.globalVars, wantGlobal) {
+			t.Fatalf("trial %d: globalVars %v, want %v", trial, h.globalVars, wantGlobal)
+		}
+		if len(h.localRules) != len(wantLocal) || len(h.locals) != len(wantLocal) {
+			t.Fatalf("trial %d: %d local rule sets and %d locals, want %d", trial, len(h.localRules), len(h.locals), len(wantLocal))
+		}
+		for g, want := range wantLocal {
+			l := h.locals[g]
+			if !sameRules(h.localRules[g], want) || !sameRules(l.fsm, want) {
+				t.Fatalf("trial %d: partition %d's rules differ from the []Rule path's", trial, g)
+			}
+			scope := oldRuleEnvVars(want)
+			if !slices.Equal(l.View.env.scope, scope) || !slices.Equal(l.fsm.Domain.EnvVars(), scope) {
+				t.Fatalf("trial %d: local %d env scope %v (domain %v), want %v", trial, g, l.View.env.scope, l.fsm.Domain.EnvVars(), scope)
+			}
+			oldFSM := policy.NewFSM(fl.domain.Restrict(fl.part.Groups[g], scope), want...)
+			for k := 0; k < 5; k++ {
+				s := policy.NewState()
+				for _, dev := range fl.part.Groups[g] {
+					s.Contexts[dev] = []policy.SecurityContext{policy.ContextNormal, policy.ContextSuspicious}[rng.Intn(2)]
+				}
+				for _, v := range scope {
+					s.Env[v] = []string{"a", "b", "calm", "alarm"}[rng.Intn(4)]
+				}
+				if got, want := l.fsm.Lookup(s), oldFSM.Lookup(s); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: local %d Lookup(%s) = %v, want %v", trial, g, s, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -127,21 +257,15 @@ func oldVarInGroup(h *Hierarchy, envLocality func(string) (int, bool)) func(varN
 func TestVarInGroupMatchesLocalRuleVars(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
-		h, devs, envVars := randomHierarchy(rng, 10+rng.Intn(30))
-		locality := map[string]int{}
-		for g := range h.partitioning.Groups {
-			locality[fmt.Sprintf("zone_%d", g)] = g
-		}
-		for _, dev := range devs {
-			locality[dev+"_attr"] = h.partitioning.GroupOf(dev)
-		}
-		want := oldVarInGroup(h, func(name string) (int, bool) { g, ok := locality[name]; return g, ok })
+		fl := drawFleet(rng, 10+rng.Intn(30))
+		h := fl.hierarchy()
+		want := oldVarInGroup(fl.part, fl.rules, fl.envLocality)
 
 		vars := []string{"bogus", "env:", "dev:", "env:_x", "env:ghost_attr"}
-		for _, dev := range devs {
+		for _, dev := range fl.devs {
 			vars = append(vars, "dev:"+dev, "env:"+dev+"_other")
 		}
-		for _, v := range envVars {
+		for _, v := range fl.envVars {
 			vars = append(vars, "env:"+v)
 		}
 		for g := -1; g <= len(h.partitioning.Groups); g++ {
@@ -341,25 +465,38 @@ func TestCommitTimesBoundedAcrossRestore(t *testing.T) {
 	}
 }
 
-// TestLocalsShareRules: every local FSM holds its partition's retained
-// rule subset itself, not a copy, and a subset that is contiguous in
-// the policy is that stretch of the policy's own array.
-func TestLocalsShareRules(t *testing.T) {
+// compiledRules reads where a policy's compiled rule records start,
+// how many it holds, its capacity, and the size of one record.
+func compiledRules(f *policy.FSM) (data uintptr, n, c int, size uintptr) {
+	v := reflect.ValueOf(f).Elem().FieldByName("rules")
+	return v.Pointer(), v.Len(), v.Cap(), v.Type().Elem().Size()
+}
+
+// TestLocalsShareCompiledRules: every local FSM holds its partition's
+// retained rule subset itself, not a copy, and a subset that is
+// contiguous in the policy is that stretch of the policy's own
+// compiled records, capacity-clipped.
+func TestLocalsShareCompiledRules(t *testing.T) {
 	h, _ := buildFleetHierarchy(64, 8, nil)
-	all := h.fsm.Rules()
+	rootData, _, _, size := compiledRules(h.fsm)
 	for g, l := range h.locals {
-		rules := l.fsm.Rules()
-		if len(rules) == 0 || &rules[0] != &h.localRules[g][0] || cap(rules) != len(rules) {
+		data, n, c, _ := compiledRules(l.fsm)
+		retained, _, _, _ := compiledRules(h.localRules[g])
+		if n < 2 || data != retained || c != n {
 			t.Fatalf("local %d does not share its clipped rule subset", g)
 		}
-		i := sort.Search(len(all), func(i int) bool { return all[i].Device >= rules[0].Device })
-		if &rules[0] != &all[i] {
+		first := l.fsm.RuleDevice(0)
+		i := sort.Search(h.fsm.RuleCount(), func(i int) bool { return h.fsm.RuleDevice(i) >= first })
+		// A shared stretch starts one record early: the record before
+		// its first rule (or the policy's header) marks where that
+		// rule's conditions begin.
+		if data != rootData+uintptr(i)*size {
 			t.Fatalf("local %d copied a contiguous subset", g)
 		}
 	}
 
-	// Interleaved partitions cannot share the policy's array: each gets
-	// one exact copy, which its local shares.
+	// Interleaved partitions cannot share the policy's records: each
+	// gets one exact copy, which its local shares.
 	d := policy.NewDomain()
 	f := policy.NewFSM(d)
 	for _, dev := range []string{"a", "c", "b", "d"} {
@@ -374,9 +511,10 @@ func TestLocalsShareRules(t *testing.T) {
 	}
 	h = NewHierarchy(f, part, loc, nil)
 	for g, l := range h.locals {
-		rules := l.fsm.Rules()
-		if len(rules) != 2 || cap(rules) != 2 || &rules[0] != &h.localRules[g][0] {
-			t.Fatalf("local %d: %d rules (cap %d), shared = %v", g, len(rules), cap(rules), &rules[0] == &h.localRules[g][0])
+		data, n, c, _ := compiledRules(l.fsm)
+		retained, _, _, _ := compiledRules(h.localRules[g])
+		if l.fsm.RuleCount() != 2 || c != n || data != retained {
+			t.Fatalf("local %d: %d rules (%d records, cap %d), shared = %v", g, l.fsm.RuleCount(), n, c, data == retained)
 		}
 	}
 }
@@ -499,10 +637,9 @@ func TestPartitionMatchesStringUnionFind(t *testing.T) {
 }
 
 // fleetStateBudget is the live heap per device the benchmark's fleet
-// shape may hold: the figure measured when the local views, the
-// partitioning and the domain's device index stopped keying per-device
-// state by name, plus 20%.
-const fleetStateBudget = 1.2 * 496
+// shape may hold: the figure measured when the policy was compiled to
+// records over domain ordinals, plus 20%.
+const fleetStateBudget = 1.2 * 297
 
 // TestFleetStateBytesPerDevice builds the benchmark's fleet shape —
 // 64-device shards, one self rule per device, one cross-partition rule,

@@ -3,7 +3,6 @@ package controller
 import (
 	"context"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,10 +246,10 @@ type Hierarchy struct {
 	// resolve alone: events moving one escalate.
 	globalVars map[string]bool
 
-	// localRules holds each partition's delegated rule subset: the one
-	// copy its local FSM shares, and what a replacement local is rebuilt
-	// from after a failover.
-	localRules map[int][]policy.Rule
+	// localRules holds each partition's delegated rule subset, over the
+	// fleet domain: the compiled rules its local FSM shares, and what a
+	// replacement local is rebuilt from after a failover.
+	localRules map[int]*policy.FSM
 
 	locals map[int]*Local
 
@@ -310,7 +309,7 @@ func NewHierarchyWithGlobal(g *Global, fsm *policy.FSM, part *Partitioning, envL
 		fsm:          fsm,
 		sink:         sink,
 		globalVars:   make(map[string]bool),
-		localRules:   make(map[int][]policy.Rule),
+		localRules:   make(map[int]*policy.FSM),
 		locals:       make(map[int]*Local),
 		adopted:      make(map[int]int),
 	}
@@ -318,64 +317,57 @@ func NewHierarchyWithGlobal(g *Global, fsm *policy.FSM, part *Partitioning, envL
 	// means a rebuilt hierarchy replaces its predecessor's collector.
 	part.ExportTelemetry(nil, "hierarchy")
 
-	// Classify each rule: ruleGroup[i] is the partition rule i is
-	// delegated to, or -1 when it runs globally; runs[g] spans the
+	// Classify each compiled rule: ruleGroup[i] is the partition rule i
+	// is delegated to, or -1 when it runs globally; runs[g] spans the
 	// indices of partition g's rules.
-	rules := fsm.Rules()
-	ruleGroup := make([]int32, len(rules))
-	type span struct{ first, last, n int }
+	n := fsm.RuleCount()
+	ruleGroup := make([]int32, n)
+	type span struct{ first, last int }
 	runs := make(map[int]span)
-	varGroup := func(v string) (int, bool) {
-		if name, ok := strings.CutPrefix(v, "dev:"); ok {
-			g := part.GroupOf(name)
-			return g, g >= 0
+	var (
+		group int
+		local bool
+	)
+	inGroup := func(prefix, name string) bool {
+		switch prefix {
+		case "dev:":
+			local = part.GroupOf(name) == group
+		case "env:":
+			cg, ok := envLocality[name]
+			local = ok && cg == group
+		default:
+			local = false
 		}
-		if name, ok := strings.CutPrefix(v, "env:"); ok {
-			g, ok := envLocality[name]
-			return g, ok
-		}
-		return 0, false
+		return local
 	}
-	for i, r := range rules {
-		g := part.GroupOf(r.Device)
-		local := g >= 0
-		for _, c := range r.Conditions {
-			cg, ok := varGroup(c.Var)
-			if !ok || cg != g {
-				local = false
-				break
-			}
+	markGlobal := func(prefix, name string) bool {
+		h.globalVars[prefix+name] = true
+		return true
+	}
+	for i := 0; i < n; i++ {
+		group = part.GroupOf(fsm.RuleDevice(i))
+		local = group >= 0
+		if local {
+			fsm.EachVar(i, inGroup)
 		}
 		if local {
-			ruleGroup[i] = int32(g)
-			s, seen := runs[g]
+			ruleGroup[i] = int32(group)
+			s, seen := runs[group]
 			if !seen {
 				s.first = i
 			}
-			s.last, s.n = i, s.n+1
-			runs[g] = s
+			s.last = i
+			runs[group] = s
 		} else {
 			ruleGroup[i] = -1
-			for _, c := range r.Conditions {
-				h.globalVars[c.Var] = true
-			}
+			fsm.EachVar(i, markGlobal)
 		}
 	}
 	// A partition whose rules sit contiguously in the policy (one built
 	// device by device, in partition order) shares that stretch of the
-	// policy's own array, capacity-clipped; any other gets one copy.
-	contiguous := func(s span) bool { return s.last-s.first+1 == s.n }
+	// compiled rules; any other gets one copy.
 	for g, s := range runs {
-		if contiguous(s) {
-			h.localRules[g] = rules[s.first : s.last+1 : s.last+1]
-		} else {
-			h.localRules[g] = make([]policy.Rule, 0, s.n)
-		}
-	}
-	for i, g := range ruleGroup {
-		if g >= 0 && !contiguous(runs[int(g)]) {
-			h.localRules[int(g)] = append(h.localRules[int(g)], rules[i])
-		}
+		h.localRules[g] = fsm.Subset(fsm.Domain, s.first, s.last+1, func(i int) bool { return ruleGroup[i] == int32(g) })
 	}
 
 	for g := range h.localRules {
@@ -395,26 +387,29 @@ func (h *Hierarchy) newLocalFor(g int) *Local {
 	rules := h.localRules[g]
 	devs, envVars := policy.SortedSet(h.groupDevices(g)), ruleEnvVars(rules)
 	scope := h.fsm.Domain.Restrict(devs, envVars)
-	local := &Local{Group: g, reconciler: newReconciler(policy.NewFSM(scope, rules...), h.sink)}
+	fsm := rules.Subset(scope, 0, rules.RuleCount(), nil)
+	local := &Local{Group: g, reconciler: newReconciler(fsm, h.sink)}
 	local.View.contexts.scope, local.View.env.scope = devs, envVars
 	local.View.Observe(func(ctx context.Context, c ViewChange) { local.reconcile(ctx, c.Version) })
 	return local
 }
 
 // ruleEnvVars lists the env vars (without the "env:" prefix) the rules'
-// conditions name, sorted and duplicate-free.
-func ruleEnvVars(rules []policy.Rule) []string {
-	n := 0
-	for _, r := range rules {
-		n += len(r.Conditions)
+// conditions name, sorted and duplicate-free. The names are the
+// domain's own strings (nil rules: none).
+func ruleEnvVars(rules *policy.FSM) []string {
+	if rules == nil {
+		return nil
 	}
-	out := make([]string, 0, n)
-	for _, r := range rules {
-		for _, c := range r.Conditions {
-			if name, ok := strings.CutPrefix(c.Var, "env:"); ok {
-				out = append(out, name)
-			}
+	var out []string
+	collect := func(prefix, name string) bool {
+		if prefix == "env:" {
+			out = append(out, name)
 		}
+		return true
+	}
+	for i := 0; i < rules.RuleCount(); i++ {
+		rules.EachVar(i, collect)
 	}
 	slices.Sort(out)
 	return slices.Clip(slices.Compact(out))

@@ -14,7 +14,10 @@ import (
 
 // Store is the durable incident log: incidents are appended as NDJSON
 // lines to segment files (incidents-NNNNN.ndjson) under one
-// directory. Segments rotate at SegmentBytes; when the directory
+// directory. Durable means a sealed incident survives a crash of the
+// process, not a power loss: each line is written to the segment
+// before Put returns, but nothing calls fsync, so the operating system
+// may still hold it in its page cache. Segments rotate at SegmentBytes; when the directory
 // exceeds MaxBytes the oldest segments are deleted, newest history
 // wins — the same bounded-retention stance as the journal ring, but
 // sized for incidents (rare) rather than events (constant). A line
@@ -174,7 +177,9 @@ func (s *Store) openSegment(idx int) error {
 	return nil
 }
 
-// Put durably appends (or supersedes) one incident record.
+// Put durably appends (or supersedes) one incident record: once it
+// returns, the record survives a crash of the process, though not a
+// power loss (the segment is not fsynced).
 func (s *Store) Put(inc *Incident) error {
 	line, err := json.Marshal(inc)
 	if err != nil {

@@ -6,7 +6,8 @@ import (
 )
 
 // The pairwise conflict analysis: a reference the policy tests check
-// rule sets against. Nothing loads a policy through it yet.
+// rule sets against, in the caller's shape (the compiled policy keeps
+// no rule names). Nothing loads a policy through it yet.
 
 // Conflict reports two same-priority rules that can both match some
 // state yet assign the same device incompatible postures. (Merge
@@ -21,16 +22,16 @@ type Conflict struct {
 	Reason       string
 }
 
-// Conflicts analyzes all rule pairs.
-func (f *FSM) Conflicts() []Conflict {
+// conflicts analyzes all pairs of rules over d.
+func conflicts(d *Domain, rules ...Rule) []Conflict {
 	var out []Conflict
-	for i := 0; i < len(f.rules); i++ {
-		for j := i + 1; j < len(f.rules); j++ {
-			a, b := f.rules[i], f.rules[j]
+	for i := 0; i < len(rules); i++ {
+		for j := i + 1; j < len(rules); j++ {
+			a, b := rules[i], rules[j]
 			if a.Device != b.Device || a.Priority != b.Priority {
 				continue
 			}
-			ex, compatible := jointState(f.Domain, a, b)
+			ex, compatible := jointState(d, a, b)
 			if !compatible {
 				continue
 			}

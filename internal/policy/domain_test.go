@@ -151,24 +151,6 @@ func TestDomainValueListsAreSharedAndClipped(t *testing.T) {
 	}
 }
 
-// TestNewFSMAdoptsRules: NewFSM keeps the caller's rules without a copy,
-// and AddRule never writes into the caller's array.
-func TestNewFSMAdoptsRules(t *testing.T) {
-	backing := make([]Rule, 2, 8)
-	backing[0].Name, backing[1].Name = "r0", "r1"
-	f := NewFSM(NewDomain(), backing[:1]...)
-	if &f.Rules()[0] != &backing[0] {
-		t.Fatal("NewFSM copied the rules")
-	}
-	f.AddRule(Rule{Name: "added"})
-	if backing[1].Name != "r1" {
-		t.Fatalf("AddRule wrote into the caller's array: %q", backing[1].Name)
-	}
-	if got := len(f.Rules()); got != 2 {
-		t.Fatalf("rules = %d, want 2", got)
-	}
-}
-
 // TestDeviceOrdinals: a domain's ordinals are dense and in declaration
 // order, a re-declaration keeps the device's ordinal and takes its new
 // contexts, EachDevice walks in ordinal order, and in a restricted

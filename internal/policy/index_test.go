@@ -65,3 +65,46 @@ func TestDeviceIndexMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestEnvVarIndexMatchesMap declares environment variables in random
+// order, repeats with new levels included, and checks the domain's
+// env-var ordinals, levels and listing against the map they replaced.
+func TestEnvVarIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	levels := [][]string{nil, {"a", "b"}, {"lo", "mid", "hi"}}
+	for trial := 0; trial < 20; trial++ {
+		d := NewDomain()
+		oracle := map[string][]string{} // the old variable → levels map
+		var names []string              // by ordinal
+		universe := 1 + rng.Intn(2000)
+		for step := 0; step < 2*universe; step++ {
+			name := fmt.Sprintf("v%d", rng.Intn(universe))
+			lv := levels[rng.Intn(len(levels))]
+			d.AddEnvVar(name, lv...)
+			if _, ok := oracle[name]; !ok {
+				names = append(names, name)
+			}
+			oracle[name] = lv
+			probe := fmt.Sprintf("v%d", rng.Intn(universe))
+			if got, want := d.EnvLevels(probe), oracle[probe]; !slices.Equal(got, want) {
+				t.Fatalf("trial %d step %d: EnvLevels(%q) = %v, want %v", trial, step, probe, got, want)
+			}
+		}
+		if n := len(d.envIndex.slots); 2*len(oracle) > n {
+			t.Fatalf("trial %d: %d variables in %d slots, over half full", trial, len(oracle), n)
+		}
+		for ord, name := range names {
+			if got, ok := d.envIndex.lookup(d.envNames, name); !ok || int(got) != ord {
+				t.Fatalf("trial %d: ordinal of %q = %d %v, want %d", trial, name, got, ok, ord)
+			}
+		}
+		want := slices.Clone(names)
+		slices.Sort(want)
+		if got := d.EnvVars(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: EnvVars %v, want %v", trial, got, want)
+		}
+		if d.EnvLevels("absent") != nil {
+			t.Fatalf("trial %d: an undeclared variable has levels", trial)
+		}
+	}
+}

@@ -288,26 +288,23 @@ func TestConflictDetection(t *testing.T) {
 	d.AddEnvVar("occupancy", "away", "home")
 	d.AddEnvVar("smoke", "no", "yes")
 
-	f := NewFSM(d)
-	f.AddRule(Rule{
+	found := conflicts(d, Rule{
 		Name:       "block-on-away",
 		Conditions: []Condition{EnvIs("occupancy", "away")},
 		Device:     "oven",
 		Posture:    Posture{BlockCommands: []string{"ON"}},
 		Priority:   5,
-	})
-	f.AddRule(Rule{
+	}, Rule{
 		Name:       "allow-on-smoke-test",
 		Conditions: []Condition{EnvIs("smoke", "yes")},
 		Device:     "oven",
 		Posture:    Posture{Modules: []ModuleSpec{{Kind: "context-gate", Config: map[string]string{"allow": "ON"}}}},
 		Priority:   5,
 	})
-	conflicts := f.Conflicts()
-	if len(conflicts) != 1 {
-		t.Fatalf("conflicts = %v", conflicts)
+	if len(found) != 1 {
+		t.Fatalf("conflicts = %v", found)
 	}
-	c := conflicts[0]
+	c := found[0]
 	if c.Device != "oven" || !strings.Contains(c.Reason, "ON") {
 		t.Errorf("conflict = %+v", c)
 	}
@@ -317,28 +314,26 @@ func TestConflictDetection(t *testing.T) {
 	}
 
 	// Mutually exclusive conditions cannot conflict.
-	f2 := NewFSM(d)
-	f2.AddRule(Rule{
+	exclusive := conflicts(d, Rule{
 		Name:       "a",
 		Conditions: []Condition{EnvIs("occupancy", "away")},
 		Device:     "oven", Posture: Posture{BlockCommands: []string{"ON"}}, Priority: 5,
-	})
-	f2.AddRule(Rule{
+	}, Rule{
 		Name:       "b",
 		Conditions: []Condition{EnvIs("occupancy", "home")},
 		Device:     "oven",
 		Posture:    Posture{Modules: []ModuleSpec{{Kind: "context-gate", Config: map[string]string{"allow": "ON"}}}},
 		Priority:   5,
 	})
-	if got := f2.Conflicts(); len(got) != 0 {
+	if got := exclusive; len(got) != 0 {
 		t.Errorf("exclusive rules flagged: %v", got)
 	}
 
 	// Different priorities resolve, no conflict.
-	f3 := NewFSM(d)
-	f3.AddRule(Rule{Name: "lo", Device: "oven", Posture: Posture{Isolate: true}, Priority: 1})
-	f3.AddRule(Rule{Name: "hi", Device: "oven", Posture: Posture{}, Priority: 2})
-	if got := f3.Conflicts(); len(got) != 0 {
+	if got := conflicts(d,
+		Rule{Name: "lo", Device: "oven", Posture: Posture{Isolate: true}, Priority: 1},
+		Rule{Name: "hi", Device: "oven", Posture: Posture{}, Priority: 2},
+	); len(got) != 0 {
 		t.Errorf("prioritized rules flagged: %v", got)
 	}
 }

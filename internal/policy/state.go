@@ -45,12 +45,15 @@ const (
 // that callers may key per-device slices by. A device takes the next
 // ordinal when first declared and keeps it when declared again; in a
 // restricted domain, a device's ordinal is its position in the sorted
-// scope.
+// scope. Environment variables get ordinals the same way, for the
+// policy's compiled conditions to point at.
 type Domain struct {
-	devices     nameIndex         // device → ordinal, over deviceNames
-	deviceNames []string          // ordinal → device
-	deviceCtx   []uint32          // ordinal → index into contexts
-	envVars     map[string]uint32 // variable → index into levels
+	devices     nameIndex // device → ordinal, over deviceNames
+	deviceNames []string  // ordinal → device
+	deviceCtx   []uint32  // ordinal → index into contexts
+	envIndex    nameIndex // variable → ordinal, over envNames
+	envNames    []string  // ordinal → variable
+	envLevels   []uint32  // ordinal → index into levels
 	contexts    valueLists[SecurityContext]
 	levels      valueLists[string]
 
@@ -66,9 +69,7 @@ type Domain struct {
 var defaultContexts = []SecurityContext{ContextNormal, ContextSuspicious, ContextCompromised}
 
 // NewDomain returns an empty domain.
-func NewDomain() *Domain {
-	return &Domain{envVars: make(map[string]uint32)}
-}
+func NewDomain() *Domain { return &Domain{} }
 
 // Restrict returns a read-only domain declaring only the named devices
 // and environment variables, each with the values d gives it. A device
@@ -125,7 +126,23 @@ func (d *Domain) AddEnvVar(name string, levels ...string) {
 	if d.parent != nil {
 		panic("policy: AddEnvVar on a restricted domain")
 	}
-	d.envVars[name] = d.levels.intern(levels)
+	lv := d.levels.intern(levels)
+	if ord, ok := d.envIndex.lookup(d.envNames, name); ok {
+		d.envLevels[ord] = lv
+		return
+	}
+	d.envNames = append(d.envNames, name)
+	d.envLevels = append(d.envLevels, lv)
+	d.envIndex.add(d.envNames)
+}
+
+// root is the domain whose ordinals d's names resolve to: d itself, or
+// the full domain a restricted one reads from.
+func (d *Domain) root() *Domain {
+	for d.parent != nil {
+		d = d.parent
+	}
+	return d
 }
 
 // EachDevice calls fn with every declared device and its ordinal, in
@@ -154,18 +171,14 @@ func (d *Domain) DeviceOrdinal(name string) (int, bool) {
 	return int(ord), ok
 }
 
-// eachEnvVar calls fn with every declared environment variable, in no
-// fixed order.
-func (d *Domain) eachEnvVar(fn func(name string)) {
+// envVarNames lists the declared environment variables: by ordinal in
+// a full domain, sorted in a restricted one. The slice is the domain's
+// own: read it, do not modify it.
+func (d *Domain) envVarNames() []string {
 	if d.parent != nil {
-		for _, name := range d.scopeEnvVars {
-			fn(name)
-		}
-		return
+		return d.scopeEnvVars
 	}
-	for name := range d.envVars {
-		fn(name)
-	}
+	return d.envNames
 }
 
 // DeviceCount reports how many devices the domain declares; their
@@ -183,8 +196,7 @@ func (d *Domain) Devices() []string {
 
 // EnvVars lists declared environment variables, sorted.
 func (d *Domain) EnvVars() []string {
-	out := make([]string, 0)
-	d.eachEnvVar(func(name string) { out = append(out, name) })
+	out := append(make([]string, 0), d.envVarNames()...)
 	sort.Strings(out)
 	return out
 }
@@ -220,11 +232,11 @@ func (d *Domain) EnvLevels(name string) []string {
 		}
 		return d.parent.EnvLevels(name)
 	}
-	i, ok := d.envVars[name]
+	ord, ok := d.envIndex.lookup(d.envNames, name)
 	if !ok {
 		return nil
 	}
-	return d.levels.lists[i]
+	return d.levels.lists[d.envLevels[ord]]
 }
 
 // StateCount is the size of the full product space |S| = ∏|Ci|×∏|Ej| —
@@ -234,7 +246,9 @@ func (d *Domain) StateCount() float64 {
 	for _, name := range d.names() {
 		count *= float64(len(d.DeviceContexts(name)))
 	}
-	d.eachEnvVar(func(name string) { count *= float64(len(d.EnvLevels(name))) })
+	for _, name := range d.envVarNames() {
+		count *= float64(len(d.EnvLevels(name)))
+	}
 	return count
 }
 
@@ -326,11 +340,11 @@ func (d *Domain) defaultState() State {
 			s.Contexts[dev] = ctxs[0]
 		}
 	}
-	d.eachEnvVar(func(v string) {
+	for _, v := range d.envVarNames() {
 		if levels := d.EnvLevels(v); len(levels) > 0 {
 			s.Env[v] = levels[0]
 		}
-	})
+	}
 	return s
 }
 

@@ -3,8 +3,8 @@ package controller
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,40 +13,44 @@ import (
 	"iotsec/internal/telemetry"
 )
 
-// Rollup section names shared by every shard-level producer (local
-// controllers, the core platform's self-report) and the fleet
-// aggregator. Keeping them constants means a shard and its aggregator
-// can never drift on naming.
-const (
-	// Counters (monotonic deltas).
-	RollupEvents      = "events_total"
-	RollupEscalations = "escalations_total"
-	RollupViolations  = "violations_total"
-	// Histograms (bucket deltas).
-	RollupMTTR = "mttr_e2e_seconds"
-	// TopK summaries (cumulative snapshots).
-	RollupTopProducers = "top_producers"
-	RollupTopViolators = "top_violators"
-	RollupTopMTTR      = "top_mttr_contributors"
-	// Gauges (instantaneous).
-	RollupDevices = "devices"
-	RollupHealthy = "healthy"
-	// Per-SKU device gauges use this prefix: "devices_sku:<sku>".
-	RollupSKUPrefix = "devices_sku:"
-)
-
 // FleetTopKCapacity is the per-dimension cardinality budget: a shard
 // never exports more than this many per-device series per dimension,
 // and the fleet view never carries more than this many after merging —
 // regardless of fleet size.
 const FleetTopKCapacity = 16
 
+// ShardReport is what one shard ships up the hierarchy: a cumulative
+// snapshot of its telemetry, so a lost report loses nothing (the next
+// carries the totals) and a repeated one is dropped by Seq. Sources
+// never reset their counts: ShardStats lives as long as its hierarchy,
+// and the platform's self-report reads process-wide counters.
+type ShardReport struct {
+	// Source names the shard ("shard-003", "gateway"); the aggregator
+	// keys state by it.
+	Source string
+	// Seq increases by one per report taken from this source.
+	Seq uint64
+	// TakenAt is the source's clock at snapshot time.
+	TakenAt time.Time
+
+	Events      uint64
+	Escalations uint64
+	Violations  uint64
+	MTTR        telemetry.HistogramRollup
+
+	Devices    int
+	SKUDevices map[string]int
+
+	TopProducers telemetry.TopKRollup
+	TopViolators telemetry.TopKRollup
+	TopMTTR      telemetry.TopKRollup
+}
+
 // ShardStats is the bounded-cardinality telemetry one local
-// controller (or any shard-like reporting source) accumulates and
-// exports up the hierarchy as rollup deltas. The write paths are a
-// counter add plus a TopK offer (one uncontended per-shard mutex);
-// per-device dimensions are capped at FleetTopKCapacity keys via
-// space-saving summaries, so shard telemetry stays O(1) in device
+// controller accumulates and reports up the hierarchy. The write paths
+// are a counter add plus a TopK offer (one uncontended per-shard
+// mutex); per-device dimensions are capped at FleetTopKCapacity keys
+// via space-saving summaries, so shard telemetry stays O(1) in device
 // count.
 type ShardStats struct {
 	source string
@@ -60,33 +64,22 @@ type ShardStats struct {
 
 	devices atomic.Int64
 
-	builder *telemetry.RollupBuilder
+	// mu orders report sequence numbers with the snapshots they carry,
+	// so a higher Seq never holds smaller totals.
+	mu  sync.Mutex
+	seq uint64
 }
 
-// NewShardStats builds stats for one reporting source. bounds are the
-// MTTR histogram bounds (nil = telemetry.LatencyBuckets); every shard
-// reporting to one aggregator must use the same bounds or its
-// histogram merges will be rejected.
-func NewShardStats(source string, bounds []float64) *ShardStats {
-	s := &ShardStats{
+// NewShardStats builds stats for one reporting source, with the MTTR
+// histogram on telemetry.LatencyBuckets.
+func NewShardStats(source string) *ShardStats {
+	return &ShardStats{
 		source:       source,
-		e2e:          telemetry.NewStandaloneHistogram(bounds),
+		e2e:          telemetry.NewStandaloneHistogram(nil),
 		topProducers: telemetry.NewStandaloneTopK(FleetTopKCapacity),
 		topMTTR:      telemetry.NewStandaloneTopK(FleetTopKCapacity),
 	}
-	s.builder = telemetry.NewRollupBuilder(source).
-		AddCounter(RollupEvents, &s.events).
-		AddCounter(RollupEscalations, &s.escalations).
-		AddHistogram(RollupMTTR, s.e2e).
-		AddTopK(RollupTopProducers, s.topProducers).
-		AddTopK(RollupTopMTTR, s.topMTTR).
-		AddGauge(RollupDevices, func() float64 { return float64(s.devices.Load()) }).
-		AddGauge(RollupHealthy, func() float64 { return 1 })
-	return s
 }
-
-// Source reports the shard name.
-func (s *ShardStats) Source() string { return s.source }
 
 // RecordEvent counts one handled event from a device (hot path: one
 // atomic add + one per-shard TopK offer).
@@ -109,25 +102,39 @@ func (s *ShardStats) ObserveE2E(device string, seconds float64) {
 	}
 }
 
-// E2E exposes the live MTTR histogram (for direct-vs-merged
-// validation and local quantile checks).
-func (s *ShardStats) E2E() *telemetry.Histogram { return s.e2e }
-
 // SetDevices records the shard's device count.
 func (s *ShardStats) SetDevices(n int) { s.devices.Store(int64(n)) }
 
-// Rollup exports the delta since the previous Rollup (single-consumer;
-// the rollup plane's pusher goroutine is that consumer).
-func (s *ShardStats) Rollup(now time.Time) telemetry.Rollup { return s.builder.Take(now) }
+// Rollup snapshots the shard's cumulative report. Safe to call
+// concurrently: each call takes the next Seq.
+func (s *ShardStats) Rollup(now time.Time) ShardReport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	return ShardReport{
+		Source:       s.source,
+		Seq:          s.seq,
+		TakenAt:      now,
+		Events:       s.events.Value(),
+		Escalations:  s.escalations.Value(),
+		MTTR:         s.e2e.Rollup(),
+		Devices:      int(s.devices.Load()),
+		TopProducers: s.topProducers.Snapshot(),
+		TopMTTR:      s.topMTTR.Snapshot(),
+	}
+}
 
 // --- fleet aggregation ---
 
 // shardAgg is the aggregator's per-source state.
 type shardAgg struct {
-	lastSeq    uint64
-	lastSeen   time.Time
-	lastWindow float64
-	lastEvents uint64 // events delta in the last applied rollup
+	last     ShardReport // latest applied report; Seq 0 until one lands
+	lastSeen time.Time
+
+	// prevEvents and prevTakenAt come from the report before last: the
+	// event rate is the step between the two.
+	prevEvents  uint64
+	prevTakenAt time.Time
 
 	// Failover surfacing: set by the supervisor when the shard's local
 	// controller died and its partition was re-homed. Explicit state —
@@ -135,19 +142,14 @@ type shardAgg struct {
 	failedOver  bool
 	rehomedTo   string
 	recoveredAt time.Time
-
-	counters map[string]uint64
-	gauges   map[string]float64
-	hists    map[string]telemetry.HistogramRollup
-	topk     map[string]telemetry.TopKRollup
 }
 
-// FleetAggregator merges shard rollups into the fleet view (§5.1's
-// global controller role for telemetry): cumulative counters and
-// histograms per shard, mergeable across shards at read time, with
-// staleness tracking — a shard that stops reporting is *surfaced* as
-// stale (and excluded from instantaneous rates) rather than silently
-// dropped from cumulative aggregates.
+// FleetAggregator merges shard reports into the fleet view (§5.1's
+// global controller role for telemetry): the latest cumulative report
+// per shard, merged across shards at read time, with staleness
+// tracking — a shard that stops reporting is *surfaced* as stale (and
+// excluded from instantaneous rates) rather than silently dropped
+// from cumulative aggregates.
 type FleetAggregator struct {
 	staleAfter time.Duration
 	now        func() time.Time
@@ -155,9 +157,9 @@ type FleetAggregator struct {
 	mu     sync.Mutex
 	shards map[string]*shardAgg
 
-	// Incident plane (fleet_incidents.go), attached on first use.
-	incOnce sync.Once
-	inc     *fleetIncidents
+	// Live incident sources by shard (fleet_incidents.go).
+	incMu      sync.Mutex
+	incSources map[string]IncidentSource
 
 	reports     atomic.Uint64
 	dupReports  atomic.Uint64
@@ -181,78 +183,52 @@ func NewFleetAggregator(staleAfter time.Duration) *FleetAggregator {
 	}
 }
 
-// newShardAgg builds an empty shard row.
-func newShardAgg() *shardAgg {
-	return &shardAgg{
-		counters: make(map[string]uint64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]telemetry.HistogramRollup),
-		topk:     make(map[string]telemetry.TopKRollup),
-	}
-}
-
 // shardLocked returns source's row, creating it on first sight.
 // Caller holds f.mu.
 func (f *FleetAggregator) shardLocked(source string) *shardAgg {
 	sh := f.shards[source]
 	if sh == nil {
-		sh = newShardAgg()
+		sh = &shardAgg{}
 		f.shards[source] = sh
 	}
 	return sh
 }
 
-// Report merges one shard rollup. Rollups must arrive per-source in
-// sequence order; a rollup whose Seq is not greater than the last
-// applied one from the same source is dropped (idempotent re-push). A
-// histogram bounds mismatch errors and skips that histogram without
-// corrupting the merged state.
-func (f *FleetAggregator) Report(r telemetry.Rollup) error {
+// Report applies one shard report. A report whose Seq is not greater
+// than the last applied one from the same source is dropped (a retry,
+// or an older snapshot overtaken by a newer one). An MTTR histogram
+// whose bounds differ from the shard's earlier ones is rejected with
+// an error, and the shard keeps its previous MTTR; the rest of the
+// report still applies.
+func (f *FleetAggregator) Report(r ShardReport) error {
 	if r.Source == "" {
-		return fmt.Errorf("controller: fleet rollup without a source")
+		return fmt.Errorf("controller: fleet report without a source")
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sh := f.shardLocked(r.Source)
-	if r.Seq <= sh.lastSeq {
+	if r.Seq <= sh.last.Seq {
 		f.dupReports.Add(1)
 		return nil
 	}
 	f.reports.Add(1)
-	sh.lastSeq = r.Seq
+	var err error
+	if prev := sh.last.MTTR; len(prev.Bounds) > 0 && !slices.Equal(prev.Bounds, r.MTTR.Bounds) {
+		f.mergeErrors.Add(1)
+		err = fmt.Errorf("controller: fleet report from %s: MTTR bounds mismatch (%v vs %v)", r.Source, prev.Bounds, r.MTTR.Bounds)
+		r.MTTR = prev
+	}
+	sh.prevEvents, sh.prevTakenAt = sh.last.Events, sh.last.TakenAt
+	sh.last = r
 	sh.lastSeen = f.now()
-	sh.lastWindow = r.WindowSeconds
-	sh.lastEvents = r.Counters[RollupEvents]
-
-	for name, d := range r.Counters {
-		sh.counters[name] += d
-	}
-	for name, v := range r.Gauges {
-		sh.gauges[name] = v
-	}
-	for name, t := range r.TopK {
-		sh.topk[name] = t
-	}
-	var firstErr error
-	for name, hr := range r.Histograms {
-		cur := sh.hists[name]
-		if err := cur.Merge(hr); err != nil {
-			f.mergeErrors.Add(1)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("controller: fleet rollup from %s: %s: %w", r.Source, name, err)
-			}
-			continue
-		}
-		sh.hists[name] = cur
-	}
-	return firstErr
+	return err
 }
 
 // SetShardFailover marks a shard as failed over and re-homed: the
 // supervisor calls it at recovery-complete so /debug/fleet and mboxctl
 // fleet show FAILED-OVER / RE-HOMED-TO state explicitly instead of
 // letting the shard quietly go STALE. Creates the shard row if it never
-// reported (a controller can die before its first rollup); lastSeen is
+// reported (a controller can die before its first report); lastSeen is
 // deliberately NOT touched — staleness keeps tracking real reporting.
 func (f *FleetAggregator) SetShardFailover(source, rehomedTo string, at time.Time) {
 	f.mu.Lock()
@@ -349,18 +325,19 @@ func (f *FleetAggregator) View() FleetView {
 	sort.Strings(names)
 	for _, name := range names {
 		sh := f.shards[name]
+		r := &sh.last
 		age := now.Sub(sh.lastSeen)
 		sum := ShardSummary{
 			Source:      name,
-			LastSeq:     sh.lastSeq,
+			LastSeq:     r.Seq,
 			AgeSeconds:  age.Seconds(),
 			Stale:       age > f.staleAfter,
-			Healthy:     sh.gauges[RollupHealthy] != 0,
-			Devices:     sh.gauges[RollupDevices],
-			Events:      sh.counters[RollupEvents],
-			Escalations: sh.counters[RollupEscalations],
-			Violations:  sh.counters[RollupViolations],
-			MTTR:        quantilesOf(sh.hists[RollupMTTR]),
+			Healthy:     r.Seq > 0,
+			Devices:     float64(r.Devices),
+			Events:      r.Events,
+			Escalations: r.Escalations,
+			Violations:  r.Violations,
+			MTTR:        quantilesOf(r.MTTR),
 		}
 		if sh.failedOver {
 			sum.FailedOver = true
@@ -369,17 +346,15 @@ func (f *FleetAggregator) View() FleetView {
 			sum.RecoveredAt = &t
 			out.Fleet.FailedOverShards++
 		}
-		if sh.lastWindow > 0 && !sum.Stale {
-			sum.EventsPerSec = float64(sh.lastEvents) / sh.lastWindow
+		if window := r.TakenAt.Sub(sh.prevTakenAt).Seconds(); !sh.prevTakenAt.IsZero() && window > 0 && !sum.Stale {
+			sum.EventsPerSec = float64(r.Events-sh.prevEvents) / window
 		}
-		for g, v := range sh.gauges {
-			if sku, ok := strings.CutPrefix(g, RollupSKUPrefix); ok {
-				if sum.SKUDevices == nil {
-					sum.SKUDevices = make(map[string]float64)
-				}
-				sum.SKUDevices[sku] = v
-				skuTotals[sku] += v
+		for sku, n := range r.SKUDevices {
+			if sum.SKUDevices == nil {
+				sum.SKUDevices = make(map[string]float64, len(r.SKUDevices))
 			}
+			sum.SKUDevices[sku] = float64(n)
+			skuTotals[sku] += float64(n)
 		}
 		out.Shards = append(out.Shards, sum)
 
@@ -391,20 +366,15 @@ func (f *FleetAggregator) View() FleetView {
 		if sum.Stale {
 			out.Fleet.StaleShards++
 		}
-		if h, ok := sh.hists[RollupMTTR]; ok {
-			// Bounds were vetted at Report time; a residual mismatch here
-			// would have been counted there.
-			_ = mergedMTTR.Merge(h)
+		if len(r.MTTR.Bounds) > 0 {
+			// A shard's bounds were vetted against its own earlier
+			// reports; a shard on other bounds than the first merged one
+			// is left out here.
+			_ = mergedMTTR.Merge(r.MTTR)
 		}
-		if t, ok := sh.topk[RollupTopProducers]; ok {
-			producers = append(producers, t)
-		}
-		if t, ok := sh.topk[RollupTopViolators]; ok {
-			violators = append(violators, t)
-		}
-		if t, ok := sh.topk[RollupTopMTTR]; ok {
-			contributors = append(contributors, t)
-		}
+		producers = append(producers, r.TopProducers)
+		violators = append(violators, r.TopViolators)
+		contributors = append(contributors, r.TopMTTR)
 	}
 	out.Fleet.Shards = len(out.Shards)
 	if len(skuTotals) > 0 {
@@ -503,7 +473,7 @@ func (h *Hierarchy) EnableFleetStats() map[int]*ShardStats {
 	}
 	byGroup := make(map[int]*ShardStats, len(h.locals))
 	for g := range h.locals {
-		s := NewShardStats(fmt.Sprintf("shard-%03d", g), nil)
+		s := NewShardStats(fmt.Sprintf("shard-%03d", g))
 		s.SetDevices(len(h.partitioning.Groups[g]))
 		byGroup[g] = s
 	}
@@ -530,38 +500,26 @@ func (h *Hierarchy) recordShardEvent(group int, device string, escalated bool) {
 	}
 }
 
-// FleetRollupPlane periodically pushes every shard's rollup delta up
-// to a fleet aggregator — the hierarchical transport of the telemetry
-// plane. One resilience.Loop serves all shards (rollup extraction is
-// a snapshot fold, far off the event hot path).
+// FleetRollupPlane periodically pushes every shard's report up to a
+// fleet aggregator — the hierarchical transport of the telemetry plane.
+// One resilience.Loop serves all shards (a report is a snapshot fold,
+// far off the event hot path).
 type FleetRollupPlane struct {
 	agg   *FleetAggregator
 	stats []*ShardStats
 
-	// incidents, when attached, has its digests pushed with every
-	// rollup flush (the incident side-channel of the shard report).
-	incidents atomic.Pointer[incidentFeed]
-
 	loop resilience.Loop
 }
 
-// incidentFeed pairs an incident source with its reporting name.
-type incidentFeed struct {
-	source string
-	src    IncidentSource
-}
-
-// AttachIncidents registers src as this plane's incident feed: the
-// aggregator gets the live pull handle immediately, and every flush
-// pushes the current digest set alongside the shard rollups.
+// AttachIncidents registers src with the aggregator as the live
+// incident source named source.
 func (p *FleetRollupPlane) AttachIncidents(source string, src IncidentSource) {
-	p.incidents.Store(&incidentFeed{source: source, src: src})
 	p.agg.AttachIncidentSource(source, src)
 }
 
 // StartFleetRollups enables shard stats (if not already) and starts
-// pushing rollup deltas to agg every interval (default 1s). Stop
-// flushes one final rollup so short-lived runs lose nothing.
+// pushing shard reports to agg every interval (default 1s). Stop
+// flushes one final report so short-lived runs lose nothing.
 func (h *Hierarchy) StartFleetRollups(agg *FleetAggregator, interval time.Duration) *FleetRollupPlane {
 	if interval <= 0 {
 		interval = time.Second
@@ -581,20 +539,18 @@ func (h *Hierarchy) StartFleetRollups(agg *FleetAggregator, interval time.Durati
 	return p
 }
 
-// Flush pushes one rollup per shard immediately (plus the incident
-// digests when a feed is attached).
+// Flush pushes one report per shard immediately. Safe beside the
+// plane's own loop: an older snapshot that lands second is dropped,
+// and the newer one already carries its counts.
 func (p *FleetRollupPlane) Flush() {
 	now := time.Now()
 	for _, s := range p.stats {
 		_ = p.agg.Report(s.Rollup(now))
 	}
-	if feed := p.incidents.Load(); feed != nil {
-		p.agg.ReportIncidents(feed.source, feed.src.Digests())
-	}
 }
 
-// Stop halts the pusher, then flushes one final rollup (a repeated Stop
-// pushes one more, empty, delta).
+// Stop halts the pusher, then flushes one final report (a repeated
+// Stop pushes the same totals again under a new Seq).
 func (p *FleetRollupPlane) Stop() {
 	p.loop.Stop()
 	p.Flush()

@@ -1,9 +1,9 @@
 package controller
 
 import (
+	"maps"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"iotsec/internal/forensics"
@@ -11,75 +11,41 @@ import (
 	"iotsec/internal/telemetry"
 )
 
-// IncidentSource is what a shard exposes to the fleet incident plane:
-// its incident digests (pushed alongside rollups) and, on demand, the
-// full per-shard event set for one trace (pulled during cross-shard
+// IncidentSource is what a shard exposes to the fleet incident plane,
+// read live by the aggregator: its incident digests, and the full
+// per-shard event set for one trace (pulled during cross-shard
 // assembly). forensics.Capturer implements it.
 type IncidentSource interface {
 	Digests() []forensics.Digest
 	TraceEvents(traceID uint64) []journal.Event
 }
 
-// fleetIncidents is the aggregator's incident-plane state, attached
-// lazily so aggregators that never see incidents pay nothing.
-type fleetIncidents struct {
-	mu      sync.Mutex
-	digests map[string][]forensics.Digest // by source: last pushed set
-	sources map[string]IncidentSource     // by source: live pull handle
-}
-
-func (f *FleetAggregator) incidents() *fleetIncidents {
-	f.incOnce.Do(func() {
-		f.inc = &fleetIncidents{
-			digests: make(map[string][]forensics.Digest),
-			sources: make(map[string]IncidentSource),
-		}
-	})
-	return f.inc
-}
-
-// AttachIncidentSource registers a shard's live incident feed for
-// pull-based timeline assembly (and digest listing when the shard
-// has not pushed yet).
+// AttachIncidentSource registers a shard's live incident feed, read
+// for digest listing and for timeline assembly.
 func (f *FleetAggregator) AttachIncidentSource(source string, src IncidentSource) {
-	in := f.incidents()
-	in.mu.Lock()
-	in.sources[source] = src
-	in.mu.Unlock()
+	f.incMu.Lock()
+	defer f.incMu.Unlock()
+	if f.incSources == nil {
+		f.incSources = make(map[string]IncidentSource)
+	}
+	f.incSources[source] = src
 }
 
-// ReportIncidents replaces one shard's pushed digest set — the
-// incident side-channel of the shard rollup push.
-func (f *FleetAggregator) ReportIncidents(source string, digests []forensics.Digest) {
-	in := f.incidents()
-	in.mu.Lock()
-	in.digests[source] = append([]forensics.Digest(nil), digests...)
-	in.mu.Unlock()
+// liveSources copies the attached sources out from under the lock.
+func (f *FleetAggregator) liveSources() map[string]IncidentSource {
+	f.incMu.Lock()
+	defer f.incMu.Unlock()
+	return maps.Clone(f.incSources)
 }
 
-// FleetIncidents merges every shard's digests into the fleet view,
-// newest-opened first. A shard with a live source is read live;
-// otherwise its last pushed set is used. The same incident captured
-// by two shards (one chain, two journals) surfaces once per shard —
-// the shard column is part of the story.
+// FleetIncidents merges every shard's live digests into the fleet
+// view, newest-opened first. The same incident captured by two shards
+// (one chain, two journals) surfaces once per shard — the shard
+// column is part of the story.
 func (f *FleetAggregator) FleetIncidents() []forensics.Digest {
-	in := f.incidents()
-	in.mu.Lock()
-	merged := make(map[string][]forensics.Digest, len(in.digests)+len(in.sources))
-	for src, ds := range in.digests {
-		merged[src] = ds
-	}
-	live := make(map[string]IncidentSource, len(in.sources))
-	for src, s := range in.sources {
-		live[src] = s
-	}
-	in.mu.Unlock()
-	for src, s := range live {
-		merged[src] = s.Digests()
-	}
 	var out []forensics.Digest
-	for src, ds := range merged {
-		for _, d := range ds {
+	for src, s := range f.liveSources() {
+		for _, d := range s.Digests() {
 			if d.Shard == "" {
 				d.Shard = src
 			}
@@ -104,13 +70,7 @@ func (f *FleetAggregator) FleetIncidents() []forensics.Digest {
 // spans the dead shard's capture and the survivor's journal; here it
 // becomes one record).
 func (f *FleetAggregator) AssembleTimeline(traceID uint64) *forensics.FleetTimeline {
-	in := f.incidents()
-	in.mu.Lock()
-	live := make(map[string]IncidentSource, len(in.sources))
-	for src, s := range in.sources {
-		live[src] = s
-	}
-	in.mu.Unlock()
+	live := f.liveSources()
 	byShard := make(map[string][]journal.Event, len(live))
 	for src, s := range live {
 		if events := s.TraceEvents(traceID); len(events) > 0 {

@@ -21,20 +21,16 @@ func (f *fakeIncidentSource) TraceEvents(traceID uint64) []journal.Event {
 	return f.events[traceID]
 }
 
-// TestFleetIncidentsMergesPushAndPull: pushed digest sets and live
-// sources merge into one fleet view, live winning per shard, shard
-// names stamped, newest-opened first.
-func TestFleetIncidentsMergesPushAndPull(t *testing.T) {
+// TestFleetIncidentsMergesLiveSources: every shard's live source
+// merges into one fleet view, shard names stamped, newest-opened
+// first.
+func TestFleetIncidentsMergesLiveSources(t *testing.T) {
 	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	agg := NewFleetAggregator(0)
-
-	// shard-a: push-only (a remote shard between rollup flushes).
-	agg.ReportIncidents("shard-a", []forensics.Digest{
-		{ID: forensics.IncidentID(1), TraceID: 1, Kind: forensics.KindAnomaly, OpenedAt: base},
-	})
-	// shard-b: live source; its push is stale and must be superseded.
-	agg.ReportIncidents("shard-b", []forensics.Digest{
-		{ID: forensics.IncidentID(9), TraceID: 9, Kind: forensics.KindAnomaly, OpenedAt: base},
+	agg.AttachIncidentSource("shard-a", &fakeIncidentSource{
+		digests: []forensics.Digest{
+			{ID: forensics.IncidentID(1), TraceID: 1, Kind: forensics.KindAnomaly, OpenedAt: base},
+		},
 	})
 	agg.AttachIncidentSource("shard-b", &fakeIncidentSource{
 		digests: []forensics.Digest{
@@ -44,18 +40,13 @@ func TestFleetIncidentsMergesPushAndPull(t *testing.T) {
 
 	ds := agg.FleetIncidents()
 	if len(ds) != 2 {
-		t.Fatalf("fleet view has %d incidents, want 2 (live supersedes shard-b's stale push)", len(ds))
+		t.Fatalf("fleet view has %d incidents, want 2", len(ds))
 	}
 	if ds[0].ID != forensics.IncidentID(2) {
 		t.Fatalf("first incident %s, want the newest-opened", ds[0].ID)
 	}
 	if ds[0].Shard != "shard-b" || ds[1].Shard != "shard-a" {
 		t.Fatalf("shard stamps wrong: %s/%s", ds[0].Shard, ds[1].Shard)
-	}
-	for _, d := range ds {
-		if d.TraceID == 9 {
-			t.Fatal("stale pushed digest survived a live source")
-		}
 	}
 }
 

@@ -3,6 +3,8 @@ package controller
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,7 +56,7 @@ func buildFleetHierarchy(n, shardSize int, sink PostureSink, extra ...policy.Rul
 	return NewHierarchy(f, part, envLocality, sink), devs
 }
 
-// TestFleetAggregatorMergeAndStaleness: shard rollups merge into the
+// TestFleetAggregatorMergeAndStaleness: shard reports merge into the
 // fleet view; a shard that stops reporting surfaces as stale, keeps
 // its cumulative totals, and only drops out of the event rate.
 func TestFleetAggregatorMergeAndStaleness(t *testing.T) {
@@ -62,8 +64,8 @@ func TestFleetAggregatorMergeAndStaleness(t *testing.T) {
 	now := time.Unix(1000, 0)
 	agg.now = func() time.Time { return now }
 
-	a := NewShardStats("shard-a", nil)
-	b := NewShardStats("shard-b", nil)
+	a := NewShardStats("shard-a")
+	b := NewShardStats("shard-b")
 	a.SetDevices(3)
 	b.SetDevices(2)
 	for i := 0; i < 10; i++ {
@@ -74,14 +76,14 @@ func TestFleetAggregatorMergeAndStaleness(t *testing.T) {
 	b.RecordEvent("dev-b1")
 	b.ObserveE2E("dev-b1", 0.5)
 
-	// Per-SKU gauges and violations come from other producers (the
+	// Per-SKU counts and violations come from other producers (the
 	// platform's self-report); the aggregator merges them from any
-	// rollup.
+	// report.
 	ra, rb := a.Rollup(now), b.Rollup(now)
-	ra.Gauges[RollupSKUPrefix+"cam-v1"], ra.Gauges[RollupSKUPrefix+"plug-v2"] = 2, 1
-	rb.Gauges[RollupSKUPrefix+"cam-v1"] = 2
-	rb.Counters[RollupViolations] = 1
-	rb.TopK[RollupTopViolators] = telemetry.TopKRollup{K: FleetTopKCapacity, Offers: 1,
+	ra.SKUDevices = map[string]int{"cam-v1": 2, "plug-v2": 1}
+	rb.SKUDevices = map[string]int{"cam-v1": 2}
+	rb.Violations = 1
+	rb.TopViolators = telemetry.TopKRollup{K: FleetTopKCapacity, Offers: 1,
 		Entries: []telemetry.TopKEntry{{Key: "dev-b1", Count: 1}}}
 	if err := agg.Report(ra); err != nil {
 		t.Fatalf("report a: %v", err)
@@ -140,11 +142,11 @@ func TestFleetAggregatorMergeAndStaleness(t *testing.T) {
 	}
 }
 
-// TestFleetAggregatorSeqIdempotence: re-pushing the same rollup (a
-// retry) must not double-count; out-of-order rollups are dropped.
+// TestFleetAggregatorSeqIdempotence: re-pushing the same report (a
+// retry) must not double-count.
 func TestFleetAggregatorSeqIdempotence(t *testing.T) {
 	agg := NewFleetAggregator(0)
-	s := NewShardStats("shard-x", nil)
+	s := NewShardStats("shard-x")
 	s.RecordEvent("d1")
 	s.RecordEvent("d2")
 	r1 := s.Rollup(time.Unix(0, 0))
@@ -170,15 +172,15 @@ func TestFleetAggregatorSeqIdempotence(t *testing.T) {
 // the merged state stays intact.
 func TestFleetAggregatorBoundsMismatchSurfaces(t *testing.T) {
 	agg := NewFleetAggregator(0)
-	good := NewShardStats("shard-good", nil)
+	good := NewShardStats("shard-good")
 	good.ObserveE2E("d", 0.01)
 	if err := agg.Report(good.Rollup(time.Unix(0, 0))); err != nil {
 		t.Fatalf("report good: %v", err)
 	}
-	bad := NewShardStats("shard-good", []float64{1, 2, 3}) // same source, wrong bounds
-	bad.ObserveE2E("d", 0.01)
-	r := bad.Rollup(time.Unix(1, 0))
-	r.Seq = 99
+	bad := telemetry.NewStandaloneHistogram([]float64{1, 2, 3})
+	bad.Observe(0.01)
+	r := good.Rollup(time.Unix(1, 0)) // same source, wrong bounds
+	r.MTTR = bad.Rollup()
 	if err := agg.Report(r); err == nil {
 		t.Fatal("bounds mismatch did not error")
 	}
@@ -200,7 +202,7 @@ func TestFleetMergedQuantilesMatchDirect(t *testing.T) {
 	direct := telemetry.NewStandaloneHistogram(nil)
 	shards := make([]*ShardStats, 8)
 	for i := range shards {
-		shards[i] = NewShardStats(fmt.Sprintf("shard-%d", i), nil)
+		shards[i] = NewShardStats(fmt.Sprintf("shard-%d", i))
 	}
 	vals := []float64{12e-6, 80e-6, 300e-6, 900e-6, 2e-3, 9e-3, 40e-3, 120e-3, 0.8, 3}
 	for i := 0; i < 5000; i++ {
@@ -227,7 +229,7 @@ func TestFleetMergedQuantilesMatchDirect(t *testing.T) {
 
 // TestHierarchyFleetRollups drives a small sharded hierarchy with the
 // rollup plane attached end to end: events land in per-shard stats,
-// rollup deltas reach the global aggregator, and the fleet view
+// shard reports reach the global aggregator, and the fleet view
 // reflects them.
 func TestHierarchyFleetRollups(t *testing.T) {
 	h, devs := buildFleetHierarchy(32, 8, nil)
@@ -395,6 +397,85 @@ func TestHierarchyFleetRollupsUnderLoad(t *testing.T) {
 		if want := direct.Quantile(q); got != want {
 			t.Fatalf("p%.0f: merged %v, direct %v", q*100, got, want)
 		}
+	}
+}
+
+// TestFleetConcurrentFlushLosesNoEvents: Flush called from two
+// goroutines beside the plane's own loop (the benchmark's per-layer
+// probe flushes this way) must not lose counted events. Two flushes
+// can overlap, so an older report may land after a newer one and be
+// dropped by Seq; the newer one must already carry its counts.
+func TestFleetConcurrentFlushLosesNoEvents(t *testing.T) {
+	const events = 200_000
+	h, devs := buildFleetHierarchy(32, 8, nil)
+	agg := h.Global.Fleet()
+	plane := h.StartFleetRollups(agg, time.Millisecond)
+	stats := h.EnableFleetStats()
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				plane.Flush()
+			}
+		}()
+	}
+	for i := 0; i < events; i++ {
+		dev := devs[i%len(devs)]
+		stats[h.partitioning.GroupOf(dev)].RecordEvent(dev)
+	}
+	stop.Store(true)
+	wg.Wait()
+	plane.Stop()
+	if got := agg.View().Fleet.Events; got != events {
+		t.Fatalf("fleet view counts %d events, want %d (%d lost)", got, events, events-int(got))
+	}
+}
+
+// fleetFlushBudget is what one Flush may allocate per shard: the
+// figure measured when each shard began shipping one typed cumulative
+// report, plus 20%.
+const fleetFlushBudget = 1.2 * 1456
+
+// TestFleetFlushBytesPerShard pins the heap one Flush allocates per
+// shard on the benchmark's fleet_100k shape (100,000 devices in 1,563
+// shards of 64), with every shard's TopK summaries full and its MTTR
+// histogram spread over the buckets. The fewest bytes of three rounds
+// count, so a stray allocation elsewhere in the process does not.
+func TestFleetFlushBytesPerShard(t *testing.T) {
+	const shards, devices, flushes = 1563, 64, 10
+	stats := make([]*ShardStats, shards)
+	for g := range stats {
+		s := NewShardStats(fmt.Sprintf("shard-%03d", g))
+		s.SetDevices(devices)
+		for d := 0; d < devices; d++ {
+			dev := fmt.Sprintf("dev%06d", g*devices+d)
+			s.RecordEvent(dev)
+			s.ObserveE2E(dev, float64(d+1)*1e-4)
+		}
+		s.RecordEscalation()
+		stats[g] = s
+	}
+	plane := &FleetRollupPlane{agg: NewFleetAggregator(0), stats: stats}
+	plane.Flush() // every shard's row exists from here on
+
+	perShard := math.Inf(1)
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < flushes; i++ {
+			plane.Flush()
+		}
+		runtime.ReadMemStats(&after)
+		perShard = min(perShard, float64(after.TotalAlloc-before.TotalAlloc)/(shards*flushes))
+	}
+	t.Logf("%.0f bytes allocated per shard per flush (budget %.0f)", perShard, fleetFlushBudget)
+	if perShard > fleetFlushBudget {
+		t.Fatalf("a flush allocates %.0f bytes per shard, budget %.0f", perShard, fleetFlushBudget)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"iotsec/internal/controller"
@@ -9,28 +10,34 @@ import (
 )
 
 // FleetSelfReport makes a single-gateway deployment a first-class
-// shard of the fleet telemetry plane: the platform periodically rolls
-// up its own device counts (total and per SKU), posture-apply volume,
+// shard of the fleet telemetry plane: the platform periodically reports
+// its own device counts (total and per SKU), posture-apply volume,
 // and detect→enforce latency into the global controller's fleet
-// aggregator — the same transport a sharded hierarchy's local
-// controllers use, so one gateway and a 10⁵-device fleet render
+// aggregator — the same report a sharded hierarchy's local
+// controllers send, so one gateway and a 10⁵-device fleet render
 // through the same /debug/fleet view.
 type FleetSelfReport struct {
-	p       *Platform
-	source  string
-	agg     *controller.FleetAggregator
-	builder *telemetry.RollupBuilder
+	p        *Platform
+	source   string
+	agg      *controller.FleetAggregator
+	e2e      *telemetry.Histogram
+	profiles *ProfilePlane // nil unless enabled before the report started
+
+	mu  sync.Mutex // orders Seq with the snapshot it numbers
+	seq uint64
 
 	loop resilience.Loop
 }
 
-// StartFleetSelfReport begins pushing this platform's rollups into
+// StartFleetSelfReport begins pushing this platform's reports into
 // its own fleet aggregator under the given source name every interval
 // (default 1s). e2e, when non-nil, supplies the detect→enforce
 // histogram (the SLO tracker's end-to-end distribution); otherwise
 // the Fig. 2 commit→enforcement histogram is used. With the profile
 // plane enabled first, its live violations are reported too, in total
-// and by device. Stop flushes one final rollup.
+// and by device; with forensics enabled, the aggregator reads the
+// capturer live as this source's incident feed. Stop flushes one
+// final report.
 func (p *Platform) StartFleetSelfReport(source string, interval time.Duration, e2e *telemetry.Histogram) *FleetSelfReport {
 	if source == "" {
 		source = "gateway"
@@ -41,25 +48,8 @@ func (p *Platform) StartFleetSelfReport(source string, interval time.Duration, e
 	if e2e == nil {
 		e2e = mEnforceSeconds
 	}
-	r := &FleetSelfReport{
-		p:      p,
-		source: source,
-		agg:    p.Global.Fleet(),
-		// Posture applies stand in for handled events: on a single
-		// gateway every committed change ends in (at most) one apply.
-		builder: telemetry.NewRollupBuilder(source).
-			AddCounter(controller.RollupEvents, mPostureApplies).
-			AddHistogram(controller.RollupMTTR, e2e).
-			AddGauge(controller.RollupDevices, func() float64 { return float64(p.DeviceCount()) }).
-			AddGauge(controller.RollupHealthy, func() float64 { return 1 }),
-	}
-	if pl, ok := p.Profiles(); ok {
-		r.builder.AddCounter(controller.RollupViolations, &pl.violations).
-			AddTopK(controller.RollupTopViolators, pl.topViolators)
-	}
-	// With forensics enabled, the shard report carries the incident
-	// plane too: live pull handle for cross-shard assembly, digests
-	// pushed with every flush.
+	r := &FleetSelfReport{p: p, source: source, agg: p.Global.Fleet(), e2e: e2e}
+	r.profiles, _ = p.Profiles()
 	if cap := p.Forensics(); cap != nil {
 		r.agg.AttachIncidentSource(source, cap)
 	}
@@ -67,24 +57,31 @@ func (p *Platform) StartFleetSelfReport(source string, interval time.Duration, e
 	return r
 }
 
-// flush pushes one rollup, folding in the live per-SKU device counts
-// (and the incident digests, with forensics enabled).
+// flush pushes one cumulative report. Posture applies stand in for
+// handled events: on a single gateway every committed change ends in
+// (at most) one apply.
 func (r *FleetSelfReport) flush() {
-	roll := r.builder.Take(time.Now())
-	for sku, n := range r.p.DevicesBySKU() {
-		if roll.Gauges == nil {
-			roll.Gauges = make(map[string]float64)
-		}
-		roll.Gauges[controller.RollupSKUPrefix+sku] = float64(n)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.seq++
+	rep := controller.ShardReport{
+		Source:     r.source,
+		Seq:        r.seq,
+		TakenAt:    time.Now(),
+		Events:     mPostureApplies.Value(),
+		MTTR:       r.e2e.Rollup(),
+		Devices:    r.p.DeviceCount(),
+		SKUDevices: r.p.DevicesBySKU(),
 	}
-	_ = r.agg.Report(roll)
-	if cap := r.p.Forensics(); cap != nil {
-		r.agg.ReportIncidents(r.source, cap.Digests())
+	if pl := r.profiles; pl != nil {
+		rep.Violations = pl.violations.Value()
+		rep.TopViolators = pl.topViolators.Snapshot()
 	}
+	_ = r.agg.Report(rep)
 }
 
-// Stop halts the reporter, then flushes one final rollup (a repeated
-// Stop pushes one more, empty, delta).
+// Stop halts the reporter, then flushes one final report (a repeated
+// Stop pushes the same totals again under a new Seq).
 func (r *FleetSelfReport) Stop() {
 	r.loop.Stop()
 	r.flush()

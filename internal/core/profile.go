@@ -35,7 +35,7 @@ type ProfilePlane struct {
 	engine *profile.Engine
 
 	// violations and topViolators count live violations for the
-	// fleet self-report (RollupViolations, RollupTopViolators).
+	// fleet self-report (ShardReport.Violations, .TopViolators).
 	violations   telemetry.Counter
 	topViolators *telemetry.TopK
 

@@ -149,27 +149,6 @@ func (h *Histogram) Rollup() HistogramRollup {
 	}
 }
 
-// Merge folds an external rollup into the live histogram (bucket-wise
-// atomic adds into shard 0, so writers stay lock-free). Bounds must
-// match the histogram's exactly; a mismatch errors without recording
-// anything — merging across different bucket layouts would silently
-// corrupt quantiles.
-func (h *Histogram) Merge(r HistogramRollup) error {
-	if !boundsEqual(h.bounds, r.Bounds) {
-		return fmt.Errorf("telemetry: %s: merge bounds mismatch (%v vs %v)", h.name, h.bounds, r.Bounds)
-	}
-	if len(r.Buckets) != len(r.Bounds)+1 {
-		return fmt.Errorf("telemetry: %s: merge %d buckets for %d bounds", h.name, len(r.Buckets), len(r.Bounds))
-	}
-	s := &h.shards[0]
-	s.count.Add(r.Count)
-	s.sum.Add(r.Sum)
-	for i, b := range r.Buckets {
-		s.buckets[i].Add(b)
-	}
-	return nil
-}
-
 // NewStandaloneHistogram builds an unregistered histogram (per-shard
 // stats that export through rollups rather than registry scrapes).
 // nil bounds use LatencyBuckets, like registered histograms.

@@ -1,52 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
-
-// Rollup is the mergeable telemetry unit the fleet hierarchy ships
-// upward: a bounded, self-describing delta of one reporting source's
-// metrics since its previous rollup. The semantics per section are
-// chosen so that merging is associative and loss-tolerant:
-//
-//   - Counters carry monotonic *deltas* (observations since the last
-//     rollup). An aggregator sums deltas into cumulative totals, so a
-//     dropped rollup loses a window of counts but never double-counts
-//     and never goes backwards.
-//   - Histograms carry per-bucket *delta* counts against declared
-//     bounds. Aggregators merge bucket-wise (bounds must match
-//     exactly; a mismatch is an error, never silent corruption) and
-//     re-derive quantiles with QuantileFromBuckets.
-//   - Gauges are instantaneous values: an aggregator keeps the latest
-//     per source and sums (or maxes) across sources at read time.
-//   - TopK sections are cumulative space-saving *snapshots*: an
-//     aggregator keeps the latest per source and merges across
-//     sources with MergeTopK at read time. Snapshots (not deltas)
-//     keep the heavy-hitter error bounds meaningful after drops.
-//
-// The Seq number makes reports idempotent: an aggregator drops any
-// rollup whose Seq is not greater than the last one it applied from
-// the same Source, so retried pushes cannot double-count.
-type Rollup struct {
-	// Source identifies the reporting shard/process ("shard-3",
-	// "gateway"). Aggregators key state by it.
-	Source string `json:"source"`
-	// Seq increases by one per rollup taken from this source.
-	Seq uint64 `json:"seq"`
-	// TakenAt is the source's wall clock at snapshot time.
-	TakenAt time.Time `json:"taken_at"`
-	// WindowSeconds is the span this delta covers (0 for the first
-	// rollup of a source). Aggregators use it to turn counter deltas
-	// into rates.
-	WindowSeconds float64 `json:"window_seconds"`
-
-	Counters   map[string]uint64          `json:"counters,omitempty"`
-	Gauges     map[string]float64         `json:"gauges,omitempty"`
-	Histograms map[string]HistogramRollup `json:"histograms,omitempty"`
-	TopK       map[string]TopKRollup      `json:"topk,omitempty"`
-}
+import "fmt"
 
 // HistogramRollup is a mergeable fixed-bucket histogram snapshot (or
 // delta — the struct doesn't care, only the producer's bookkeeping
@@ -154,137 +108,4 @@ func (h HistogramRollup) Mean() float64 {
 		return 0
 	}
 	return h.Sum / float64(h.Count)
-}
-
-// RollupBuilder assembles successive delta Rollups from live metrics.
-// Register the metrics once, then call Take periodically; the builder
-// remembers the previous cumulative snapshot of every counter and
-// histogram so each Rollup carries exactly the observations since the
-// last Take. Gauges and TopKs are snapshotted as-is (their rollup
-// semantics are instantaneous/cumulative, see Rollup).
-//
-// Take is safe to call concurrently with metric writers (metric
-// snapshots are atomic-read folds), but the builder itself is
-// single-consumer: guard concurrent Take calls externally (the fleet
-// rollup plane has one pusher goroutine per builder).
-type RollupBuilder struct {
-	source string
-
-	mu       sync.Mutex
-	seq      uint64
-	lastTake time.Time
-
-	counters map[string]*Counter
-	gauges   map[string]func() float64
-	hists    map[string]*Histogram
-	topks    map[string]*TopK
-
-	prevCounters map[string]uint64
-	prevHists    map[string]HistogramRollup
-}
-
-// NewRollupBuilder builds an empty builder for one source.
-func NewRollupBuilder(source string) *RollupBuilder {
-	return &RollupBuilder{
-		source:       source,
-		counters:     make(map[string]*Counter),
-		gauges:       make(map[string]func() float64),
-		hists:        make(map[string]*Histogram),
-		topks:        make(map[string]*TopK),
-		prevCounters: make(map[string]uint64),
-		prevHists:    make(map[string]HistogramRollup),
-	}
-}
-
-// Source reports the builder's source name.
-func (b *RollupBuilder) Source() string { return b.source }
-
-// AddCounter includes a counter (exported as monotonic deltas).
-func (b *RollupBuilder) AddCounter(name string, c *Counter) *RollupBuilder {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.counters[name] = c
-	return b
-}
-
-// AddGauge includes an instantaneous value read at Take time.
-func (b *RollupBuilder) AddGauge(name string, read func() float64) *RollupBuilder {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.gauges[name] = read
-	return b
-}
-
-// AddHistogram includes a histogram (exported as bucket deltas).
-func (b *RollupBuilder) AddHistogram(name string, h *Histogram) *RollupBuilder {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.hists[name] = h
-	return b
-}
-
-// AddTopK includes a heavy-hitter summary (exported as a cumulative
-// snapshot, merged across sources at read time).
-func (b *RollupBuilder) AddTopK(name string, t *TopK) *RollupBuilder {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.topks[name] = t
-	return b
-}
-
-// Take snapshots every registered metric and returns the delta since
-// the previous Take (the first Take returns everything observed so
-// far, with WindowSeconds 0).
-func (b *RollupBuilder) Take(now time.Time) Rollup {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.seq++
-	r := Rollup{
-		Source:  b.source,
-		Seq:     b.seq,
-		TakenAt: now,
-	}
-	if !b.lastTake.IsZero() {
-		r.WindowSeconds = now.Sub(b.lastTake).Seconds()
-	}
-	b.lastTake = now
-
-	if len(b.counters) > 0 {
-		r.Counters = make(map[string]uint64, len(b.counters))
-		for name, c := range b.counters {
-			v := c.Value()
-			prev := b.prevCounters[name]
-			if v < prev {
-				prev = 0 // counter reset upstream; re-export everything
-			}
-			r.Counters[name] = v - prev
-			b.prevCounters[name] = v
-		}
-	}
-	if len(b.gauges) > 0 {
-		r.Gauges = make(map[string]float64, len(b.gauges))
-		for name, read := range b.gauges {
-			r.Gauges[name] = read()
-		}
-	}
-	if len(b.hists) > 0 {
-		r.Histograms = make(map[string]HistogramRollup, len(b.hists))
-		for name, h := range b.hists {
-			cur := h.Rollup()
-			delta, err := cur.DeltaFrom(b.prevHists[name])
-			if err != nil {
-				// Bounds never change on a live histogram; defensive only.
-				delta = cur.Clone()
-			}
-			r.Histograms[name] = delta
-			b.prevHists[name] = cur
-		}
-	}
-	if len(b.topks) > 0 {
-		r.TopK = make(map[string]TopKRollup, len(b.topks))
-		for name, t := range b.topks {
-			r.TopK[name] = t.Snapshot()
-		}
-	}
-	return r
 }

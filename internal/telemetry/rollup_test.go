@@ -3,7 +3,6 @@ package telemetry
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func rollupBounds() []float64 { return []float64{0.001, 0.01, 0.1, 1} }
@@ -74,15 +73,6 @@ func TestHistogramRollupMergeBoundsMismatch(t *testing.T) {
 	if err := target.Merge(bad); err == nil {
 		t.Fatal("merge with truncated buckets did not error")
 	}
-
-	// Live-histogram merge enforces the same contract.
-	live := NewStandaloneHistogram(rollupBounds())
-	if err := live.Merge(b.Rollup()); err == nil {
-		t.Fatal("Histogram.Merge with mismatched bounds did not error")
-	}
-	if live.Count() != 0 {
-		t.Fatalf("failed live merge recorded observations: count=%d", live.Count())
-	}
 }
 
 // TestHistogramMergeQuantileMatchesDirect: observing a stream sharded
@@ -102,34 +92,20 @@ func TestHistogramMergeQuantileMatchesDirect(t *testing.T) {
 		shards[i%len(shards)].Observe(v)
 	}
 
-	// Merge via rollup structs.
 	var merged HistogramRollup
 	for _, s := range shards {
 		if err := merged.Merge(s.Rollup()); err != nil {
 			t.Fatalf("merge: %v", err)
 		}
 	}
-	// And via a live aggregation histogram.
-	liveAgg := NewStandaloneHistogram(rollupBounds())
-	for _, s := range shards {
-		if err := liveAgg.Merge(s.Rollup()); err != nil {
-			t.Fatalf("live merge: %v", err)
-		}
-	}
 
 	if merged.Count != direct.Count() {
 		t.Fatalf("merged count = %d, direct = %d", merged.Count, direct.Count())
-	}
-	if liveAgg.Count() != direct.Count() {
-		t.Fatalf("live merged count = %d, direct = %d", liveAgg.Count(), direct.Count())
 	}
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
 		want := direct.Quantile(q)
 		if got := merged.Quantile(q); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("q%.2f: merged %v, direct %v", q, got, want)
-		}
-		if got := liveAgg.Quantile(q); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("q%.2f: live-merged %v, direct %v", q, got, want)
 		}
 	}
 }
@@ -178,68 +154,5 @@ func TestHistogramRollupDeltaFrom(t *testing.T) {
 	other := NewStandaloneHistogram([]float64{1, 2, 3})
 	if _, err := other.Rollup().DeltaFrom(first); err == nil {
 		t.Fatal("delta across mismatched bounds did not error")
-	}
-}
-
-// TestRollupBuilderDeltas: counters and histograms export monotonic
-// deltas per Take; gauges snapshot; seq increases; the window spans
-// takes.
-func TestRollupBuilderDeltas(t *testing.T) {
-	c := &Counter{}
-	h := NewStandaloneHistogram(rollupBounds())
-	tk := NewStandaloneTopK(4)
-	gaugeVal := 7.0
-	b := NewRollupBuilder("shard-0").
-		AddCounter("events_total", c).
-		AddHistogram("e2e_seconds", h).
-		AddTopK("top_producers", tk).
-		AddGauge("devices", func() float64 { return gaugeVal })
-
-	c.Add(10)
-	h.Observe(0.05)
-	tk.Inc("cam-1")
-	t0 := time.Unix(100, 0)
-	r1 := b.Take(t0)
-	if r1.Source != "shard-0" || r1.Seq != 1 {
-		t.Fatalf("rollup identity: %+v", r1)
-	}
-	if r1.WindowSeconds != 0 {
-		t.Fatalf("first window = %v, want 0", r1.WindowSeconds)
-	}
-	if r1.Counters["events_total"] != 10 {
-		t.Fatalf("first counter delta = %d", r1.Counters["events_total"])
-	}
-	if r1.Histograms["e2e_seconds"].Count != 1 {
-		t.Fatalf("first hist delta count = %d", r1.Histograms["e2e_seconds"].Count)
-	}
-	if r1.Gauges["devices"] != 7 {
-		t.Fatalf("gauge = %v", r1.Gauges["devices"])
-	}
-
-	c.Add(5)
-	h.Observe(0.5)
-	h.Observe(0.5)
-	gaugeVal = 9
-	r2 := b.Take(t0.Add(2 * time.Second))
-	if r2.Seq != 2 {
-		t.Fatalf("seq = %d", r2.Seq)
-	}
-	if r2.WindowSeconds != 2 {
-		t.Fatalf("window = %v", r2.WindowSeconds)
-	}
-	if r2.Counters["events_total"] != 5 {
-		t.Fatalf("second counter delta = %d, want 5", r2.Counters["events_total"])
-	}
-	if r2.Histograms["e2e_seconds"].Count != 2 {
-		t.Fatalf("second hist delta count = %d, want 2", r2.Histograms["e2e_seconds"].Count)
-	}
-	if r2.Gauges["devices"] != 9 {
-		t.Fatalf("gauge after update = %v", r2.Gauges["devices"])
-	}
-
-	// Nothing observed: third delta is all-zero, not a repeat.
-	r3 := b.Take(t0.Add(3 * time.Second))
-	if r3.Counters["events_total"] != 0 || r3.Histograms["e2e_seconds"].Count != 0 {
-		t.Fatalf("idle delta not zero: %+v", r3)
 	}
 }
